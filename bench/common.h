@@ -127,20 +127,17 @@ struct BenchJsonRow
     std::string bench;
     double wallMs = 0.0;
     uint64_t nodes = 0;
-    uint64_t relaxations = 0;
     uint64_t valueSweeps = 0;
     uint64_t policyImprovements = 0;
 };
 
 /**
  * Emit a bench report as a JSON array of {"bench", "wall_ms", "nodes",
- * "relaxations", "value_sweeps", "policy_improvements"} objects — the
+ * "value_sweeps", "policy_improvements"} objects — the
  * BENCH_solver.json schema CI archives per commit (and tools/
  * bench_diff.py gates against bench/baselines/) so the solver perf
- * trajectory is diffable across PRs. `relaxations` counts binary-mode
- * Bellman-Ford passes, `value_sweeps`/`policy_improvements` the Howard
- * kernel's effort; regression gating treats relaxations + value_sweeps
- * as one probe-pass budget so a mode flip can't masquerade as a win.
+ * trajectory is diffable across PRs. `value_sweeps` and
+ * `policy_improvements` are the period kernel's deterministic effort.
  */
 inline bool
 writeBenchJson(const std::string &path,
@@ -154,7 +151,6 @@ writeBenchJson(const std::string &path,
         out << "  {\"bench\": \"" << rows[i].bench
             << "\", \"wall_ms\": " << rows[i].wallMs
             << ", \"nodes\": " << rows[i].nodes
-            << ", \"relaxations\": " << rows[i].relaxations
             << ", \"value_sweeps\": " << rows[i].valueSweeps
             << ", \"policy_improvements\": "
             << rows[i].policyImprovements << "}"

@@ -127,13 +127,13 @@ sweep(Table &table, std::vector<bench::BenchJsonRow> &json,
         json.push_back({tag + "/oblivious_blocking",
                         obl_blocking.makespanMs,
                         oblivious.breakdown.solverNodes,
-                        oblivious.breakdown.relaxations});
+                        oblivious.breakdown.valueSweeps});
         json.push_back({tag + "/oblivious_overlap", obl_overlap.makespanMs,
                         oblivious.breakdown.solverNodes,
-                        oblivious.breakdown.relaxations});
+                        oblivious.breakdown.valueSweeps});
         json.push_back({tag + "/comm_aware", aware_ms,
                         aware.breakdown.solverNodes,
-                        aware.breakdown.relaxations});
+                        aware.breakdown.valueSweeps});
     }
 }
 
@@ -203,7 +203,7 @@ wideRun(Table &table, std::vector<bench::BenchJsonRow> &json,
                   fmtDouble(sim.makespanMs / 1e3, 2), status});
     json.push_back({"wide/" + std::to_string(gpus) + "gpu/planned",
                     static_cast<double>(planned),
-                    r.breakdown.solverNodes, r.breakdown.relaxations});
+                    r.breakdown.solverNodes, r.breakdown.valueSweeps});
     return sim_ok && run_ok && resources > 64;
 }
 

@@ -113,25 +113,11 @@ BM_MinPeriodHoward(benchmark::State &state)
     const KernelInstance k =
         kernelInstanceByShape(static_cast<int>(state.range(0)));
     for (auto _ : state) {
-        auto r = solveMinPeriod(k.nodes, k.edges, 1, k.hi,
-                                McrMode::Howard);
+        auto r = solveMinPeriod(k.nodes, k.edges, 1, k.hi);
         benchmark::DoNotOptimize(r.period);
     }
 }
 BENCHMARK(BM_MinPeriodHoward)->Arg(0)->Arg(1)->Arg(2);
-
-void
-BM_MinPeriodBinary(benchmark::State &state)
-{
-    const KernelInstance k =
-        kernelInstanceByShape(static_cast<int>(state.range(0)));
-    for (auto _ : state) {
-        auto r = solveMinPeriod(k.nodes, k.edges, 1, k.hi,
-                                McrMode::Binary);
-        benchmark::DoNotOptimize(r.period);
-    }
-}
-BENCHMARK(BM_MinPeriodBinary)->Arg(0)->Arg(1)->Arg(2);
 
 /**
  * Warm kernel call on a grown system (the BnB child-probe pattern):
@@ -145,13 +131,13 @@ BM_MinPeriodHowardWarm(benchmark::State &state)
     KernelInstance k =
         kernelInstanceByShape(static_cast<int>(state.range(0)));
     const McrSolveResult parent =
-        solveMinPeriod(k.nodes, k.edges, 1, k.hi, McrMode::Howard);
+        solveMinPeriod(k.nodes, k.edges, 1, k.hi);
     k.edges.push_back({0, 1, 1, 0});
     const McrWarmStart warm{&parent.start, parent.period,
                             &parent.policy};
     for (auto _ : state) {
-        auto r = solveMinPeriod(k.nodes, k.edges, parent.period, k.hi,
-                                McrMode::Howard, warm);
+        auto r =
+            solveMinPeriod(k.nodes, k.edges, parent.period, k.hi, warm);
         benchmark::DoNotOptimize(r.period);
     }
 }
@@ -255,7 +241,7 @@ BENCHMARK(BM_ParallelSearchMShape)->Arg(1)->Arg(2)->Arg(4)
 /**
  * --json mode: run the composite FullSearch workloads once each with
  * deterministic single-threaded settings and write wall time plus the
- * solver effort counters (nodes, Bellman-Ford relaxation passes) to
+ * solver effort counters (nodes, period-kernel value sweeps) to
  * @p path in the BENCH_solver.json schema. CI archives the file per
  * commit, making solver perf regressions diffable.
  */
@@ -284,30 +270,23 @@ runJsonReport(const std::string &path)
         row.bench = w.name;
         row.wallMs = watch.milliseconds();
         row.nodes = r.breakdown.solverNodes;
-        row.relaxations = r.breakdown.relaxations;
         row.valueSweeps = r.breakdown.valueSweeps;
         row.policyImprovements = r.breakdown.policyImprovements;
         rows.push_back(row);
         std::cout << row.bench << ": wall_ms=" << row.wallMs
                   << " nodes=" << row.nodes
-                  << " relaxations=" << row.relaxations
                   << " value_sweeps=" << row.valueSweeps
                   << " policy_improvements=" << row.policyImprovements
                   << " period=" << r.period << "\n";
     }
-    // Isolated MCR kernel rows, both modes on the same instances; the
-    // explicit mode means these rows are env-independent, so baseline
-    // and fresh runs compare like for like.
+    // Isolated MCR kernel rows.
     const struct
     {
         const char *name;
         int shape;
-        McrMode mode;
     } kernels[] = {
-        {"MinPeriodHowardMShape", 1, McrMode::Howard},
-        {"MinPeriodBinaryMShape", 1, McrMode::Binary},
-        {"MinPeriodHowardNnShape", 2, McrMode::Howard},
-        {"MinPeriodBinaryNnShape", 2, McrMode::Binary},
+        {"MinPeriodHowardMShape", 1},
+        {"MinPeriodHowardNnShape", 2},
     };
     for (const auto &kb : kernels) {
         const KernelInstance k = kernelInstanceByShape(kb.shape);
@@ -315,20 +294,17 @@ runJsonReport(const std::string &path)
         Stopwatch watch;
         McrSolveResult last;
         for (int i = 0; i < kReps; ++i) {
-            last = solveMinPeriod(k.nodes, k.edges, 1, k.hi, kb.mode);
+            last = solveMinPeriod(k.nodes, k.edges, 1, k.hi);
             benchmark::DoNotOptimize(last.period);
         }
         bench::BenchJsonRow row;
         row.bench = kb.name;
         row.wallMs = watch.milliseconds();
-        row.relaxations = last.stats.relaxations;
         row.valueSweeps = last.stats.valueSweeps;
         row.policyImprovements = last.stats.policyImprovements;
         rows.push_back(row);
         std::cout << row.bench << ": wall_ms=" << row.wallMs << " ("
-                  << kReps << " solves) relaxations="
-                  << row.relaxations
-                  << " value_sweeps=" << row.valueSweeps
+                  << kReps << " solves) value_sweeps=" << row.valueSweeps
                   << " policy_improvements=" << row.policyImprovements
                   << " period=" << last.period << "\n";
     }

@@ -1,26 +1,12 @@
 #include "core/repetend_solver.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "support/arena.h"
 #include "support/logging.h"
 #include "support/timer.h"
 
 namespace tessel {
-
-McrMode
-defaultMcrMode()
-{
-    // Re-read per call (a libc hash lookup, trivially cheaper than any
-    // solve) so tests can flip the mode and the CI fallback leg
-    // (TESSEL_MCR=binary over the full suite) needs no rebuild.
-    const char *env = std::getenv("TESSEL_MCR");
-    if (env && std::strcmp(env, "binary") == 0)
-        return McrMode::Binary;
-    return McrMode::Howard;
-}
 
 // ----------------------------------------------------------- MCR kernel
 //
@@ -34,9 +20,11 @@ defaultMcrMode()
 // Device exclusivity is disjunctive (either a before b or b before a) and
 // memory feasibility constrains per-device *orders*; both are resolved by
 // branching. For a fixed set of resolved decisions, the minimal feasible
-// P is the maximum cycle ratio of the constraint graph. Binary mode
-// finds it by binary search with Bellman-Ford positive-cycle detection;
-// Howard mode by policy iteration (see minPeriod below). Adding
+// P is the maximum cycle ratio of the constraint graph, found by Howard
+// policy iteration (see minPeriod below). A binary search over periods
+// with one Bellman-Ford feasibility probe per step reaches the same
+// exact answer and identical search trees, but spent 15-20% more probe
+// passes on the M- and NN-shape full searches and was retired. Adding
 // decisions only raises P, so the relaxation is an admissible bound.
 
 namespace {
@@ -59,7 +47,6 @@ McrCore::reset(int num_nodes)
     mark_.assign(k_, 0);
     stamp_ = 0;
     baseStamp_ = 1;
-    probe_.reserve(k_);
     reps_.reserve(k_);
     sweepPoll_ = 0;
 }
@@ -104,25 +91,20 @@ McrCore::reset(int num_nodes)
  * improvement wave to walk the whole cycle.
  */
 McrCore::Sweep
-McrCore::evaluate(Time period, std::vector<Time> &s, McrMode mode,
-                  bool keep_policy, McrStats &stats,
-                  const std::function<bool()> &stop)
+McrCore::evaluate(Time period, std::vector<Time> &s, bool keep_policy,
+                  McrStats &stats, const std::function<bool()> &stop)
 {
     if (!keep_policy)
         std::fill(policy_.begin(), policy_.end(), -1);
-    const bool howard = mode == McrMode::Howard;
     // The adjusted weights w - h * P are probe constants. They are
     // computed fused into the first sweep (stored for later sweeps)
-    // rather than in a separate pass: Howard evaluations converge or
+    // rather than in a separate pass: evaluations converge or
     // detect in very few sweeps, so a standalone O(E) precompute pass
     // would rival the cost of the sweeps themselves.
     wp_.resize(ne_);
     bool first_sweep = true;
     auto sweep_once = [&]() {
-        if (howard)
-            ++stats.valueSweeps;
-        else
-            ++stats.relaxations;
+        ++stats.valueSweeps;
         bool changed = false;
         if (first_sweep) {
             first_sweep = false;
@@ -184,23 +166,18 @@ McrCore::evaluate(Time period, std::vector<Time> &s, McrMode mode,
         }
     };
     for (int iter = 0; iter < k_; ++iter) {
-        // Budget/cancel polling covers the value-sweep loop (Howard
-        // mode only; Binary keeps the per-node cadence of PR 4). Most
+        // Budget/cancel polling covers the value-sweep loop. Most
         // evaluations finish in one or two sweeps, so the indirect
         // std::function call is throttled by a cheap local counter
         // before the callback's own every-1024-checks gate; a runaway
         // evaluation still gets polled.
-        if (howard && stop && ((++sweepPoll_ & 63u) == 0) && stop())
+        if (stop && ((++sweepPoll_ & 63u) == 0) && stop())
             return Sweep::Stopped;
         if (!sweep_once())
             return Sweep::Fixpoint;
-        if (howard) {
-            policyCycleReps(reps_);
-            if (!reps_.empty()) {
-                best_violated_cycle();
-                return Sweep::PositiveCycle;
-            }
-        } else if (policyCycleNode() >= 0) {
+        policyCycleReps(reps_);
+        if (!reps_.empty()) {
+            best_violated_cycle();
             return Sweep::PositiveCycle;
         }
     }
@@ -211,48 +188,22 @@ McrCore::evaluate(Time period, std::vector<Time> &s, McrMode mode,
     // happened to break every closed walk, fall back to a +1 raise
     // certificate — still exact (the period is proven infeasible, so
     // the answer is >= period + 1), merely less of a jump.
-    if (howard) {
-        policyCycleReps(reps_);
-        if (!reps_.empty()) {
-            best_violated_cycle();
-        } else {
-            cycleW_ = period + 1;
-            cycleH_ = 1;
-        }
+    policyCycleReps(reps_);
+    if (!reps_.empty()) {
+        best_violated_cycle();
+    } else {
+        cycleW_ = period + 1;
+        cycleH_ = 1;
     }
     return Sweep::PositiveCycle;
 }
 
-/** @return a node on a policy-graph cycle, or -1 when acyclic. */
-int
-McrCore::policyCycleNode()
-{
-    // One stamped walk per start node; every node is visited at
-    // most once per check, so the whole scan is O(k).
-    for (int v = 0; v < k_; ++v) {
-        if (mark_[v] >= baseStamp_)
-            continue;
-        const uint64_t walk = ++stamp_;
-        int u = v;
-        while (u >= 0 && mark_[u] < baseStamp_) {
-            mark_[u] = walk;
-            u = policy_[u] >= 0 ? edges_[policy_[u]].from : -1;
-        }
-        if (u >= 0 && mark_[u] == walk) {
-            baseStamp_ = ++stamp_; // Age marks for the next check.
-            return u;
-        }
-    }
-    // Age all walk marks at once for the next check.
-    baseStamp_ = ++stamp_;
-    return -1;
-}
-
-/** Collect one representative node per distinct policy cycle. Same
- *  stamped O(k) scan as policyCycleNode, but exhaustive: Howard's
- *  improvement step raises to the *largest* demand among all cycles
- *  present, which converges in fewer rounds than chasing them one at
- *  a time (each round pays a from-zeros re-evaluation). */
+/** Collect one representative node per distinct policy cycle: one
+ *  stamped walk per start node, every node visited at most once, so
+ *  the scan is O(k). Exhaustive because the improvement step raises to
+ *  the *largest* demand among all cycles present, which converges in
+ *  fewer rounds than chasing them one at a time (each round pays a
+ *  from-zeros re-evaluation). */
 void
 McrCore::policyCycleReps(std::vector<int> &reps)
 {
@@ -276,12 +227,7 @@ McrCore::policyCycleReps(std::vector<int> &reps)
  * Minimal feasible period within [lo, hi]; see the header for the
  * contract and warm-start validity rules.
  *
- * Binary mode: probe hi (establishing range feasibility and the
- * caller's anchor), then classic binary search; every accepted probe
- * keeps @p s synced with the current upper bound, so the converged
- * @p s needs no trailing re-probe.
- *
- * Howard mode: policy iteration. Start at lo (the inherited lower
+ * Policy iteration. Start at lo (the inherited lower
  * bound); evaluate the potentials there — in the warm case one sweep
  * from the parent's converged potentials. If the evaluation converges,
  * lo is feasible and, because improvements below never overshoot, it
@@ -290,16 +236,13 @@ McrCore::policyCycleReps(std::vector<int> &reps)
  * max(P + 1, ceil(W / H)) — at most the true maximum cycle ratio
  * ceiling, since the cycle is real — and re-evaluate. The first
  * period whose evaluation reaches a fixed point is therefore exactly
- * max(lo, ceil(max cycle ratio)), the same value the binary search
- * returns, and @p s is the least fixed point there, the same vector
- * the binary search leaves behind. A violated cycle with H == 0 has
- * W > 0 at any period: infeasible outright, matching the binary
- * path's failed hi probe.
+ * max(lo, ceil(max cycle ratio)), the minimal feasible period in
+ * [lo, hi], and @p s is the least fixed point there. A violated cycle
+ * with H == 0 has W > 0 at any period: infeasible outright.
  */
 Time
 McrCore::minPeriod(const PeriodEdge *edges, size_t num_edges, Time lo,
-                   Time hi, McrMode mode, const McrWarmStart &warm,
-                   std::vector<Time> &s, std::vector<Time> *anchor,
+                   Time hi, const McrWarmStart &warm, std::vector<Time> &s,
                    std::vector<int> *policy_out, McrStats &stats,
                    const std::function<bool()> &stop)
 {
@@ -307,37 +250,6 @@ McrCore::minPeriod(const PeriodEdge *edges, size_t num_edges, Time lo,
         return -1;
     edges_ = edges;
     ne_ = num_edges;
-
-    if (mode == McrMode::Binary) {
-        panic_if(anchor == nullptr, "binary MCR mode needs an anchor");
-        // Largest-period probe: establishes feasibility of the range
-        // and this node's anchor.
-        if (warm.s)
-            *anchor = *warm.s;
-        else
-            anchor->assign(k_, 0);
-        if (evaluate(hi, *anchor, mode, false, stats, stop) !=
-            Sweep::Fixpoint)
-            return -1;
-        s = *anchor;
-        while (lo < hi) {
-            const Time mid = lo + (hi - lo) / 2;
-            // mid < hi, so s (the fixed point at hi) is below the
-            // fixed point at mid and remains a valid warm base.
-            if (warm.s)
-                probe_ = s;
-            else
-                probe_.assign(k_, 0);
-            if (evaluate(mid, probe_, mode, false, stats, stop) ==
-                Sweep::Fixpoint) {
-                s.swap(probe_);
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        return hi;
-    }
 
     Time period = lo;
     bool first = true;
@@ -361,7 +273,7 @@ McrCore::minPeriod(const PeriodEdge *edges, size_t num_edges, Time lo,
             s.assign(k_, 0);
         }
         first = false;
-        switch (evaluate(period, s, mode, keep_policy, stats, stop)) {
+        switch (evaluate(period, s, keep_policy, stats, stop)) {
         case Sweep::Fixpoint:
             if (policy_out)
                 *policy_out = policy_;
@@ -383,7 +295,7 @@ McrCore::minPeriod(const PeriodEdge *edges, size_t num_edges, Time lo,
 
 McrSolveResult
 solveMinPeriod(int num_nodes, const std::vector<PeriodEdge> &edges,
-               Time lo, Time hi, McrMode mode, const McrWarmStart &warm)
+               Time lo, Time hi, const McrWarmStart &warm)
 {
     panic_if(num_nodes < 0, "solveMinPeriod: negative node count");
     panic_if(lo < 0, "solveMinPeriod: negative lower bound");
@@ -406,11 +318,9 @@ solveMinPeriod(int num_nodes, const std::vector<PeriodEdge> &edges,
     McrCore core;
     core.reset(num_nodes);
     McrSolveResult out;
-    std::vector<Time> anchor;
-    out.period = core.minPeriod(
-        edges.data(), edges.size(), lo, hi, mode, warm, out.start,
-        mode == McrMode::Binary ? &anchor : nullptr, &out.policy,
-        out.stats, std::function<bool()>{});
+    out.period = core.minPeriod(edges.data(), edges.size(), lo, hi, warm,
+                                out.start, &out.policy, out.stats,
+                                std::function<bool()>{});
     if (out.period < 0) {
         out.start.clear();
         out.policy.clear();
@@ -446,7 +356,6 @@ class PeriodSearch
             return out;
         }
         recurse(0, 0, McrWarmStart{});
-        stats_.relaxations = mcrStats_.relaxations;
         stats_.valueSweeps = mcrStats_.valueSweeps;
         stats_.policyImprovements = mcrStats_.policyImprovements;
         out.stats = stats_;
@@ -538,17 +447,12 @@ class PeriodSearch
     struct Frame
     {
         /** Start vector of this node: least fixed point at the period
-         *  minPeriod() returned. In Howard mode doubles as the
-         *  descendants' warm base (children inherit this node's period
-         *  as their lower bound, and at an unchanged period the parent
-         *  fixed point is a valid resume vector; see McrCore). */
+         *  minPeriod() returned. Doubles as the descendants' warm base
+         *  (children inherit this node's period as their lower bound,
+         *  and at an unchanged period the parent fixed point is a valid
+         *  resume vector; see McrCore). */
         std::vector<Time> s;
-        /** Binary mode only: least fixed point at this node's
-         *  largest-period probe; the valid warm-start base for every
-         *  descendant probe (periods only shrink and edges only grow
-         *  down the tree, both of which raise fixed points). */
-        std::vector<Time> anchor;
-        /** Howard mode only: converged improving-edge forest at this
+        /** Converged improving-edge forest at this
          *  node's period; descendants probing the same period seed
          *  their policy graph from it (see McrWarmStart::policy). */
         std::vector<int> policy;
@@ -566,15 +470,10 @@ class PeriodSearch
      * of the returned period and @p child_out with the warm-start
      * handle descendants must inherit.
      *
-     * The parent period only tightens `lb_hint` in Binary mode;
-     * probing it outright first (betting the child's period is
-     * unchanged) was measured and rejected there — an infeasible probe
-     * never benefits from the warm vector the way a feasible one does,
-     * and on the reference shapes those extra failed probes outweighed
-     * the binary searches they skipped. Howard mode is that bet made
-     * safe: its first evaluation *is* at the parent period, but an
-     * infeasible evaluation still pays for itself by producing the
-     * violated cycle that jumps the period to the answer.
+     * The first evaluation is at the parent period (betting the
+     * child's period is unchanged); an infeasible evaluation still pays
+     * for itself by producing the violated cycle that jumps the period
+     * to the answer.
      */
     Time
     minPeriod(Time lb_hint, Time limit, Frame &f,
@@ -582,18 +481,12 @@ class PeriodSearch
     {
         const Time lo = std::max(globalLb_, lb_hint);
         const Time hi = std::min(serialUb_, limit);
-        const bool binary = opts_.mcr == McrMode::Binary;
-        const Time period = mcr_.minPeriod(
-            edges_.data(), edges_.size(), lo, hi, opts_.mcr,
-            opts_.warmStart ? warm : McrWarmStart{}, f.s,
-            binary ? &f.anchor : nullptr,
-            binary ? nullptr : &f.policy, mcrStats_, stopCb_);
+        const Time period =
+            mcr_.minPeriod(edges_.data(), edges_.size(), lo, hi, warm, f.s,
+                           &f.policy, mcrStats_, stopCb_);
         if (period < 0)
             return -1;
-        if (binary)
-            child_out = {&f.anchor, hi, nullptr};
-        else
-            child_out = {&f.s, period, &f.policy};
+        child_out = {&f.s, period, &f.policy};
         return period;
     }
 
@@ -676,7 +569,7 @@ class PeriodSearch
     }
 
     /**
-     * Per-sweep stop poll for the Howard value loop: clock and cancel
+     * Per-sweep stop poll for the value-sweep loop: clock and cancel
      * only, through the same every-1024 gate as budgetTripped(). The
      * node limit is deliberately absent — node counts change only at
      * node boundaries, so checking it mid-solve could never trip and
@@ -732,7 +625,6 @@ class PeriodSearch
 
         Frame &f = frames_.at(static_cast<size_t>(depth), [&](Frame &fr) {
             fr.s.reserve(k_);
-            fr.anchor.reserve(k_);
             fr.policy.reserve(k_);
             fr.prefix.reserve(k_);
             fr.inPrefix.assign(k_, 0);

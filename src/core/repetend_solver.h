@@ -33,39 +33,6 @@
 namespace tessel {
 
 /**
- * How the per-node minimal feasible period (a maximum cycle ratio) is
- * computed inside PeriodSearch.
- */
-enum class McrMode {
-    /**
-     * Howard-style policy iteration: the Bellman-Ford predecessor
-     * forest is the policy; each round evaluates the node potentials at
-     * the current period (one warm value sweep in the common case) and,
-     * when a policy cycle proves the period infeasible, improves the
-     * period to that cycle's exact ratio ceiling. Improvements never
-     * overshoot the true maximum cycle ratio, so the converged period
-     * and its least-fixed-point potentials are bit-identical to the
-     * binary-search path.
-     */
-    Howard,
-    /**
-     * Binary search over candidate periods with one Bellman-Ford
-     * feasibility probe per step (the PR 4 path; O(log range) probes
-     * per node). Kept as a differential-testing fallback and the cold
-     * perf baseline.
-     */
-    Binary,
-};
-
-/**
- * Process-wide default MCR mode: Howard unless the TESSEL_MCR
- * environment variable says "binary". Re-read on every call so tests
- * can flip it; anything other than "binary"/"howard" falls back to
- * Howard.
- */
-McrMode defaultMcrMode();
-
-/**
  * One difference-constraint edge of a parametric period system:
  * s[to] >= s[from] + w - h * P, with h >= 0 counting period crossings.
  * Feasibility of a period P is the absence of a positive cycle under
@@ -83,9 +50,7 @@ struct PeriodEdge
 /** Effort counters of the MCR kernel (see SolveStats for semantics). */
 struct McrStats
 {
-    /** Bellman-Ford passes spent by Binary-mode probes. */
-    uint64_t relaxations = 0;
-    /** Value-evaluation sweeps spent by Howard-mode rounds. */
+    /** Value-evaluation sweeps spent by policy-iteration rounds. */
     uint64_t valueSweeps = 0;
     /** Howard policy improvements (period raises from a cycle). */
     uint64_t policyImprovements = 0;
@@ -100,21 +65,26 @@ struct McrWarmStart
 {
     /** Ancestor least fixed point; the resume vector for potentials. */
     const std::vector<Time> *s = nullptr;
-    /** Period @ref s was evaluated at (validity gate: Howard resumes
-     *  from it only while probing periods <= this, Binary treats it as
-     *  an anchor computed at some period >= the probe range). */
+    /** Period @ref s was evaluated at (validity gate: the kernel
+     *  resumes from it only while probing periods <= this). */
     Time period = -1;
     /** Ancestor improving-edge forest (indices into the ancestor's
-     *  edge array, which must be a prefix of the probe's). Howard
+     *  edge array, which must be a prefix of the probe's). The kernel
      *  seeds its policy graph from it when probing exactly at
      *  @ref period — the composed relaxation histories stay a valid
      *  single history at one period, so seeded policy cycles still
-     *  certify genuine positive cycles. Ignored by Binary. */
+     *  certify genuine positive cycles. */
     const std::vector<int> *policy = nullptr;
 };
 
 /**
- * Reusable minimal-period / maximum-cycle-ratio kernel. One instance
+ * Reusable minimal-period / maximum-cycle-ratio kernel (Howard-style
+ * policy iteration): the Bellman-Ford predecessor forest is the policy;
+ * each round evaluates the node potentials at the current period (one
+ * warm value sweep in the common case) and, when a policy cycle proves
+ * the period infeasible, improves the period to that cycle's exact
+ * ratio ceiling. Improvements never overshoot the true maximum cycle
+ * ratio, so the converged period is exact. One instance
  * owns the persistent scratch (adjusted weights, policy edges, walk
  * stamps), so repeated calls allocate nothing in steady state.
  * PeriodSearch drives it once per branch-and-bound node; tests and
@@ -131,32 +101,28 @@ class McrCore
      * infeasible in that range (including "infeasible at any period":
      * a positive cycle with sum_h == 0). On success fills @p s with the
      * least fixed point of the adjusted system at the returned period —
-     * the unique start vector both modes agree on bit for bit.
+     * a unique vector, independent of the warm start and of the
+     * kernel's evaluation order.
      *
      * Warm starts (exactness argument in the .cc): see McrWarmStart.
-     * Binary mode additionally fills @p anchor (required in that mode)
-     * with this call's LFP at @p hi; Howard mode fills @p policy_out
-     * (when non-null) with the converged improving-edge forest — the
-     * seed descendants probing the same period should inherit.
+     * Fills @p policy_out (when non-null) with the converged
+     * improving-edge forest — the seed descendants probing the same
+     * period should inherit.
      *
-     * @p stop is polled once per sweep (Howard mode only — Binary keeps
-     * the PR 4 behavior of polling per search node, not per probe);
-     * returning true abandons the solve with -1 and the caller must
-     * treat the result as unproven rather than infeasible.
+     * @p stop is polled once per sweep; returning true abandons the
+     * solve with -1 and the caller must treat the result as unproven
+     * rather than infeasible.
      */
     Time minPeriod(const PeriodEdge *edges, size_t num_edges, Time lo,
-                   Time hi, McrMode mode, const McrWarmStart &warm,
-                   std::vector<Time> &s, std::vector<Time> *anchor,
+                   Time hi, const McrWarmStart &warm, std::vector<Time> &s,
                    std::vector<int> *policy_out, McrStats &stats,
                    const std::function<bool()> &stop);
 
   private:
     enum class Sweep { Fixpoint, PositiveCycle, Stopped };
 
-    Sweep evaluate(Time period, std::vector<Time> &s, McrMode mode,
-                   bool keep_policy, McrStats &stats,
-                   const std::function<bool()> &stop);
-    int policyCycleNode();
+    Sweep evaluate(Time period, std::vector<Time> &s, bool keep_policy,
+                   McrStats &stats, const std::function<bool()> &stop);
     void policyCycleReps(std::vector<int> &reps);
 
     int k_ = 0;
@@ -165,8 +131,7 @@ class McrCore
     std::vector<Time> wp_;      // Per-probe adjusted edge weights.
     std::vector<int> policy_;   // Improving in-edge per node (-1: ground).
     std::vector<int> reps_;     // Policy-cycle representatives scratch.
-    std::vector<Time> probe_;   // Binary-search probe buffer.
-    std::vector<uint64_t> mark_; // policyCycleNode() walk stamps.
+    std::vector<uint64_t> mark_; // policyCycleReps() walk stamps.
     uint64_t stamp_ = 0;
     uint64_t baseStamp_ = 1;
     uint32_t sweepPoll_ = 0; // Throttles the per-sweep stop callback.
@@ -181,7 +146,7 @@ struct McrSolveResult
     Time period = -1;
     /** Least fixed point at `period` (empty when infeasible). */
     std::vector<Time> start;
-    /** Howard mode: converged improving-edge forest at `period`,
+    /** Converged improving-edge forest at `period`,
      *  reusable as McrWarmStart::policy for a grown edge system. */
     std::vector<int> policy;
     McrStats stats;
@@ -195,7 +160,7 @@ struct McrSolveResult
  */
 McrSolveResult solveMinPeriod(int num_nodes,
                               const std::vector<PeriodEdge> &edges,
-                              Time lo, Time hi, McrMode mode,
+                              Time lo, Time hi,
                               const McrWarmStart &warm = {});
 
 /** Options for one repetend period solve. */
@@ -221,25 +186,6 @@ struct RepetendSolveOptions
     double timeBudgetSec = 0.0;
     /** Node cap (0: unlimited). */
     uint64_t nodeLimit = 0;
-    /**
-     * Warm-start the cyclic-feasibility relaxations from inherited
-     * fixed points instead of relaxing from all-zero starts at every
-     * probe. Exact: resuming Bellman-Ford from any vector pointwise
-     * below the least fixed point converges to that same least fixed
-     * point, so periods and start vectors stay bit-identical to the
-     * cold path — only stats.relaxations shrinks. false restores the
-     * cold O(k*E) probes (the counter-regression baseline).
-     */
-    bool warmStart = true;
-    /**
-     * Inner minimal-period solver (see McrMode). Plan-invariant: both
-     * modes return identical periods and start vectors, so the knob is
-     * excluded from instance fingerprints exactly like warmStart and
-     * numThreads. Defaults to Howard, overridable process-wide via the
-     * TESSEL_MCR environment variable ("binary" restores the PR 4
-     * binary-search path for differential testing).
-     */
-    McrMode mcr = defaultMcrMode();
     /** Cooperative cancellation; a cancelled solve reports
      *  stats.cancelled and comes back infeasible/unproven. */
     CancelToken cancel;

@@ -94,7 +94,6 @@ void
 addSolveStats(SearchBreakdown &breakdown, const SolveStats &stats)
 {
     breakdown.solverNodes += stats.nodes;
-    breakdown.relaxations += stats.relaxations;
     breakdown.valueSweeps += stats.valueSweeps;
     breakdown.policyImprovements += stats.policyImprovements;
     breakdown.memoReused += stats.memoReused;
@@ -437,7 +436,6 @@ class SweepState
             options_.seed != nullptr &&
             snap_index == std::numeric_limits<uint64_t>::max();
         rso.timeBudgetSec = options_.repetendBudgetSec;
-        rso.mcr = options_.mcr;
         rso.cancel = token;
         Stopwatch watch;
         const RepetendSchedule sched =
@@ -590,7 +588,6 @@ serialSweep(const Placement &enum_placement, const CommExpansion *expansion,
                 rso.cutoffFromSeed =
                     options.seed != nullptr && !best.has_value();
                 rso.timeBudgetSec = options.repetendBudgetSec;
-                rso.mcr = options.mcr;
                 rso.cancel = options.cancel;
                 Stopwatch watch;
                 const RepetendSchedule sched =

@@ -117,14 +117,6 @@ struct TesselOptions
      */
     const SearchSeed *seed = nullptr;
     /**
-     * Inner minimal-period solver for the repetend sweep (see McrMode).
-     * Plan-invariant — both modes return bit-identical periods and
-     * start vectors — so it is excluded from the instance fingerprint
-     * exactly like numThreads and the warm-start seed. Defaults to
-     * Howard, overridable process-wide via TESSEL_MCR=binary.
-     */
-    McrMode mcr = defaultMcrMode();
-    /**
      * Precomputed comm lowering for this exact (placement, cluster,
      * edgeMB, comm) tuple: when set, comm-aware paths copy it instead
      * of re-running expandWithComm. The caller must guarantee it equals
@@ -149,11 +141,8 @@ struct SearchBreakdown
     /** Search nodes expanded across all inner solves (PeriodSearch +
      * BnB phase/completion solves). */
     uint64_t solverNodes = 0;
-    /** Bellman-Ford relaxation passes across binary-mode repetend
-     * solves; the PR 4 warm-start effort metric (zero in Howard mode). */
-    uint64_t relaxations = 0;
-    /** Howard policy-evaluation sweeps across repetend solves; the
-     * probe-equivalent of `relaxations` under McrMode::Howard. */
+    /** Policy-evaluation sweeps across repetend solves (the
+     * minimal-period kernel's effort). */
     uint64_t valueSweeps = 0;
     /** Howard policy improvements (period raises) across repetend
      * solves. */
@@ -187,7 +176,6 @@ struct SearchBreakdown
         candidatesCancelled += other.candidatesCancelled;
         satChecks += other.satChecks;
         solverNodes += other.solverNodes;
-        relaxations += other.relaxations;
         valueSweeps += other.valueSweeps;
         policyImprovements += other.policyImprovements;
         memoReused += other.memoReused;

@@ -86,8 +86,8 @@ struct QueryReport
      * search accepted its first own candidate — the nodes a cold run
      * would have had to expand or bound some other way. */
     uint64_t seedNodesPruned = 0;
-    /** Howard-kernel effort behind this answer (zero for cache hits
-     * and under TESSEL_MCR=binary; see SolveStats for semantics). */
+    /** Period-kernel effort behind this answer (zero for cache hits;
+     * see SolveStats for semantics). */
     uint64_t valueSweeps = 0;
     uint64_t policyImprovements = 0;
     /** Answered through PlanningService::replan (drift or failure). */

@@ -225,8 +225,6 @@ struct BnbSolver::Impl
         stop = false;
         provenInfeasibleDisabled = false;
         stats = SolveStats{};
-        if (!opts.persistentMemo)
-            memo.clear();
         ++memoEpoch;
         savedAvail.reset(nb + 1, nd);
         savedMem.reset(nb + 1, nd);

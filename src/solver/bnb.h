@@ -14,9 +14,9 @@
  *  - workload + critical-path lower bounds against the incumbent;
  *  - dominance memo keyed on the scheduled set, comparing device
  *    availability, open dependency finish times, and partial makespan;
- *    with SolverOptions::persistentMemo the memo additionally survives
- *    across decide() rounds, reusing entries whose subtrees were proven
- *    empty at a covering deadline (see MemoEntry in bnb.cc);
+ *    the memo survives across decide() rounds on one solver, reusing
+ *    entries whose subtrees were proven empty at a covering deadline
+ *    (see MemoEntry in bnb.cc);
  *  - Property 4.1 symmetry chains (micro-batch interchangeability).
  *
  * Hot-path mechanics: dispatchable candidates come from a ready list
@@ -69,9 +69,9 @@ class BnbSolver
      * Convenience: binary-search the optimal makespan using decide(),
      * exactly the strategy Sec. V describes for the Z3 encoding. Provided
      * for parity experiments; minimizeMakespan() is normally faster.
-     * With SolverOptions::persistentMemo (the default) the dominance
-     * memo carries proven-empty subtrees from round to round, so later
-     * decide() rounds expand strictly fewer nodes than cold re-solves.
+     * The dominance memo carries proven-empty subtrees from round to
+     * round, so later decide() rounds expand strictly fewer nodes than
+     * cold re-solves.
      */
     SolveResult binarySearchMakespan();
 

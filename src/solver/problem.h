@@ -75,23 +75,17 @@ struct SolveStats
     bool cancelled = false; ///< a CancelToken stopped the solve
     uint64_t memoHits = 0;
     uint64_t boundPrunes = 0;
-    /** Bellman-Ford relaxation passes (PeriodSearch binary-mode
-     *  feasibility probes); warm-started solves need strictly fewer of
-     *  these than cold ones on the same instance. Zero in Howard mode,
-     *  whose sweeps count under `valueSweeps` instead. */
-    uint64_t relaxations = 0;
-    /** Howard-mode policy-evaluation sweeps (McrMode::Howard); the
-     *  probe-equivalent of `relaxations`, kept separate so the two
-     *  modes' effort stays individually comparable. */
+    /** PeriodSearch policy-evaluation sweeps (one pass over the
+     *  constraint edges each); the minimal-period kernel's effort. */
     uint64_t valueSweeps = 0;
-    /** Howard-mode policy improvements: period raises driven by a
+    /** PeriodSearch policy improvements: period raises driven by a
      *  violated policy cycle's exact ratio ceiling. */
     uint64_t policyImprovements = 0;
     /** Insertions into the incrementally maintained ready list (BnB);
      *  proportional to dependency-edge work, not node count x blocks. */
     uint64_t readyPushes = 0;
     /** Dominance prunes served by memo entries proven exhausted in an
-     *  earlier decide() round on the same solver (persistent-memo
+     *  earlier decide() round on the same solver (cross-round memo
      *  reuse inside binarySearchMakespan). */
     uint64_t memoReused = 0;
     /** Bound prunes taken while the solve's cutoff was still inherited
@@ -114,7 +108,6 @@ struct SolveStats
         cancelled |= other.cancelled;
         memoHits += other.memoHits;
         boundPrunes += other.boundPrunes;
-        relaxations += other.relaxations;
         valueSweeps += other.valueSweeps;
         policyImprovements += other.policyImprovements;
         readyPushes += other.readyPushes;
@@ -153,18 +146,6 @@ struct SolverOptions
     bool useSymmetry = true;
     /** Maximum number of memo entries kept before insertion stops. */
     size_t memoCap = size_t{1} << 22;
-    /**
-     * Keep the dominance memo alive across decide() calls on the same
-     * solver (binarySearchMakespan's rounds). Sound because an entry is
-     * only reused across rounds once its subtree was exhaustively
-     * explored under some deadline L without finding a schedule — a
-     * proof that no completion with makespan <= L exists below it,
-     * which prunes any later round whose deadline is <= L. Entries cut
-     * short by a budget trip or an early SAT stop never earn a proof
-     * level and cannot prune later rounds. false clears the memo every
-     * round (the cold baseline for the counter-regression tests).
-     */
-    bool persistentMemo = true;
     /** Cooperative cancellation, polled alongside the time budget. A
      *  cancelled solve reports stats.cancelled and never claims
      *  Infeasible. */

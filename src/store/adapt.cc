@@ -243,13 +243,11 @@ adaptResultToQuery(const Placement &placement, const TesselOptions &options,
     rso.memLimit = eff.memLimit;
     rso.initialMem = eff.initialMem;
     rso.timeBudgetSec = eff.repetendBudgetSec;
-    rso.mcr = eff.mcr;
     rso.cancel = eff.cancel;
     const RepetendSchedule sched =
         solveRepetend(*solve_placement, assign, rso);
     out.breakdown.candidatesSolved = 1;
     out.breakdown.solverNodes += sched.stats.nodes;
-    out.breakdown.relaxations += sched.stats.relaxations;
     out.breakdown.valueSweeps += sched.stats.valueSweeps;
     out.breakdown.policyImprovements += sched.stats.policyImprovements;
     if (!sched.feasible) {

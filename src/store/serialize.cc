@@ -130,7 +130,7 @@ writeBreakdown(ByteWriter &w, const SearchBreakdown &b)
     w.u64(b.candidatesCancelled);
     w.u64(b.satChecks);
     w.u64(b.solverNodes);
-    w.u64(b.relaxations);
+    w.u64(0); // Retired binary-search probe counter; keeps the bytes.
     w.u64(b.memoReused);
     w.i32(b.threadsUsed);
     w.boolean(b.earlyExit);
@@ -460,11 +460,12 @@ readExpansion(ByteReader &r, CommExpansion *out, std::string *err)
 bool
 readBreakdown(ByteReader &r, SearchBreakdown *b)
 {
+    uint64_t retired = 0; // Retired probe counter slot; value ignored.
     return r.f64(&b->repetendSeconds) && r.f64(&b->warmupSeconds) &&
            r.f64(&b->cooldownSeconds) && r.u64(&b->candidatesEnumerated) &&
            r.u64(&b->candidatesSolved) && r.u64(&b->candidatesCancelled) &&
            r.u64(&b->satChecks) && r.u64(&b->solverNodes) &&
-           r.u64(&b->relaxations) && r.u64(&b->memoReused) &&
+           r.u64(&retired) && r.u64(&b->memoReused) &&
            r.i32(&b->threadsUsed) && r.boolean(&b->earlyExit) &&
            r.boolean(&b->budgetExhausted);
 }

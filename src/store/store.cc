@@ -4,8 +4,6 @@
 #include <cctype>
 #include <chrono>
 
-#include <cstdio>
-
 #include "placement/comm.h"
 #include "solver/from_ir.h"
 #include "solver/oracle.h"
@@ -148,11 +146,6 @@ verifyResultSelfConsistent(const TesselResult &result)
 
 // ----------------------------------------------------------- PlanStore
 
-PlanStore::PlanStore(std::string dir) : dir_(std::move(dir))
-{
-    migrateFlatEntries();
-}
-
 std::string
 PlanStore::shardDirFor(const Hash128 &fp) const
 {
@@ -169,38 +162,6 @@ std::string
 PlanStore::metaPathFor(const Hash128 &fp) const
 {
     return shardDirFor(fp) + "/" + fp.hex() + ".meta";
-}
-
-std::string
-PlanStore::flatPathFor(const Hash128 &fp, const char *suffix) const
-{
-    return dir_ + "/" + fp.hex() + suffix;
-}
-
-void
-PlanStore::migrateFlatEntries()
-{
-    // Lazy layout upgrade: rename every flat (pre-sharding) entry into
-    // its prefix shard. rename(2) is atomic and fails cleanly if a
-    // concurrent opener won the race, so migration is idempotent and
-    // safe under concurrent opens; readers additionally fall back to
-    // the flat path, so an entry is visible at every point in between.
-    for (const char *suffix : {".plan", ".meta"}) {
-        for (const std::string &name : listDirFiles(dir_, suffix)) {
-            Hash128 fp;
-            const size_t stem = name.size() - 5;
-            if (!Hash128::fromHex(name.substr(0, stem), &fp))
-                continue;
-            std::string err;
-            if (!ensureDir(shardDirFor(fp), &err)) {
-                warn("plan store: ", err);
-                continue;
-            }
-            const std::string from = dir_ + "/" + name;
-            const std::string to = shardDirFor(fp) + "/" + name;
-            ::rename(from.c_str(), to.c_str());
-        }
-    }
 }
 
 bool
@@ -236,13 +197,9 @@ PlanStore::putMeta(const Hash128 &fp, const std::string &bytes)
 bool
 PlanStore::get(const Hash128 &fp, std::string *bytes) const
 {
-    std::string path = pathFor(fp);
-    if (!fileExists(path)) {
-        // Entry published by a pre-sharding writer after our open.
-        path = flatPathFor(fp, ".plan");
-        if (!fileExists(path))
-            return false;
-    }
+    const std::string path = pathFor(fp);
+    if (!fileExists(path))
+        return false;
     std::string err;
     if (!readFile(path, bytes, &err)) {
         warn("plan store: ", err);
@@ -254,18 +211,15 @@ PlanStore::get(const Hash128 &fp, std::string *bytes) const
 bool
 PlanStore::has(const Hash128 &fp) const
 {
-    return fileExists(pathFor(fp)) || fileExists(flatPathFor(fp, ".plan"));
+    return fileExists(pathFor(fp));
 }
 
 bool
 PlanStore::getMeta(const Hash128 &fp, std::string *bytes) const
 {
-    std::string path = metaPathFor(fp);
-    if (!fileExists(path)) {
-        path = flatPathFor(fp, ".meta");
-        if (!fileExists(path))
-            return false;
-    }
+    const std::string path = metaPathFor(fp);
+    if (!fileExists(path))
+        return false;
     std::string err;
     if (!readFile(path, bytes, &err)) {
         warn("plan store: ", err);
@@ -277,8 +231,7 @@ PlanStore::getMeta(const Hash128 &fp, std::string *bytes) const
 bool
 PlanStore::remove(const Hash128 &fp)
 {
-    const bool removed =
-        removeFile(pathFor(fp)) && removeFile(flatPathFor(fp, ".plan"));
+    const bool removed = removeFile(pathFor(fp));
     removeMeta(fp);
     return removed;
 }
@@ -286,28 +239,25 @@ PlanStore::remove(const Hash128 &fp)
 bool
 PlanStore::removeMeta(const Hash128 &fp)
 {
-    return removeFile(metaPathFor(fp)) &&
-           removeFile(flatPathFor(fp, ".meta"));
+    return removeFile(metaPathFor(fp));
 }
 
 std::vector<Hash128>
 PlanStore::listSuffix(const std::string &suffix) const
 {
     std::vector<Hash128> out;
-    auto collect = [&](const std::string &dir) {
-        for (const std::string &name : listDirFiles(dir, suffix)) {
+    for (const std::string &shard : listDirSubdirs(dir_)) {
+        // Prefix shards are exactly two hex digits; skip foreign dirs.
+        if (shard.size() != 2 ||
+            !std::isxdigit(static_cast<unsigned char>(shard[0])) ||
+            !std::isxdigit(static_cast<unsigned char>(shard[1])))
+            continue;
+        for (const std::string &name :
+             listDirFiles(dir_ + "/" + shard, suffix)) {
             Hash128 fp;
             if (Hash128::fromHex(name.substr(0, name.size() - 5), &fp))
                 out.push_back(fp);
         }
-    };
-    collect(dir_); // legacy flat entries
-    for (const std::string &shard : listDirSubdirs(dir_)) {
-        // Prefix shards are exactly two hex digits; skip foreign dirs.
-        if (shard.size() == 2 &&
-            std::isxdigit(static_cast<unsigned char>(shard[0])) &&
-            std::isxdigit(static_cast<unsigned char>(shard[1])))
-            collect(dir_ + "/" + shard);
     }
     return out;
 }

@@ -9,15 +9,11 @@
  * byte of the fingerprint in hex, published atomically (temp file +
  * rename), so any number of concurrent readers — including other
  * processes and machines sharing the directory — only ever observe
- * complete entries. Pre-sharding stores (entries directly under
- * `<dir>/`) are migrated lazily on open: each flat file is renamed
- * into its prefix directory (atomic, idempotent, safe under races —
- * two openers at worst both succeed), and reads fall back to the flat
- * path so entries published by not-yet-upgraded writers stay visible.
- * Entries admitted with their query context additionally publish a
- * `<32-hex-digits>.meta` sidecar (sub-fingerprints + feature vector,
- * store/neighbor.h) next to the `.plan` that feeds the neighbor
- * index; a store without sidecars still serves exact hits.
+ * complete entries. Entries admitted with their query context
+ * additionally publish a `<32-hex-digits>.meta` sidecar
+ * (sub-fingerprints + feature vector, store/neighbor.h) next to the
+ * `.plan` that feeds the neighbor index; a store without sidecars still
+ * serves exact hits.
  *
  * Verification-on-load invariant: a disk entry is never trusted. Before
  * a deserialized result is returned or admitted to the memory tier, the
@@ -73,6 +69,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/search.h"
@@ -173,15 +170,12 @@ VerifyOutcome verifyResultAgainstQuery(const Placement &placement,
 VerifyOutcome verifyResultSelfConsistent(const TesselResult &result);
 
 /** On-disk tier: one atomically-published file per fingerprint, in a
- * `<2-hex>/` prefix shard directory (see file comment for layout and
- * the lazy flat-store migration). */
+ * `<2-hex>/` prefix shard directory (see file comment for layout). */
 class PlanStore
 {
   public:
-    /** @param dir cache directory; created (mkdir -p) on first put.
-     * If it already holds flat (pre-sharding) entries they are migrated
-     * into prefix shards now. */
-    explicit PlanStore(std::string dir);
+    /** @param dir cache directory; created (mkdir -p) on first put. */
+    explicit PlanStore(std::string dir) : dir_(std::move(dir)) {}
 
     const std::string &dir() const { return dir_; }
 
@@ -197,21 +191,19 @@ class PlanStore
     /** Publish the meta sidecar for @p fp; false + warn on errors. */
     bool putMeta(const Hash128 &fp, const std::string &bytes);
 
-    /** Read raw entry bytes; false when absent or unreadable. Checks
-     * the sharded path first, then the legacy flat path. */
+    /** Read raw entry bytes; false when absent or unreadable. */
     bool get(const Hash128 &fp, std::string *bytes) const;
 
-    /** @return whether an entry exists for @p fp (either layout). */
+    /** @return whether an entry exists for @p fp. */
     bool has(const Hash128 &fp) const;
 
     /** Read raw sidecar bytes; false when absent or unreadable. */
     bool getMeta(const Hash128 &fp, std::string *bytes) const;
 
-    /** Remove the entry (and sidecar) for @p fp at both the sharded and
-     * legacy flat locations (idempotent). */
+    /** Remove the entry (and sidecar) for @p fp (idempotent). */
     bool remove(const Hash128 &fp);
 
-    /** Remove only the meta sidecar for @p fp (both locations). */
+    /** Remove only the meta sidecar for @p fp. */
     bool removeMeta(const Hash128 &fp);
 
     /** @return fingerprints of all entries currently on disk. */
@@ -223,12 +215,6 @@ class PlanStore
   private:
     /** `<dir>/<2-hex>` prefix shard directory for @p fp. */
     std::string shardDirFor(const Hash128 &fp) const;
-
-    /** Legacy flat path (pre-sharding layout). */
-    std::string flatPathFor(const Hash128 &fp, const char *suffix) const;
-
-    /** Rename any flat `.plan`/`.meta` files into their shards. */
-    void migrateFlatEntries();
 
     std::vector<Hash128> listSuffix(const std::string &suffix) const;
 

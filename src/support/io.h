@@ -164,8 +164,8 @@ std::vector<std::string> listDirSubdirs(const std::string &dir);
 
 /**
  * Create a fresh uniquely-named directory under $TMPDIR (or /tmp) with
- * @p prefix; @return false on failure. Used by the service selftest and
- * the store tests; the caller owns cleanup.
+ * @p prefix; @return false on failure. Used by the service benches and
+ * the store/service tests; the caller owns cleanup.
  */
 bool makeTempDir(const std::string &prefix, std::string *path);
 

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -17,6 +16,7 @@
 #include "core/search.h"
 #include "placement/comm.h"
 #include "placement/shapes.h"
+#include "service/service.h"
 #include "solver/oracle.h"
 #include "store/fingerprint.h"
 #include "store/serialize.h"
@@ -431,6 +431,40 @@ TEST(Serialize, NotFoundResultRoundTrips)
     EXPECT_EQ(serializeResult(loaded.result, loaded.fingerprint), bytes);
 }
 
+TEST(Serialize, ReferencePlanDigestsPinned)
+{
+    // plan_hash (resultPlanDigest) hashes the serialized bytes, so these
+    // pins fail if either the wire format or the searched plan moves.
+    // Both instances finish in milliseconds, far inside their budget.
+    const struct
+    {
+        const char *shape;
+        const char *digest;
+    } pins[] = {
+        {"V", "51a433be64ed8cc318ece4f48337c2d1"},
+        {"K", "6d0e8dc2917b16cb9e294a3d346af46e"},
+    };
+    for (const auto &pin : pins) {
+        PlanQuery q = *referenceShapeQuery(pin.shape, "homogeneous", 4, 10.0);
+        q.options.numThreads = 1; // Plan-invariant; keeps the test serial.
+        const TesselResult result = tesselSearch(q.placement, q.options);
+        ASSERT_TRUE(result.found) << pin.shape;
+        ASSERT_FALSE(result.breakdown.budgetExhausted) << pin.shape;
+        EXPECT_EQ(resultPlanDigest(result).hex(), pin.digest) << pin.shape;
+    }
+
+    // The breakdown block keeps its layout too, including the zero word
+    // left in the retired probe-counter slot.
+    TesselResult not_found;
+    not_found.breakdown.candidatesEnumerated = 3;
+    not_found.breakdown.candidatesSolved = 5;
+    not_found.breakdown.solverNodes = 7;
+    not_found.breakdown.memoReused = 11;
+    not_found.breakdown.threadsUsed = 2;
+    EXPECT_EQ(hashBytes(serializeResult(not_found, Hash128{123, 456})).hex(),
+              "270eb0cd79ffecdd1f0a6f4e97586dd1");
+}
+
 // -------------------------------------------- corruption & versioning
 
 TEST(Serialize, TruncationAlwaysRejected)
@@ -765,53 +799,6 @@ TEST(PlanCache, MemoryCapacityHonoredBelowShardCount)
         in_memory += source == PlanCache::Source::Memory ? 1 : 0;
     }
     EXPECT_LE(in_memory, 2u);
-}
-
-// ----------------------------------------------------- Sharded layout
-
-TEST(PlanStore, FlatEntriesMigratedToPrefixShardsOnOpen)
-{
-    std::string dir;
-    ASSERT_TRUE(makeTempDir("tessel-store-migrate-", &dir));
-
-    const Placement p = makeShapeByName("V", 4);
-    const TesselOptions opts = quickOptions();
-    const Hash128 fp = fingerprintQuery(p, opts);
-    const TesselResult result = tesselSearch(p, opts);
-    ASSERT_TRUE(result.found);
-
-    {
-        PlanCache cache(dir);
-        cache.put(fp, p, opts, result);
-    }
-
-    // Demote the sharded entry (and sidecar) to the legacy flat layout
-    // a pre-sharding writer would have produced.
-    PlanStore store(dir);
-    const std::string flat_plan = dir + "/" + fp.hex() + ".plan";
-    const std::string flat_meta = dir + "/" + fp.hex() + ".meta";
-    ASSERT_TRUE(fileExists(store.pathFor(fp)));
-    ASSERT_EQ(::rename(store.pathFor(fp).c_str(), flat_plan.c_str()), 0);
-    ASSERT_EQ(::rename(store.metaPathFor(fp).c_str(), flat_meta.c_str()),
-              0);
-
-    // Re-open: the flat files must migrate into their prefix shard and
-    // remain fully readable (list, get, and a verified cache hit).
-    PlanStore reopened(dir);
-    EXPECT_TRUE(fileExists(reopened.pathFor(fp)));
-    EXPECT_TRUE(fileExists(reopened.metaPathFor(fp)));
-    EXPECT_FALSE(fileExists(flat_plan));
-    EXPECT_FALSE(fileExists(flat_meta));
-    ASSERT_EQ(reopened.list().size(), 1u);
-    EXPECT_EQ(reopened.list()[0], fp);
-
-    PlanCache cache(dir);
-    PlanCache::Source source;
-    const auto hit = cache.get(fp, p, opts, &source);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(source, PlanCache::Source::Disk);
-    EXPECT_TRUE(hit->plan == result.plan);
-    EXPECT_EQ(cache.indexedInstances(), 1u);
 }
 
 TEST(PlanCache, OrphanMetaSidecarSkippedAndDeletedOnOpen)

@@ -9,11 +9,10 @@ Compares per-bench (matched by name) and exits nonzero when
     override with TESSEL_BENCH_WALL_TOL, a fraction: 0.25 = +25%).
     Wall clock is noisy on shared runners, so CI sets a generous
     tolerance; the real regression signal is the counter gate below.
-  * the deterministic probe-pass budget -- relaxations + value_sweeps,
-    summed so flipping the MCR mode cannot masquerade as a win --
-    regresses by more than TESSEL_BENCH_COUNTER_TOL (default 0.10),
-    or `nodes` changes at all (the search tree is deterministic; any
-    drift is a behavior change, not noise).
+  * the deterministic period-kernel effort -- value_sweeps -- regresses
+    by more than TESSEL_BENCH_COUNTER_TOL (default 0.10), or `nodes`
+    changes at all (the search tree is deterministic; any drift is a
+    behavior change, not noise).
 
 Benches present on only one side are reported but never fail the gate,
 so adding or retiring a bench does not require a lockstep baseline
@@ -59,15 +58,15 @@ def main():
 
         wall_f, wall_b = f["wall_ms"], b["wall_ms"]
         wall_ok = wall_f <= wall_b * (1.0 + wall_tol)
-        passes_f = f.get("relaxations", 0) + f.get("value_sweeps", 0)
-        passes_b = b.get("relaxations", 0) + b.get("value_sweeps", 0)
-        passes_ok = passes_f <= passes_b * (1.0 + counter_tol)
+        sweeps_f = f.get("value_sweeps", 0)
+        sweeps_b = b.get("value_sweeps", 0)
+        sweeps_ok = sweeps_f <= sweeps_b * (1.0 + counter_tol)
         nodes_ok = f.get("nodes", 0) == b.get("nodes", 0)
 
-        status = "ok" if (wall_ok and passes_ok and nodes_ok) else "FAIL"
+        status = "ok" if (wall_ok and sweeps_ok and nodes_ok) else "FAIL"
         print(
             f"  {status:4s} {name}: wall {wall_b:.1f} -> {wall_f:.1f} ms, "
-            f"probe passes {passes_b} -> {passes_f}, "
+            f"value sweeps {sweeps_b} -> {sweeps_f}, "
             f"nodes {b.get('nodes', 0)} -> {f.get('nodes', 0)}"
         )
         if not wall_ok:
@@ -75,9 +74,9 @@ def main():
                 f"{name}: wall_ms {wall_f:.1f} > {wall_b:.1f} "
                 f"* (1 + {wall_tol})"
             )
-        if not passes_ok:
+        if not sweeps_ok:
             failures.append(
-                f"{name}: probe passes {passes_f} > {passes_b} "
+                f"{name}: value sweeps {sweeps_f} > {sweeps_b} "
                 f"* (1 + {counter_tol})"
             )
         if not nodes_ok:

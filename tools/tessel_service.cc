@@ -15,9 +15,6 @@
  *   tessel_service --cache-dir /tmp/plans --json stats2.json \
  *       --min-hit-rate 0.99
  *
- *   # Self-contained cold/warm/corruption demonstration (CI smoke).
- *   tessel_service --selftest
- *
  *   # Daemon mode: stream line-delimited JSON queries on stdin, one
  *   # JSON response per line on stdout (order may differ from input;
  *   # match on "id"). --emit-trace prints the reference batch in the
@@ -64,7 +61,6 @@ struct Args
     double budgetSec = 10.0;
     bool hetero = true;
     double minHitRate = -1.0;
-    bool selftest = false;
     bool neighborSeed = true;
     bool serve = false;
     bool emitTrace = false;
@@ -97,8 +93,6 @@ usage()
            "  --neighbor-seed on|off\n"
            "                     warm-start store misses from adapted "
            "neighbor plans (default on)\n"
-           "  --selftest         cold/warm/corruption demonstration in a "
-           "temp dir\n"
            "  --serve            daemon mode: line-delimited JSON queries "
            "on stdin,\n"
            "                     one JSON response per line on stdout\n"
@@ -190,8 +184,6 @@ parseArgs(int argc, char **argv, Args *args)
                 return false;
             }
             args->neighborSeed = mode == "on";
-        } else if (a == "--selftest") {
-            args->selftest = true;
         } else if (a == "--serve") {
             args->serve = true;
         } else if (a == "--emit-trace") {
@@ -340,124 +332,6 @@ writeStatsJson(const std::string &path, const BatchReport &report)
         << ", \"lock_contended\": " << cs.lockContended
         << ", \"neighbor_fetches\": " << cs.neighborFetches << "}\n}\n";
     return static_cast<bool>(out);
-}
-
-std::vector<std::string>
-planHashes(const BatchReport &report)
-{
-    std::vector<std::string> hashes;
-    hashes.reserve(report.queries.size());
-    for (const QueryReport &q : report.queries)
-        hashes.push_back(q.planHash);
-    return hashes;
-}
-
-/** Flip one byte of a store entry at @p offset (selftest corruption). */
-bool
-corruptEntry(const std::string &path, size_t offset)
-{
-    std::string bytes, err;
-    if (!readFile(path, &bytes, &err) || bytes.size() <= offset)
-        return false;
-    bytes[offset] ^= 0x5a;
-    return writeFileAtomic(path, bytes, &err);
-}
-
-int
-runSelftest(const Args &args)
-{
-    std::string dir;
-    if (!makeTempDir("tessel-service-selftest-", &dir)) {
-        std::cerr << "selftest: cannot create temp dir\n";
-        return 1;
-    }
-    int failures = 0;
-    auto expect = [&](bool ok, const std::string &what) {
-        if (!ok) {
-            ++failures;
-            std::cout << "FAIL: " << what << "\n";
-        } else {
-            std::cout << "ok: " << what << "\n";
-        }
-    };
-
-    const std::vector<PlanQuery> batch =
-        referenceShapeQueries(args.devices, args.hetero, args.budgetSec);
-
-    ServiceOptions service_opts;
-    service_opts.cacheDir = dir;
-    service_opts.numThreads = args.threads;
-    service_opts.neighborSeed = args.neighborSeed;
-
-    // Cold: everything is a fresh search.
-    PlanningService cold_service(service_opts);
-    const BatchReport cold = cold_service.runBatch(batch);
-    printReport(cold, "Selftest: cold batch (" + dir + ")");
-    expect(cold.searches == cold.uniqueInstances,
-           "cold batch searched every unique instance");
-
-    // Warm, same service: pure memory hits, bit-identical plans.
-    const BatchReport warm_mem = cold_service.runBatch(batch);
-    printReport(warm_mem, "Selftest: warm batch (memory tier)");
-    expect(warm_mem.memoryHits == warm_mem.uniqueInstances,
-           "second batch was 100% memory hits");
-    expect(planHashes(warm_mem) == planHashes(cold),
-           "memory-tier plans bit-identical to cold plans");
-
-    // Warm, new process stand-in (fresh LRU): verified disk hits.
-    PlanningService disk_service(service_opts);
-    const BatchReport warm_disk = disk_service.runBatch(batch);
-    printReport(warm_disk, "Selftest: warm batch (disk tier, fresh LRU)");
-    expect(warm_disk.diskHits == warm_disk.uniqueInstances,
-           "fresh service answered 100% from verified disk entries");
-    expect(planHashes(warm_disk) == planHashes(cold),
-           "disk-tier plans bit-identical to cold plans");
-    const double min_speedup =
-        std::getenv("TESSEL_SERVICE_MIN_SPEEDUP")
-            ? std::atof(std::getenv("TESSEL_SERVICE_MIN_SPEEDUP"))
-            : 10.0;
-    const double speedup =
-        warm_disk.wallSec > 0.0 ? cold.wallSec / warm_disk.wallSec : 0.0;
-    std::cout << "cold " << fmtDouble(cold.wallSec, 3) << " s vs warm "
-              << fmtDouble(warm_disk.wallSec, 3) << " s => "
-              << fmtDouble(speedup, 1) << "x\n";
-    expect(speedup >= min_speedup,
-           "warm batch >= " + fmtDouble(min_speedup, 0) +
-               "x faster than cold");
-
-    // Corruption: flip a payload byte of one entry; the next fresh
-    // service must reject it, fall back to a search, and still produce
-    // the identical plan.
-    const std::vector<Hash128> entries = disk_service.cache().store().list();
-    expect(!entries.empty(), "store has entries to corrupt");
-    if (!entries.empty()) {
-        const std::string victim =
-            disk_service.cache().store().pathFor(entries.front());
-        expect(corruptEntry(victim, 64), "corrupted one stored entry");
-        PlanningService after_corruption(service_opts);
-        const BatchReport rec = after_corruption.runBatch(batch);
-        expect(rec.searches == 1 &&
-                   rec.cacheStats.verifyFailures >= 1,
-               "corrupted entry rejected and re-searched");
-        expect(planHashes(rec) == planHashes(cold),
-               "recovered plans bit-identical to cold plans");
-
-        // Version bump: poke the format version field; the entry must
-        // be rejected as unsupported, not misparsed.
-        expect(corruptEntry(victim, kPlanVersionOffset),
-               "bumped a stored entry's format version");
-        PlanningService after_bump(service_opts);
-        const BatchReport rec2 = after_bump.runBatch(batch);
-        expect(rec2.searches == 1 &&
-                   rec2.cacheStats.verifyFailures >= 1,
-               "version-bumped entry rejected and re-searched");
-        expect(planHashes(rec2) == planHashes(cold),
-               "plans after version bump bit-identical to cold plans");
-    }
-
-    std::cout << (failures == 0 ? "selftest PASSED\n"
-                                : "selftest FAILED\n");
-    return failures == 0 ? 0 : 1;
 }
 
 /**
@@ -801,8 +675,6 @@ main(int argc, char **argv)
     Args args;
     if (!parseArgs(argc, argv, &args))
         return 2;
-    if (args.selftest)
-        return runSelftest(args);
     if (args.emitTrace)
         return runEmitTrace(args);
     if (args.serve)
