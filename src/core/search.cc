@@ -816,11 +816,16 @@ tesselSearch(const Placement &placement, const TesselOptions &options)
 
     if (eff.lazy || !best_plan) {
         TraceSpan span("phase-solve");
+        // The breakdown is cumulative over the whole search; the span
+        // reports only this phase's share of it.
+        const uint64_t sat_checks = result.breakdown.satChecks;
+        const uint64_t solver_nodes = result.breakdown.solverNodes;
         best_plan = completeOrReusePlan(*solve_placement, best->assign,
                                         best->sched, eff,
                                         result.breakdown, eff.cancel);
-        span.setArg("sat_checks", result.breakdown.satChecks);
-        span.setArg("solver_nodes", result.breakdown.solverNodes);
+        span.setArg("sat_checks", result.breakdown.satChecks - sat_checks);
+        span.setArg("solver_nodes",
+                    result.breakdown.solverNodes - solver_nodes);
         if (!best_plan)
             return result;
     }

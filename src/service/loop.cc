@@ -219,10 +219,12 @@ ServiceLoop::workerLoop()
         Response resp;
         resp.admission = Admission::Accepted;
         const Stopwatch busy;
+        // The answer is shared with the memory tier on a hit and only
+        // the report leaves the worker, so nothing is copied.
         if (item.replan)
-            service_.replan(*item.replan, &resp.report);
+            service_.answer(*item.replan, &resp.report);
         else
-            service_.runOne(item.query, &resp.report);
+            service_.answer(item.query, &resp.report);
         metrics_.workerBusyUs->inc(
             static_cast<uint64_t>(busy.seconds() * 1e6));
         resp.cancelled = cancelSource_.cancelled();

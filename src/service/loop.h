@@ -7,7 +7,7 @@
  * returns; a production planner instead runs for the process lifetime
  * and drains a *stream* of queries. ServiceLoop owns that stream: a
  * bounded admission queue, a fixed team of dispatch workers pulling
- * from it (each answering through PlanningService::runOne, so the
+ * from it (each answering through PlanningService::answer, so the
  * cache/seeding/verification pipeline is byte-for-byte the batch one —
  * daemon-served plans are bit-identical to batch answers for the same
  * query), per-tenant token-bucket budgets, and a shutdown path that
@@ -86,7 +86,7 @@ struct ServiceLoopOptions
      * with Admission::QueueFull (clamped to >= 1). */
     size_t queueDepth = 64;
     /** Dispatch workers answering queries concurrently (>= 1). Each
-     * runs complete queries through PlanningService::runOne. */
+     * runs complete queries through PlanningService::answer. */
     int workers = 2;
     /** Budget applied to tenants without an explicit entry. */
     TenantBudget defaultBudget;
@@ -162,7 +162,7 @@ class ServiceLoop
     /**
      * Admit one replan request (cluster drift or device failure) for
      * @p tenant. Same admission contract as the query overload; an
-     * accepted request is answered through PlanningService::replan, so
+     * accepted request is answered like PlanningService::replan, so
      * the response report may carry `stale` (budget-missed, old plan
      * conservatively retimed) or `degraded` (survivor placement after
      * a failure) — both are verified, servable answers, never errors.
@@ -193,8 +193,8 @@ class ServiceLoop
     struct Item
     {
         PlanQuery query;
-        /** Set for replan submissions; workers then dispatch through
-         * PlanningService::replan instead of runOne (query is unused). */
+        /** Set for replan submissions; workers then answer the replan
+         * request instead of the query (query is unused). */
         std::optional<ReplanRequest> replan;
         Callback done;
     };

@@ -7,7 +7,6 @@
 
 #include "placement/shapes.h"
 #include "store/adapt.h"
-#include "store/serialize.h"
 #include "support/logging.h"
 #include "support/threadpool.h"
 #include "support/timer.h"
@@ -67,37 +66,40 @@ struct UniqueInstance
     Hash128 fingerprint;
     TesselOptions effective; ///< budget/cancel/threads applied
     int firstQuery = 0;      ///< index of the first query mapping here
+    /** Answering tier; Miss means the instance was searched. */
     PlanCache::Source source = PlanCache::Source::Miss;
-    bool searched = false;
-    double wallSec = 0.0;
-    TesselResult result;
-    /** Warm-start seed adapted from a neighbor; referenced by the
-     * search options, so it must outlive the solve (it does: instances
-     * live in a vector that no longer grows once solving starts). */
+    SharedPlan plan;
+    /** The row every query mapping here copies (label aside). */
+    QueryReport report;
+};
+
+/** A warm-start seed adapted from a stored neighbor. */
+struct NeighborSeed
+{
+    /** Referenced by the search options, so it must outlive the solve. */
     SearchSeed seed;
     bool seeded = false;
-    std::string seededFrom; ///< neighbor fingerprint (hex) when seeded
+    std::string from; ///< neighbor fingerprint (hex) when seeded
     /** Solver work the adaptation itself spent (retime path). */
-    SearchBreakdown seedWork;
+    SearchBreakdown work;
 };
 
 /**
  * Try to warm-start a missed instance from the store's neighbor index:
  * rank stored instances by similarity, fetch each candidate raw, and
  * keep the first one that adapts into a verified plan for this query.
- * On success inst.seed carries the virtual incumbent (period + window
+ * On success out.seed carries the virtual incumbent (period + window
  * order) for the search. Failures are free beyond the adaptation
  * attempt itself — the search simply runs cold.
  */
 bool
 trySeedFromNeighbors(PlanCache &cache, const Placement &placement,
-                     UniqueInstance &inst, size_t k)
+                     const TesselOptions &eff, size_t k, NeighborSeed &out)
 {
-    const InstanceMeta meta =
-        computeInstanceMeta(placement, inst.effective);
+    const InstanceMeta meta = computeInstanceMeta(placement, eff);
     for (const NeighborIndex::Neighbor &near : cache.neighbors(meta, k)) {
-        const std::optional<TesselResult> stored =
-            cache.peek(near.fingerprint);
+        const std::shared_ptr<const TesselResult> stored =
+            cache.peekShared(near.fingerprint);
         if (!stored)
             continue;
         // Exact phase reuse is licensed only when the stored instance's
@@ -108,25 +110,53 @@ trySeedFromNeighbors(PlanCache &cache, const Placement &placement,
         const bool phases_allowed =
             cache.neighborMeta(near.fingerprint, &stored_meta) &&
             stored_meta.phaseOptions == meta.phaseOptions;
-        AdaptOutcome adapted = adaptResultToQuery(
-            placement, inst.effective, *stored, phases_allowed);
-        inst.seedWork.merge(adapted.breakdown);
+        AdaptOutcome adapted =
+            adaptResultToQuery(placement, eff, *stored, phases_allowed);
+        out.work.merge(adapted.breakdown);
         if (!adapted.ok)
             continue;
-        inst.seed = std::move(adapted.seed);
-        inst.seeded = true;
-        inst.seededFrom = near.fingerprint.hex();
+        out.seed = std::move(adapted.seed);
+        out.seeded = true;
+        out.from = near.fingerprint.hex();
         return true;
     }
     return false;
 }
 
 const char *
-sourceName(PlanCache::Source source, bool searched)
+sourceName(PlanCache::Source source)
 {
-    if (searched)
-        return "search";
-    return source == PlanCache::Source::Memory ? "memory" : "disk";
+    switch (source) {
+    case PlanCache::Source::Memory:
+        return "memory";
+    case PlanCache::Source::Disk:
+        return "disk";
+    case PlanCache::Source::Miss:
+        break;
+    }
+    return "search";
+}
+
+/**
+ * Tag @p span with the solver effort behind @p plan, so a Perfetto
+ * timeline shows what each query cost and not just how long it took,
+ * and fill @p report's answer fields. The plan hash is the digest the
+ * plan carries, never a re-serialization.
+ */
+void
+recordAnswer(const SharedPlan &plan, TraceSpan &span, QueryReport *report)
+{
+    const TesselResult &result = *plan.result;
+    span.setArg("value_sweeps", result.breakdown.valueSweeps);
+    span.setArg("policy_improvements", result.breakdown.policyImprovements);
+    span.setArg("seed_nodes_pruned", result.breakdown.seededNodesPruned);
+    if (!report)
+        return;
+    report->planHash = plan.digest.hex();
+    report->found = result.found;
+    report->period = result.period;
+    report->valueSweeps = result.breakdown.valueSweeps;
+    report->policyImprovements = result.breakdown.policyImprovements;
 }
 
 } // namespace
@@ -187,30 +217,37 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
         inst.fingerprint = fp;
         inst.effective = std::move(eff);
         inst.firstQuery = static_cast<int>(q);
+        inst.report.fingerprint = fp.hex();
         slot_of.emplace(fp, unique.size());
         query_slot[q] = unique.size();
         unique.push_back(std::move(inst));
     }
     report.uniqueInstances = unique.size();
 
+    // Phases 2 and 3 give every unique instance the `query` root span
+    // runOne opens: a hit records it around the lookup; a miss drops the
+    // lookup's span and the search opens the instance's span instead.
+
     // Phase 2: answer from the cache (memory, then verified disk). The
     // expensive part of a disk hit — decode, comm-expansion recompute,
     // oracle verification — runs outside the cache lock, so lookups of
     // distinct entries fan out over the pool on warm batches. Each slot
-    // is written by exactly one task; `hit[u]` records the outcome.
-    std::vector<uint8_t> hit(unique.size(), 0);
+    // is written by exactly one task.
     auto lookup = [&](size_t u) {
         UniqueInstance &inst = unique[u];
+        const PlanQuery &query = queries[inst.firstQuery];
+        TraceSpan span("query");
+        span.setLabel(query.label);
         const Stopwatch watch;
-        std::optional<TesselResult> cached =
-            cache_.get(inst.fingerprint,
-                       queries[inst.firstQuery].placement, inst.effective,
-                       &inst.source);
-        inst.wallSec = watch.seconds();
-        if (cached) {
-            inst.result = std::move(*cached);
-            hit[u] = 1;
+        inst.plan = cache_.getShared(inst.fingerprint, query.placement,
+                                     inst.effective, &inst.source);
+        inst.report.wallSec = watch.seconds();
+        if (!inst.plan) {
+            span.discard();
+            return;
         }
+        inst.report.source = sourceName(inst.source);
+        recordAnswer(inst.plan, span, &inst.report);
     };
     if (parallel_batch && unique.size() > 1) {
         ThreadPool &p = pool();
@@ -223,7 +260,7 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
     }
     std::vector<size_t> missing;
     for (size_t u = 0; u < unique.size(); ++u)
-        if (!hit[u])
+        if (!unique[u].plan)
             missing.push_back(u);
 
     // Phase 3: fan the misses out. A pooled solve runs its own search
@@ -234,33 +271,17 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
     // numThreads is excluded from the fingerprint for the same reason.
     auto solve = [&](size_t u, bool pooled) {
         UniqueInstance &inst = unique[u];
-        TesselOptions opts = inst.effective;
-        if (pooled)
-            opts.numThreads = 1;
+        const PlanQuery &query = queries[inst.firstQuery];
+        TraceSpan span("query");
+        span.setLabel(query.label);
         // Adaptation time is charged to the query's wall clock: the
         // warm/cold comparisons the bench and CI make are only honest
         // if the cost of obtaining the seed is part of the warm path.
         const Stopwatch watch;
-        if (options_.neighborSeed &&
-            trySeedFromNeighbors(cache_, queries[inst.firstQuery].placement,
-                                 inst, options_.neighborK)) {
-            opts.seed = &inst.seed;
-        }
-        inst.result =
-            tesselSearch(queries[inst.firstQuery].placement, opts);
-        inst.wallSec = watch.seconds();
-        inst.searched = true;
-        inst.result.breakdown.merge(inst.seedWork);
-        // A search that observed a cancellation (daemon shutdown, batch
-        // abort) may have been truncated mid-sweep; its answer is valid
-        // for *this* caller but must not be cached — cancellation is
-        // not part of the fingerprint, so an uncancelled future query
-        // would be served the truncated plan as if fully searched.
-        if (!inst.effective.cancel.cancelled()) {
-            cache_.put(inst.fingerprint,
-                       queries[inst.firstQuery].placement, inst.effective,
-                       inst.result);
-        }
+        inst.plan = searchMiss(query, inst.effective, inst.fingerprint,
+                               pooled, &inst.report);
+        inst.report.wallSec = watch.seconds();
+        recordAnswer(inst.plan, span, &inst.report);
     };
     if (parallel_batch && missing.size() > 1) {
         ThreadPool &p = pool();
@@ -275,31 +296,17 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
     // Phase 4: per-query rows (deduplicated queries share the unique
     // instance's answer and timing).
     for (size_t q = 0; q < queries.size(); ++q) {
-        const UniqueInstance &inst = unique[query_slot[q]];
         QueryReport &row = report.queries[q];
+        row = unique[query_slot[q]].report;
         row.label = queries[q].label;
-        row.fingerprint = inst.fingerprint.hex();
-        row.planHash = resultPlanDigest(inst.result).hex();
-        row.source = sourceName(inst.source, inst.searched);
-        row.found = inst.result.found;
-        row.period = inst.result.period;
-        row.wallSec = inst.wallSec;
-        row.valueSweeps = inst.result.breakdown.valueSweeps;
-        row.policyImprovements =
-            inst.result.breakdown.policyImprovements;
-        if (inst.seeded) {
-            row.seededFrom = inst.seededFrom;
-            row.seedMakespan = inst.result.breakdown.seedMakespan;
-            row.seedNodesPruned = inst.result.breakdown.seededNodesPruned;
-        }
     }
     for (const UniqueInstance &inst : unique) {
-        if (inst.searched)
-            ++report.searches;
-        else if (inst.source == PlanCache::Source::Memory)
+        if (inst.source == PlanCache::Source::Memory)
             ++report.memoryHits;
-        else
+        else if (inst.source == PlanCache::Source::Disk)
             ++report.diskHits;
+        else
+            ++report.searches;
     }
 
     report.wallSec = batch_watch.seconds();
@@ -311,41 +318,45 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
     return report;
 }
 
-TesselResult
+SharedPlan
 PlanningService::searchMiss(const PlanQuery &query, const TesselOptions &eff,
-                            const Hash128 &fp, QueryReport *report)
+                            const Hash128 &fp, bool serial,
+                            QueryReport *report)
 {
-    UniqueInstance inst;
-    inst.fingerprint = fp;
-    inst.effective = eff;
+    NeighborSeed seed;
     TesselOptions opts = eff;
+    if (serial)
+        opts.numThreads = 1;
     if (options_.neighborSeed) {
         TraceSpan span("seed-adapt");
-        if (trySeedFromNeighbors(cache_, query.placement, inst,
-                                 options_.neighborK)) {
-            opts.seed = &inst.seed;
-            span.setLabel(inst.seededFrom);
+        if (trySeedFromNeighbors(cache_, query.placement, eff,
+                                 options_.neighborK, seed)) {
+            opts.seed = &seed.seed;
+            span.setLabel(seed.from);
         }
     }
     TesselResult result = tesselSearch(query.placement, opts);
-    result.breakdown.merge(inst.seedWork);
-    // Same cancellation guard as the batch path: truncated-by-cancel
-    // results answer the caller but never enter the store.
-    if (!eff.cancel.cancelled())
-        cache_.put(fp, query.placement, eff, result);
+    result.breakdown.merge(seed.work);
     if (report) {
         report->source = "search";
-        if (inst.seeded) {
-            report->seededFrom = inst.seededFrom;
+        if (seed.seeded) {
+            report->seededFrom = seed.from;
             report->seedMakespan = result.breakdown.seedMakespan;
             report->seedNodesPruned = result.breakdown.seededNodesPruned;
         }
     }
-    return result;
+    // A search that observed a cancellation (daemon shutdown, batch
+    // abort) may have been truncated mid-sweep; its answer is valid for
+    // *this* caller but must not be cached — cancellation is not part
+    // of the fingerprint, so an uncancelled future query would be
+    // served the truncated plan as if fully searched.
+    if (eff.cancel.cancelled())
+        return makeSharedPlan(std::move(result));
+    return cache_.put(fp, query.placement, eff, std::move(result));
 }
 
-TesselResult
-PlanningService::runOne(const PlanQuery &query, QueryReport *report)
+std::shared_ptr<const TesselResult>
+PlanningService::answer(const PlanQuery &query, QueryReport *report)
 {
     TraceSpan span("query");
     span.setLabel(query.label);
@@ -357,31 +368,25 @@ PlanningService::runOne(const PlanQuery &query, QueryReport *report)
         report->fingerprint = fp.hex();
     }
     PlanCache::Source source = PlanCache::Source::Miss;
-    std::optional<TesselResult> cached =
-        cache_.get(fp, query.placement, eff, &source);
-    TesselResult result;
-    if (cached) {
-        result = std::move(*cached);
+    SharedPlan plan = cache_.getShared(fp, query.placement, eff, &source);
+    if (plan) {
         if (report)
-            report->source = sourceName(source, false);
+            report->source = sourceName(source);
     } else {
-        result = searchMiss(query, eff, fp, report);
+        plan = searchMiss(query, eff, fp, /*serial=*/false, report);
     }
-    // Solver effort rides on the span so a Perfetto timeline shows what
-    // each query cost, not just how long it took (zeros for cache hits).
-    span.setArg("value_sweeps", result.breakdown.valueSweeps);
-    span.setArg("policy_improvements", result.breakdown.policyImprovements);
-    span.setArg("seed_nodes_pruned", result.breakdown.seededNodesPruned);
+    recordAnswer(plan, span, report);
     if (report) {
-        report->planHash = resultPlanDigest(result).hex();
-        report->found = result.found;
-        report->period = result.period;
         report->wallSec = watch.seconds();
-        report->valueSweeps = result.breakdown.valueSweeps;
-        report->policyImprovements = result.breakdown.policyImprovements;
         observeAnswer(*report);
     }
-    return result;
+    return std::move(plan.result);
+}
+
+TesselResult
+PlanningService::runOne(const PlanQuery &query, QueryReport *report)
+{
+    return *answer(query, report);
 }
 
 PlanQuery
@@ -428,8 +433,8 @@ struct ReplanTask
 
 } // namespace
 
-TesselResult
-PlanningService::replan(const ReplanRequest &request, QueryReport *report)
+std::shared_ptr<const TesselResult>
+PlanningService::answer(const ReplanRequest &request, QueryReport *report)
 {
     reapBackgroundReplans();
 
@@ -446,34 +451,24 @@ PlanningService::replan(const ReplanRequest &request, QueryReport *report)
         report->replanned = true;
         report->degraded = removal;
     }
-    auto finish = [&](TesselResult result) {
-        span.setArg("value_sweeps", result.breakdown.valueSweeps);
-        span.setArg("policy_improvements",
-                    result.breakdown.policyImprovements);
-        span.setArg("seed_nodes_pruned",
-                    result.breakdown.seededNodesPruned);
+    auto finish = [&](SharedPlan plan) {
+        recordAnswer(plan, span, report);
         if (report) {
-            report->planHash = resultPlanDigest(result).hex();
-            report->found = result.found;
-            report->period = result.period;
             report->wallSec = watch.seconds();
-            report->valueSweeps = result.breakdown.valueSweeps;
-            report->policyImprovements =
-                result.breakdown.policyImprovements;
             observeAnswer(*report);
         }
-        return result;
+        return std::move(plan.result);
     };
 
     // Replans key by the *drifted* instance's fingerprint: a repeat of
     // the same drift — or a background replan that already published —
     // is a plain cache hit, fresh by construction.
     PlanCache::Source source = PlanCache::Source::Miss;
-    if (std::optional<TesselResult> cached =
-            cache_.get(fp, drifted.placement, eff, &source)) {
+    if (SharedPlan cached =
+            cache_.getShared(fp, drifted.placement, eff, &source)) {
         if (report)
-            report->source = sourceName(source, false);
-        return finish(std::move(*cached));
+            report->source = sourceName(source);
+        return finish(std::move(cached));
     }
 
     // Fetch the plan currently served for the base instance. A removal
@@ -483,14 +478,15 @@ PlanningService::replan(const ReplanRequest &request, QueryReport *report)
     // through to the ordinary miss pipeline — neighbor seeding still
     // applies, so a degraded query close to a stored instance stays
     // cheap.
-    std::optional<TesselResult> served;
+    std::shared_ptr<const TesselResult> served;
     bool phases_ok = false;
     if (!removal) {
         const TesselOptions base_eff = resolveOptions(request.base);
         const Hash128 base_fp =
             fingerprintQuery(request.base.placement, base_eff);
-        served =
-            cache_.get(base_fp, request.base.placement, base_eff, nullptr);
+        served = cache_
+                     .getShared(base_fp, request.base.placement, base_eff)
+                     .result;
         // Cluster drift leaves every phase-relevant knob untouched, but
         // the exact-phase license is computed, never assumed.
         phases_ok =
@@ -499,7 +495,7 @@ PlanningService::replan(const ReplanRequest &request, QueryReport *report)
             report->seededFrom = base_fp.hex();
     }
     if (!served || !served->found)
-        return finish(searchMiss(drifted, eff, fp, report));
+        return finish(searchMiss(drifted, eff, fp, /*serial=*/false, report));
 
     // Retime the served plan under the drifted costs in the foreground:
     // the retimed plan is both the search's opening incumbent and the
@@ -511,7 +507,7 @@ PlanningService::replan(const ReplanRequest &request, QueryReport *report)
     task->seed = prepareReplanSeed(drifted.placement, task->effective,
                                    *served, &request.delta, phases_ok);
     if (!task->seed.ok)
-        return finish(searchMiss(drifted, eff, fp, report));
+        return finish(searchMiss(drifted, eff, fp, /*serial=*/false, report));
     if (report)
         report->seedMakespan = task->seed.seed.makespan;
 
@@ -519,8 +515,8 @@ PlanningService::replan(const ReplanRequest &request, QueryReport *report)
     // — replanBudgetSec bounds only how long this caller *waits*, never
     // how hard the search tries, so the published plan is bit-identical
     // to a cold search of the drifted instance.
-    auto promise = std::make_shared<std::promise<TesselResult>>();
-    std::future<TesselResult> future = promise->get_future();
+    auto promise = std::make_shared<std::promise<SharedPlan>>();
+    std::future<SharedPlan> future = promise->get_future();
     auto done = std::make_shared<std::atomic<bool>>(false);
     std::thread worker([this, task, promise, done] {
         TesselOptions opts = task->effective;
@@ -529,11 +525,11 @@ PlanningService::replan(const ReplanRequest &request, QueryReport *report)
             opts.lowered = &*task->seed.lowered;
         TesselResult result = tesselSearch(task->query.placement, opts);
         result.breakdown.merge(task->seed.work);
-        if (!opts.cancel.cancelled()) {
-            cache_.put(task->fingerprint, task->query.placement,
-                       task->effective, result);
-        }
-        promise->set_value(std::move(result));
+        promise->set_value(
+            opts.cancel.cancelled()
+                ? makeSharedPlan(std::move(result))
+                : cache_.put(task->fingerprint, task->query.placement,
+                             task->effective, std::move(result)));
         done->store(true, std::memory_order_release);
     });
 
@@ -571,7 +567,13 @@ PlanningService::replan(const ReplanRequest &request, QueryReport *report)
         report->stale = true;
         report->source = "stale";
     }
-    return finish(task->seed.retimedResult);
+    return finish(makeSharedPlan(task->seed.retimedResult));
+}
+
+TesselResult
+PlanningService::replan(const ReplanRequest &request, QueryReport *report)
+{
+    return *answer(request, report);
 }
 
 void

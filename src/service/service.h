@@ -242,8 +242,19 @@ class PlanningService
      */
     BatchReport runBatch(const std::vector<PlanQuery> &queries);
 
-    /** Convenience single-query path. Safe to call concurrently from
-     * any number of threads (the ServiceLoop workers do). */
+    /**
+     * Answer one query: the memory or verified disk tier, else the
+     * neighbor-seeded search (admitted to the cache unless cancelled).
+     * A cache hit returns the memory-tier resident itself — no copy —
+     * and @p report's plan hash is the digest the resident was admitted
+     * with, so a hot answer never re-serializes its plan. The result is
+     * shared and must not be modified. Safe to call concurrently from
+     * any number of threads (the ServiceLoop workers do).
+     */
+    std::shared_ptr<const TesselResult> answer(const PlanQuery &query,
+                                               QueryReport *report = nullptr);
+
+    /** answer() returning a private copy of the result. */
     TesselResult runOne(const PlanQuery &query, QueryReport *report = nullptr);
 
     /**
@@ -260,8 +271,13 @@ class PlanningService
      * query (`degraded` flagged); with no served base plan the replan
      * degenerates to a normal neighbor-seeded miss. Every served
      * answer — fresh, stale, or degraded — passed the verification
-     * oracle. Thread-safe like runOne.
+     * oracle. Thread-safe like answer(), and shares cache hits the
+     * same way.
      */
+    std::shared_ptr<const TesselResult>
+    answer(const ReplanRequest &request, QueryReport *report = nullptr);
+
+    /** answer(request) returning a private copy of the result. */
     TesselResult replan(const ReplanRequest &request,
                         QueryReport *report = nullptr);
 
@@ -285,11 +301,13 @@ class PlanningService
     /** The persistent batch fan-out pool (lazily constructed). */
     ThreadPool &pool();
 
-    /** Miss pipeline shared by runOne and replan: neighbor seeding,
-     * the search, conditional cache admission, report seed fields. */
-    TesselResult searchMiss(const PlanQuery &query,
-                            const TesselOptions &eff, const Hash128 &fp,
-                            QueryReport *report);
+    /** Miss pipeline shared by both answer paths and runBatch:
+     * neighbor seeding, the search (single-threaded when @p serial),
+     * cache admission unless cancelled, report source and seed fields.
+     * @return the admitted resident, or the digested uncached result. */
+    SharedPlan searchMiss(const PlanQuery &query, const TesselOptions &eff,
+                          const Hash128 &fp, bool serial,
+                          QueryReport *report);
 
     /** Join background replans whose search already finished. */
     void reapBackgroundReplans();

@@ -470,10 +470,12 @@ readBreakdown(ByteReader &r, SearchBreakdown *b)
            r.boolean(&b->budgetExhausted);
 }
 
-} // namespace
-
+/** serializeResult with @p breakdown written in place of the result's
+ * own, so the plan digest needs no copy of the plan to zero it. */
 std::string
-serializeResult(const TesselResult &result, const Hash128 &fingerprint)
+serializeWithBreakdown(const TesselResult &result,
+                       const SearchBreakdown &breakdown,
+                       const Hash128 &fingerprint)
 {
     ByteWriter payload;
     payload.boolean(result.found);
@@ -481,7 +483,7 @@ serializeResult(const TesselResult &result, const Hash128 &fingerprint)
     payload.i64(result.period);
     payload.i64(result.lowerBound);
     payload.i32(result.nrUsed);
-    writeBreakdown(payload, result.breakdown);
+    writeBreakdown(payload, breakdown);
 
     const bool has_plan = result.plan.placement().numBlocks() > 0;
     payload.boolean(has_plan);
@@ -503,12 +505,19 @@ serializeResult(const TesselResult &result, const Hash128 &fingerprint)
     return out.data();
 }
 
+} // namespace
+
+std::string
+serializeResult(const TesselResult &result, const Hash128 &fingerprint)
+{
+    return serializeWithBreakdown(result, result.breakdown, fingerprint);
+}
+
 Hash128
 resultPlanDigest(const TesselResult &result)
 {
-    TesselResult canonical = result;
-    canonical.breakdown = SearchBreakdown{};
-    return hashBytes(serializeResult(canonical, Hash128{}));
+    return hashBytes(
+        serializeWithBreakdown(result, SearchBreakdown{}, Hash128{}));
 }
 
 LoadedResult

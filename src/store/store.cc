@@ -59,6 +59,15 @@ verifyPlanSchedule(const TesselResult &result)
 
 } // namespace
 
+SharedPlan
+makeSharedPlan(TesselResult result)
+{
+    SharedPlan plan;
+    plan.digest = resultPlanDigest(result);
+    plan.result = std::make_shared<const TesselResult>(std::move(result));
+    return plan;
+}
+
 VerifyOutcome
 verifyResultAgainstQuery(const Placement &placement,
                          const TesselOptions &options,
@@ -393,17 +402,18 @@ PlanCache::lockWriter(Shard &shard)
     return lock;
 }
 
-std::optional<TesselResult>
-PlanCache::get(const Hash128 &fp, const Placement &placement,
-               const TesselOptions &options, Source *source)
+SharedPlan
+PlanCache::getShared(const Hash128 &fp, const Placement &placement,
+                     const TesselOptions &options, Source *source)
 {
     if (source)
         *source = Source::Miss;
     Shard &shard = shardFor(fp);
 
-    // Hot path: lock-free snapshot lookup. The access stamp feeds the
-    // approximate-LRU eviction; relaxed order suffices (it only ranks
-    // entries, it never orders memory).
+    // Hot path: snapshot lookup without the writer lock, sharing the
+    // resident. The access stamp feeds the approximate-LRU eviction;
+    // relaxed order suffices (it only ranks entries, it never orders
+    // memory).
     {
         const std::shared_ptr<const Snapshot> snap = loadSnapshot(shard);
         const auto it = snap->map.find(fp);
@@ -414,7 +424,7 @@ PlanCache::get(const Hash128 &fp, const Placement &placement,
             shard.memoryHits.fetch_add(1, std::memory_order_relaxed);
             if (source)
                 *source = Source::Memory;
-            return *it->second.result;
+            return it->second.plan;
         }
     }
 
@@ -425,7 +435,7 @@ PlanCache::get(const Hash128 &fp, const Placement &placement,
         TraceSpan span("disk-io");
         if (!store_.get(fp, &bytes)) {
             shard.misses.fetch_add(1, std::memory_order_relaxed);
-            return std::nullopt;
+            return {};
         }
         span.setArg("bytes", bytes.size());
     }
@@ -451,19 +461,28 @@ PlanCache::get(const Hash128 &fp, const Placement &placement,
         // (or its sidecar) behind would re-reject on every lookup and
         // dangle neighbor candidates whose fetch cannot succeed.
         removeRejectedEntry(fp);
-        return std::nullopt;
+        return {};
     }
 
     shard.diskHits.fetch_add(1, std::memory_order_relaxed);
-    insertMemory(shard, fp, loaded.result);
     if (source)
         *source = Source::Disk;
-    return std::move(loaded.result);
+    return insertMemory(shard, fp, std::move(loaded.result));
 }
 
-void
+std::optional<TesselResult>
+PlanCache::get(const Hash128 &fp, const Placement &placement,
+               const TesselOptions &options, Source *source)
+{
+    const SharedPlan plan = getShared(fp, placement, options, source);
+    if (!plan)
+        return std::nullopt;
+    return *plan.result;
+}
+
+SharedPlan
 PlanCache::put(const Hash128 &fp, const Placement &placement,
-               const TesselOptions &options, const TesselResult &result)
+               const TesselOptions &options, TesselResult result)
 {
     // Sidecar first, in-memory index last: once the instance is
     // discoverable through the index its plan bytes are already
@@ -472,12 +491,13 @@ PlanCache::put(const Hash128 &fp, const Placement &placement,
     // which the next open garbage-collects.
     const InstanceMeta meta = computeInstanceMeta(placement, options);
     store_.putMeta(fp, serializeMeta(meta));
-    put(fp, result);
+    SharedPlan plan = put(fp, std::move(result));
     neighborIndex_.add(meta);
+    return plan;
 }
 
-void
-PlanCache::put(const Hash128 &fp, const TesselResult &result)
+SharedPlan
+PlanCache::put(const Hash128 &fp, TesselResult result)
 {
     // Serialize and write outside the writer lock; publish the memory
     // snapshot under it.
@@ -493,11 +513,11 @@ PlanCache::put(const Hash128 &fp, const TesselResult &result)
     }
     Shard &shard = shardFor(fp);
     shard.stores.fetch_add(1, std::memory_order_relaxed);
-    insertMemory(shard, fp, result);
+    return insertMemory(shard, fp, std::move(result));
 }
 
-std::optional<TesselResult>
-PlanCache::peek(const Hash128 &fp)
+std::shared_ptr<const TesselResult>
+PlanCache::peekShared(const Hash128 &fp)
 {
     neighborFetches_.fetch_add(1, std::memory_order_relaxed);
 
@@ -508,20 +528,29 @@ PlanCache::peek(const Hash128 &fp)
         // No access stamp: a neighbor fetch is not a query for this
         // entry and must not keep it alive over genuinely hot ones.
         if (it != snap->map.end())
-            return *it->second.result;
+            return it->second.plan.result;
     }
 
     std::string bytes;
     if (!store_.get(fp, &bytes))
-        return std::nullopt;
+        return nullptr;
     LoadedResult loaded = deserializeResult(bytes);
     if (!loaded.ok || loaded.fingerprint != fp)
-        return std::nullopt;
+        return nullptr;
     // Deliberately unverified and not admitted to the memory tier: the
     // caller (store/adapt.cc) oracle-checks whatever it derives, and
     // the memory tier only ever holds entries verified for their own
     // fingerprint.
-    return std::move(loaded.result);
+    return std::make_shared<const TesselResult>(std::move(loaded.result));
+}
+
+std::optional<TesselResult>
+PlanCache::peek(const Hash128 &fp)
+{
+    const std::shared_ptr<const TesselResult> result = peekShared(fp);
+    if (!result)
+        return std::nullopt;
+    return *result;
 }
 
 void
@@ -560,15 +589,18 @@ PlanCache::indexedInstances() const
     return neighborIndex_.size();
 }
 
-void
+SharedPlan
 PlanCache::insertMemory(Shard &shard, const Hash128 &fp,
-                        const TesselResult &result)
+                        TesselResult result)
 {
+    // The one digest this resident ever pays: every later hit reports
+    // it instead of re-serializing the plan.
+    SharedPlan plan = makeSharedPlan(std::move(result));
     auto lock = lockWriter(shard);
     const std::shared_ptr<const Snapshot> old = loadSnapshot(shard);
     auto next = std::make_shared<Snapshot>(*old);
     Entry &entry = next->map[fp];
-    entry.result = std::make_shared<const TesselResult>(result);
+    entry.plan = plan;
     if (!entry.lastUsed)
         entry.lastUsed = std::make_shared<std::atomic<uint64_t>>(0);
     entry.lastUsed->store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
@@ -596,6 +628,7 @@ PlanCache::insertMemory(Shard &shard, const Hash128 &fp,
         &shard.snap,
         std::shared_ptr<const Snapshot>(std::move(next)),
         std::memory_order_release);
+    return plan;
 }
 
 void

@@ -36,17 +36,28 @@
  * store/adapt.cc, which runs the same oracle on the adapted plan
  * before anything downstream may use it.
  *
+ * Shared residents: a memory-tier entry is a SharedPlan — one immutable
+ * result plus its plan digest, computed once when the entry is admitted
+ * (put() or a verified disk load). getShared() hands every hit the same
+ * resident, so a hit costs a reference-count increment, not a deep copy
+ * of the plan and a re-serialization to digest it. get() and peek() are
+ * copying wrappers over getShared() and peekShared().
+ *
  * Concurrency: the memory tier is sharded by fingerprint, and within a
- * shard the hot hit path is RCU-style and never blocks. Each shard
- * publishes an immutable snapshot (shared_ptr to a read-only hash map);
- * readers load the snapshot pointer atomically, look up their entry,
- * and stamp a relaxed per-entry access tick for the eviction policy —
- * no mutex, no waiting, no matter how many writers are active. Writers
- * (admissions, promotions, evictions, purges) serialize on a per-shard
- * writer mutex, build the next snapshot aside, and publish it with an
- * atomic pointer store. StoreStats::lockContended counts writer-side
- * acquisitions that had to block; a read-only trace keeps it at exactly
- * zero, which the daemon tests and bench_service_load enforce as the
+ * shard the hot hit path is RCU-style and never takes the shard's
+ * writer lock. Each shard publishes an immutable snapshot (shared_ptr
+ * to a read-only hash map); readers load the snapshot pointer with
+ * std::atomic_load, look up their entry, and stamp a relaxed per-entry
+ * access tick for the eviction policy. (libstdc++ implements the
+ * shared_ptr atomic_load/atomic_store pair with a small pool of global
+ * spinlock-guarded mutexes held for a pointer copy, so a reader may
+ * wait out another thread's pointer copy — never a writer's snapshot
+ * rebuild.) Writers (admissions, promotions, evictions, purges)
+ * serialize on a per-shard writer mutex, build the next snapshot aside,
+ * and publish it with an atomic pointer store. StoreStats::lockContended
+ * counts writer-side acquisitions of that mutex that had to block; a
+ * read-only trace never takes it and keeps the counter at exactly zero,
+ * which the daemon tests and bench_service_load enforce as the
  * lock-free-hit regression signal.
  *
  * Background revalidation: startRevalidation() spawns one maintenance
@@ -100,7 +111,8 @@ struct StoreStats
     uint64_t evictions = 0;  ///< memory-tier evictions
     /** Writer-side shard-mutex acquisitions that found the lock already
      * held (the try-lock failed and the writer had to block). The hit
-     * path takes no lock at all, so a read-only trace keeps this at 0. */
+     * path never takes the writer lock, so a read-only trace keeps this
+     * at 0. */
     uint64_t lockContended = 0;
     /** Raw neighbor-entry fetches via peek() (not query lookups; they
      * never count toward hits/misses). */
@@ -140,6 +152,23 @@ struct StoreStats
                                 static_cast<double>(total);
     }
 };
+
+/**
+ * One memory-tier resident: an immutable result plus its plan digest
+ * (resultPlanDigest), computed once when the entry is admitted. Every
+ * hit shares the same result; nobody may modify it. Empty (null
+ * result) on a miss.
+ */
+struct SharedPlan
+{
+    std::shared_ptr<const TesselResult> result;
+    Hash128 digest;
+
+    explicit operator bool() const { return result != nullptr; }
+};
+
+/** Take ownership of @p result and digest it once. */
+SharedPlan makeSharedPlan(TesselResult result);
 
 /** Outcome of re-verifying a loaded result against its query. */
 struct VerifyOutcome
@@ -240,7 +269,8 @@ struct PlanCacheOptions
  * Two-tier cache: sharded snapshot memory tier over a PlanStore disk
  * tier, plus a neighbor index over the meta sidecars for near-miss
  * lookups. All public methods are safe to call from any number of
- * threads; the hit path is lock-free (see file comment), and disk I/O
+ * threads; the hit path never takes a writer lock (see file comment),
+ * and disk I/O
  * and verification run outside any lock, so concurrent readers never
  * serialize on the expensive parts.
  */
@@ -259,13 +289,20 @@ class PlanCache
     enum class Source { Memory, Disk, Miss };
 
     /**
-     * Look up @p fp. Disk answers are deserialized and verified against
-     * (@p placement, @p options) per the verification-on-load
-     * invariant, then promoted into the memory tier. A disk entry that
-     * fails verification is removed (plan + sidecar + index entry).
-     * @return nullopt on miss or verification failure (@p source tells
-     * which tier answered).
+     * Look up @p fp. A memory hit shares the resident entry. Disk
+     * answers are deserialized and verified against (@p placement,
+     * @p options) per the verification-on-load invariant, then admitted
+     * to the memory tier (digested once there) and shared the same way.
+     * A disk entry that fails verification is removed (plan + sidecar +
+     * index entry).
+     * @return an empty SharedPlan on miss or verification failure
+     * (@p source tells which tier answered).
      */
+    SharedPlan getShared(const Hash128 &fp, const Placement &placement,
+                         const TesselOptions &options,
+                         Source *source = nullptr);
+
+    /** getShared() returning a private copy of the result. */
     std::optional<TesselResult> get(const Hash128 &fp,
                                     const Placement &placement,
                                     const TesselOptions &options,
@@ -275,24 +312,28 @@ class PlanCache
      * Admit a freshly searched result to both tiers, publish its meta
      * sidecar, and index it for neighbor lookups. (@p placement,
      * @p options) must be the query that produced @p fp.
+     * @return the memory-tier resident now serving @p fp.
      */
-    void put(const Hash128 &fp, const Placement &placement,
-             const TesselOptions &options, const TesselResult &result);
+    SharedPlan put(const Hash128 &fp, const Placement &placement,
+                   const TesselOptions &options, TesselResult result);
 
     /**
      * Admit a result without query context: both cache tiers are
      * updated but no meta sidecar is written, so the entry serves exact
      * hits only and never appears as a neighbor.
      */
-    void put(const Hash128 &fp, const TesselResult &result);
+    SharedPlan put(const Hash128 &fp, TesselResult result);
 
     /**
-     * Raw fetch of a (neighbor) entry: memory tier first, then disk
-     * decode with a fingerprint check — but NO oracle verification and
-     * NO memory-tier admission. Only store/adapt.cc should consume the
-     * result, and it must re-verify whatever it derives. Counts as a
-     * neighborFetch, never as a hit or miss.
+     * Raw fetch of a (neighbor) entry: memory tier first (shared), then
+     * disk decode with a fingerprint check — but NO oracle verification
+     * and NO memory-tier admission. Only store/adapt.cc should consume
+     * the result, and it must re-verify whatever it derives. Counts as
+     * a neighborFetch, never as a hit or miss. Null when absent.
      */
+    std::shared_ptr<const TesselResult> peekShared(const Hash128 &fp);
+
+    /** peekShared() returning a private copy of the result. */
     std::optional<TesselResult> peek(const Hash128 &fp);
 
     /**
@@ -349,7 +390,7 @@ class PlanCache
      * writer republishing the map around it. */
     struct Entry
     {
-        std::shared_ptr<const TesselResult> result;
+        SharedPlan plan;
         std::shared_ptr<std::atomic<uint64_t>> lastUsed;
     };
 
@@ -385,10 +426,12 @@ class PlanCache
      * uncontended try-lock fails. Readers never take this. */
     std::unique_lock<std::mutex> lockWriter(Shard &shard);
 
-    /** Publish a snapshot with @p fp inserted/refreshed, evicting the
-     * least-recently-stamped entries beyond the shard capacity. */
-    void insertMemory(Shard &shard, const Hash128 &fp,
-                      const TesselResult &result);
+    /** Digest @p result (outside the writer lock), then publish a
+     * snapshot with it resident under @p fp, evicting the
+     * least-recently-stamped entries beyond the shard capacity.
+     * @return the new resident. */
+    SharedPlan insertMemory(Shard &shard, const Hash128 &fp,
+                            TesselResult result);
 
     /** Publish a snapshot with @p fp removed (no-op when absent). */
     void eraseMemory(Shard &shard, const Hash128 &fp);

@@ -132,6 +132,9 @@ class TraceSpan
     /** Attach a short free-form label (truncated to kLabelCap-1). */
     void setLabel(const std::string &label);
 
+    /** Drop the span: nothing is committed on destruction. */
+    void discard() { rec_ = nullptr; }
+
     /** Whether this span will be committed on destruction. */
     bool active() const { return rec_ != nullptr; }
 

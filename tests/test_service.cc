@@ -3,8 +3,10 @@
  * Planning-service tests: batch deduplication, the memory/disk/search
  * answer paths with bit-identical plans across service instances,
  * corrupted and version-bumped store entries falling back to a fresh
- * search, concurrent fan-out determinism, and per-query budgets — plus
- * the daemon loop: streaming answers while a worker is busy, clean
+ * search, concurrent fan-out determinism, per-query budgets, one
+ * `query` root span per unique batch instance, and identical answers
+ * from runOne, runBatch and the daemon loop on every tier — plus the
+ * daemon loop: streaming answers while a worker is busy, clean
  * queue-full and per-tenant throttling rejections, graceful and
  * cancelling shutdown (cancelled answers flagged and never cached), and
  * the lock-free hot path keeping lockContended at zero on a read-only
@@ -13,9 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <functional>
 #include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +32,7 @@
 #include "store/serialize.h"
 #include "support/io.h"
 #include "support/logging.h"
+#include "support/tracing.h"
 
 namespace tessel {
 namespace {
@@ -269,6 +276,189 @@ refQuery(const std::string &shape, const std::string &variant = "homogeneous")
     auto q = referenceShapeQuery(shape, variant, 4, /*budget_sec=*/5.0);
     EXPECT_TRUE(q.has_value()) << shape << "/" << variant;
     return *q;
+}
+
+TEST(PlanningService, CancelledSearchReportsDigestOfReturnedPlan)
+{
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-svc-cancelled-", &dir));
+    CancelSource cancel;
+    cancel.cancel();
+    ServiceOptions opts = optionsFor(dir);
+    opts.cancel = cancel.token();
+    PlanningService service(opts);
+
+    // The truncated answer is never admitted, so no resident digest
+    // exists; the report must still hash the plan actually returned.
+    QueryReport report;
+    const TesselResult result = service.runOne(refQuery("V"), &report);
+    EXPECT_STREQ(report.source, "search");
+    EXPECT_EQ(report.planHash, resultPlanDigest(result).hex());
+    EXPECT_EQ(report.found, result.found);
+    EXPECT_EQ(report.period, result.period);
+    EXPECT_EQ(service.cache().stats().stores, 0u);
+    EXPECT_TRUE(service.cache().store().list().empty());
+}
+
+TEST(PlanningService, BatchOpensOneQuerySpanPerUniqueInstance)
+{
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-svc-spans-", &dir));
+    PlanningService service(optionsFor(dir));
+    const std::vector<PlanQuery> batch = {refQuery("V"), refQuery("M"),
+                                          refQuery("V")};
+
+    TraceRecorder &rec = TraceRecorder::instance();
+    const uint64_t start = rec.nowMicros();
+    rec.setEnabled(true);
+    service.runBatch(batch); // two searches
+    service.runBatch(batch); // two memory hits
+    rec.setEnabled(false);
+
+    std::vector<SpanRecord> queries, sweeps;
+    for (const SpanRecord &span : rec.collect()) {
+        if (span.tsMicros < start)
+            continue;
+        if (std::strcmp(span.name, "query") == 0)
+            queries.push_back(span);
+        else if (std::strcmp(span.name, "repetend-sweep") == 0)
+            sweeps.push_back(span);
+    }
+    // One root per unique instance and batch; a miss's lookup span is
+    // dropped in favor of its search's.
+    EXPECT_EQ(queries.size(), 4u);
+    ASSERT_EQ(sweeps.size(), 2u);
+    for (const SpanRecord &sweep : sweeps) {
+        const bool nested = std::any_of(
+            queries.begin(), queries.end(), [&](const SpanRecord &q) {
+                return q.tid == sweep.tid && q.tsMicros <= sweep.tsMicros &&
+                       sweep.tsMicros + sweep.durMicros <=
+                           q.tsMicros + q.durMicros;
+            });
+        EXPECT_TRUE(nested) << "repetend-sweep outside any query span";
+    }
+}
+
+/** The answer fields every front-end must agree on. */
+std::string
+answerKey(const QueryReport &r)
+{
+    return std::string(r.source) + " " + r.planHash + " " +
+           (r.found ? "found" : "none") + " " + std::to_string(r.period);
+}
+
+/** Answer @p queries through one front-end; one key per query. */
+using FrontEnd = std::function<std::vector<std::string>(
+    const std::vector<PlanQuery> &)>;
+
+FrontEnd
+viaRunOne(PlanningService &service)
+{
+    return [&service](const std::vector<PlanQuery> &queries) {
+        std::vector<std::string> keys;
+        for (const PlanQuery &q : queries) {
+            QueryReport report;
+            const TesselResult result = service.runOne(q, &report);
+            EXPECT_EQ(report.planHash, resultPlanDigest(result).hex())
+                << q.label;
+            keys.push_back(answerKey(report));
+        }
+        return keys;
+    };
+}
+
+FrontEnd
+viaRunBatch(PlanningService &service)
+{
+    return [&service](const std::vector<PlanQuery> &queries) {
+        std::vector<std::string> keys;
+        for (const QueryReport &report : service.runBatch(queries).queries)
+            keys.push_back(answerKey(report));
+        return keys;
+    };
+}
+
+FrontEnd
+viaLoop(ServiceLoop &loop)
+{
+    return [&loop](const std::vector<PlanQuery> &queries) {
+        std::vector<std::string> keys(queries.size());
+        std::mutex mu;
+        for (size_t i = 0; i < queries.size(); ++i)
+            loop.submit(queries[i], "t",
+                        [&keys, &mu, i](const ServiceLoop::Response &resp) {
+                            std::lock_guard<std::mutex> lock(mu);
+                            keys[i] = answerKey(resp.report);
+                        });
+        loop.drain();
+        return keys;
+    };
+}
+
+TEST(PlanningService, FrontEndsReportIdenticalAnswersFromEveryTier)
+{
+    // Each front-end gets its own store and answers the same queries
+    // three times: a cold search, memory hits in the same process, and
+    // verified disk hits in a fresh one. Source, plan hash, found and
+    // period must agree across runOne, runBatch and the ServiceLoop.
+    const std::vector<PlanQuery> queries = {refQuery("V"), refQuery("M")};
+    std::vector<std::vector<std::string>> answers[3];
+
+    for (int front = 0; front < 3; ++front) {
+        std::string dir;
+        ASSERT_TRUE(makeTempDir("tessel-svc-front-", &dir));
+        for (int process = 0; process < 2; ++process) {
+            ServiceLoop loop(loopOptionsFor(dir));
+            PlanningService &service = loop.service();
+            const FrontEnd serve = front == 0   ? viaRunOne(service)
+                                   : front == 1 ? viaRunBatch(service)
+                                                : viaLoop(loop);
+            answers[front].push_back(serve(queries));
+            if (process == 1)
+                continue;
+            answers[front].push_back(serve(queries));
+
+            // Read-only replays through every front-end share residents
+            // and never take a writer lock.
+            const uint64_t before =
+                service.cache().stats().lockContended;
+            viaRunOne(service)(queries);
+            viaRunBatch(service)(queries);
+            viaLoop(loop)(queries);
+            EXPECT_EQ(service.cache().stats().lockContended, before);
+        }
+    }
+
+    // Hits report the plan the search returned, whichever tier serves.
+    const char *sources[] = {"search", "memory", "disk"};
+    for (size_t pass = 0; pass < 3; ++pass) {
+        for (size_t i = 0; i < queries.size(); ++i) {
+            const std::string &key = answers[0][pass][i];
+            const std::string source = std::string(sources[pass]) + " ";
+            ASSERT_EQ(key.rfind(source, 0), 0u) << key;
+            EXPECT_EQ(key.substr(source.size()),
+                      answers[0][0][i].substr(std::strlen("search ")));
+            EXPECT_EQ(answers[1][pass][i], key) << queries[i].label;
+            EXPECT_EQ(answers[2][pass][i], key) << queries[i].label;
+        }
+    }
+
+    // A deduplicated batch: renamed copies share the unique instance's
+    // answer, identical to what runOne reports for it.
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-svc-front-dedup-", &dir));
+    PlanningService service(optionsFor(dir));
+    PlanQuery copy = queries[0];
+    copy.label = "copy";
+    const std::vector<std::string> batch =
+        viaRunBatch(service)({queries[0], copy, queries[1], queries[0]});
+    const std::vector<std::string> one = viaRunOne(service)(queries);
+    EXPECT_EQ(batch[0], answers[0][0][0]);
+    EXPECT_EQ(batch[1], batch[0]);
+    EXPECT_EQ(batch[3], batch[0]);
+    EXPECT_EQ(batch[2], answers[0][0][1]);
+    EXPECT_EQ(one[0], answers[0][1][0]);
+    EXPECT_EQ(one[1], answers[0][1][1]);
 }
 
 TEST(ServiceLoop, StreamAnsweredWhileOneWorkerBusy)

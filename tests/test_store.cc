@@ -721,6 +721,61 @@ TEST(PlanCache, MemoryDiskAndVerifyFailurePaths)
     }
 }
 
+TEST(PlanCache, ResidentDigestMatchesServedResult)
+{
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-store-resident-", &dir));
+    // One slot in one shard, so a second admission evicts the first.
+    PlanCacheOptions cache_opts;
+    cache_opts.memoryCapacity = 1;
+    cache_opts.shards = 1;
+    PlanCache cache(dir, cache_opts);
+
+    const Placement p = makeShapeByName("V", 4);
+    const TesselOptions opts = quickOptions();
+    const Hash128 fp = fingerprintQuery(p, opts);
+    const TesselResult result = tesselSearch(p, opts);
+    ASSERT_TRUE(result.found);
+    const Hash128 digest = resultPlanDigest(result);
+
+    // After put: the resident carries the digest, and a hit shares the
+    // resident itself rather than a copy.
+    const SharedPlan admitted = cache.put(fp, p, opts, result);
+    EXPECT_EQ(admitted.digest, digest);
+    PlanCache::Source source;
+    const SharedPlan hit = cache.getShared(fp, p, opts, &source);
+    ASSERT_TRUE(hit);
+    EXPECT_EQ(source, PlanCache::Source::Memory);
+    EXPECT_EQ(hit.result, admitted.result);
+    EXPECT_EQ(hit.digest, resultPlanDigest(*hit.result));
+    const std::optional<TesselResult> copy = cache.get(fp, p, opts);
+    ASSERT_TRUE(copy.has_value());
+    EXPECT_EQ(resultPlanDigest(*copy), digest);
+
+    // After eviction and reload: the verified disk load is digested on
+    // admission and the next hit shares that new resident.
+    TesselOptions other = opts;
+    other.memLimit = 10;
+    cache.put(fingerprintQuery(p, other), p, other, tesselSearch(p, other));
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    const SharedPlan reloaded = cache.getShared(fp, p, opts, &source);
+    ASSERT_TRUE(reloaded);
+    EXPECT_EQ(source, PlanCache::Source::Disk);
+    EXPECT_EQ(reloaded.digest, digest);
+    EXPECT_EQ(reloaded.digest, resultPlanDigest(*reloaded.result));
+    EXPECT_EQ(cache.getShared(fp, p, opts, &source).result,
+              reloaded.result);
+    EXPECT_EQ(source, PlanCache::Source::Memory);
+
+    // After a verified disk load in a fresh cache (a new process).
+    PlanCache fresh(dir);
+    const SharedPlan loaded = fresh.getShared(fp, p, opts, &source);
+    ASSERT_TRUE(loaded);
+    EXPECT_EQ(source, PlanCache::Source::Disk);
+    EXPECT_EQ(loaded.digest, digest);
+    EXPECT_EQ(loaded.digest, resultPlanDigest(*loaded.result));
+}
+
 TEST(PlanCache, LruEvictsBeyondCapacity)
 {
     std::string dir;
