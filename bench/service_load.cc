@@ -37,10 +37,11 @@
  *                               (default 0.02; 0 disables the gate)
  *
  * A fourth phase replays the read-only hot trace with the metrics
- * registry switched off and on (best of 3 each) and gates the
- * instrumented path within TESSEL_METRICS_MAX_OVERHEAD of the no-op
- * path — the registry's per-shard relaxed atomics must be invisible at
- * daemon scale, and lockContended must stay untouched either way.
+ * registry's histogram observations switched off and on (best of 3
+ * each) and gates the instrumented path within
+ * TESSEL_METRICS_MAX_OVERHEAD of the uninstrumented one — the
+ * histograms' relaxed atomics must be invisible at daemon scale, and
+ * lockContended must stay untouched either way.
  *
  * Usage: bench_service_load [--json BENCH_service_load.json]
  */
@@ -276,7 +277,7 @@ main(int argc, char **argv)
     const uint64_t contendedDelta = contendedAfter - contendedBefore;
 
     // Phase 4 — metrics overhead: the same read-only hot replay with
-    // the registry as a no-op vs live, best of 3 each (the replay is
+    // histogram observations off vs on, best of 3 each (the replay is
     // sub-second, so best-of smooths scheduler noise). Instrumentation
     // must not reintroduce contention either: the lock counter is
     // watched across both legs.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "support/metrics.h"
 #include "support/timer.h"
 
 namespace tessel {
@@ -43,20 +44,36 @@ ServiceLoop::ServiceLoop(ServiceLoopOptions options)
 {
     options_.queueDepth = std::max<size_t>(1, options_.queueDepth);
     options_.workers = std::max(1, options_.workers);
-    MetricsRegistry &reg = MetricsRegistry::instance();
-    metrics_.submitted = reg.counter("loop.submitted");
-    metrics_.accepted = reg.counter("loop.accepted");
-    metrics_.rejectedQueueFull =
-        reg.counter("loop.rejected", "verdict", "queue-full");
-    metrics_.rejectedThrottled =
-        reg.counter("loop.rejected", "verdict", "throttled");
-    metrics_.rejectedShutdown =
-        reg.counter("loop.rejected", "verdict", "shutting-down");
-    metrics_.completed = reg.counter("loop.completed");
-    metrics_.workerBusyUs = reg.counter("loop.worker_busy_us");
-    metrics_.queueDepth = reg.gauge("loop.queue_depth");
-    metrics_.queueHighWater = reg.gauge("loop.queue_high_water");
-    metrics_.inFlight = reg.gauge("loop.in_flight");
+    metricsSource_ = MetricsRegistry::instance().addSource(
+        [this](std::vector<MetricSample> &out) {
+            const LoopStats s = stats();
+            out.push_back(MetricSample::counter("loop.submitted",
+                                                s.submitted));
+            out.push_back(MetricSample::counter("loop.accepted", s.accepted));
+            out.push_back(MetricSample::counter(
+                "loop.rejected", s.rejectedQueueFull, "verdict",
+                admissionName(Admission::QueueFull)));
+            out.push_back(MetricSample::counter(
+                "loop.rejected", s.rejectedThrottled, "verdict",
+                admissionName(Admission::Throttled)));
+            out.push_back(MetricSample::counter(
+                "loop.rejected", s.rejectedShutdown, "verdict",
+                admissionName(Admission::ShuttingDown)));
+            for (const auto &kv : s.throttledByTenant)
+                out.push_back(MetricSample::counter(
+                    "loop.tenant_throttled", kv.second, "tenant", kv.first));
+            out.push_back(MetricSample::counter("loop.completed",
+                                                s.completed));
+            out.push_back(MetricSample::counter("loop.worker_busy_us",
+                                                s.workerBusyUs));
+            out.push_back(MetricSample::gauge(
+                "loop.queue_depth", static_cast<int64_t>(s.queueDepth)));
+            out.push_back(MetricSample::gauge(
+                "loop.queue_high_water",
+                static_cast<int64_t>(s.queueHighWater)));
+            out.push_back(MetricSample::gauge(
+                "loop.in_flight", static_cast<int64_t>(s.inFlight)));
+        });
     if (options_.revalidateIntervalSec > 0.0)
         service_.cache().startRevalidation(options_.revalidateIntervalSec);
     workers_.reserve(static_cast<size_t>(options_.workers));
@@ -67,6 +84,7 @@ ServiceLoop::ServiceLoop(ServiceLoopOptions options)
 ServiceLoop::~ServiceLoop()
 {
     shutdown(/*cancel_in_flight=*/false);
+    MetricsRegistry::instance().removeSource(metricsSource_);
 }
 
 bool
@@ -117,29 +135,18 @@ ServiceLoop::enqueue(Item item, const std::string &tenant,
     {
         std::lock_guard<std::mutex> lock(mu_);
         ++submitted_;
-        metrics_.submitted->inc();
         if (stop_) {
             verdict = Admission::ShuttingDown;
             ++rejectedShutdown_;
-            metrics_.rejectedShutdown->inc();
         } else if (queue_.size() >= options_.queueDepth) {
             verdict = Admission::QueueFull;
             ++rejectedQueueFull_;
-            metrics_.rejectedQueueFull->inc();
         } else if (!tenantAdmit(tenant)) {
             verdict = Admission::Throttled;
             ++rejectedThrottled_;
-            metrics_.rejectedThrottled->inc();
-            Bucket &bucket = buckets_[tenant];
-            ++bucket.throttled;
-            if (bucket.throttledMetric == nullptr)
-                bucket.throttledMetric = MetricsRegistry::instance()
-                                             .counter("loop.tenant_throttled",
-                                                      "tenant", tenant);
-            bucket.throttledMetric->inc();
+            ++buckets_[tenant].throttled;
         } else {
             ++accepted_;
-            metrics_.accepted->inc();
         }
     }
     if (verdict != Admission::Accepted) {
@@ -162,9 +169,6 @@ ServiceLoop::enqueue(Item item, const std::string &tenant,
         std::lock_guard<std::mutex> lock(mu_);
         queue_.push_back(std::move(item));
         queueHighWater_ = std::max(queueHighWater_, queue_.size());
-        metrics_.queueDepth->set(static_cast<int64_t>(queue_.size()));
-        metrics_.queueHighWater->setMax(
-            static_cast<int64_t>(queue_.size()));
     }
     workCv_.notify_one();
     return verdict;
@@ -212,8 +216,6 @@ ServiceLoop::workerLoop()
             item = std::move(queue_.front());
             queue_.pop_front();
             ++inFlight_;
-            metrics_.queueDepth->set(static_cast<int64_t>(queue_.size()));
-            metrics_.inFlight->set(static_cast<int64_t>(inFlight_));
         }
 
         Response resp;
@@ -225,8 +227,7 @@ ServiceLoop::workerLoop()
             service_.answer(*item.replan, &resp.report);
         else
             service_.answer(item.query, &resp.report);
-        metrics_.workerBusyUs->inc(
-            static_cast<uint64_t>(busy.seconds() * 1e6));
+        const auto busyUs = static_cast<uint64_t>(busy.seconds() * 1e6);
         resp.cancelled = cancelSource_.cancelled();
         if (resp.cancelled)
             resp.error = "cancelled by shutdown";
@@ -237,8 +238,7 @@ ServiceLoop::workerLoop()
             std::lock_guard<std::mutex> lock(mu_);
             --inFlight_;
             ++completed_;
-            metrics_.completed->inc();
-            metrics_.inFlight->set(static_cast<int64_t>(inFlight_));
+            workerBusyUs_ += busyUs;
         }
         idleCv_.notify_all();
     }
@@ -295,6 +295,7 @@ ServiceLoop::stats() const
     out.queueDepth = queue_.size();
     out.queueHighWater = queueHighWater_;
     out.inFlight = inFlight_;
+    out.workerBusyUs = workerBusyUs_;
     for (const auto &kv : buckets_) {
         if (kv.second.throttled > 0)
             out.throttledByTenant[kv.first] = kv.second.throttled;

@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "service/service.h"
-#include "support/metrics.h"
 
 namespace tessel {
 
@@ -102,7 +101,9 @@ struct ServiceLoopOptions
     std::function<std::chrono::steady_clock::time_point()> clock;
 };
 
-/** Aggregate daemon counters (monotonic over the loop lifetime). */
+/** Aggregate daemon counters (monotonic over the loop lifetime) and
+ * gauges — the only home of the `loop.*` series, which the loop's
+ * metrics-registry source reports from stats(). */
 struct LoopStats
 {
     uint64_t submitted = 0;         ///< every submit() call
@@ -114,6 +115,7 @@ struct LoopStats
     size_t queueDepth = 0;          ///< currently queued (snapshot)
     size_t queueHighWater = 0;      ///< max queueDepth ever observed
     size_t inFlight = 0;            ///< currently being answered
+    uint64_t workerBusyUs = 0;      ///< worker time spent answering, µs
     /** Throttled rejections by tenant (sums to rejectedThrottled). */
     std::map<std::string, uint64_t> throttledByTenant;
 };
@@ -145,7 +147,8 @@ class ServiceLoop
     /** Starts the workers (and revalidation, if configured). */
     explicit ServiceLoop(ServiceLoopOptions options);
 
-    /** Graceful shutdown: drains the queue, joins the workers. */
+    /** Graceful shutdown: drains the queue, joins the workers, and
+     * unregisters the metrics source. */
     ~ServiceLoop();
 
     ServiceLoop(const ServiceLoop &) = delete;
@@ -210,9 +213,6 @@ class ServiceLoop
         double tokens = 0.0;
         std::chrono::steady_clock::time_point last;
         uint64_t throttled = 0; ///< rejections charged to this tenant
-        /** `loop.tenant_throttled{tenant=...}` handle, registered on
-         * the first throttle (rejections are off the accept path). */
-        Counter *throttledMetric = nullptr;
     };
 
     /** Refill and charge @p tenant's bucket; false when throttled. */
@@ -223,25 +223,6 @@ class ServiceLoop
     ServiceLoopOptions options_;
     CancelSource cancelSource_;
     PlanningService service_;
-
-    /** Registry handles (`loop.*`), registered once in the constructor.
-     * Unlike the store mirror these are fed at the event sites — the
-     * admission path already serializes on mu_, and a registry update
-     * is a wait-free relaxed atomic op on top. */
-    struct LoopMetrics
-    {
-        Counter *submitted = nullptr;
-        Counter *accepted = nullptr;
-        Counter *rejectedQueueFull = nullptr;
-        Counter *rejectedThrottled = nullptr;
-        Counter *rejectedShutdown = nullptr;
-        Counter *completed = nullptr;
-        Counter *workerBusyUs = nullptr;
-        Gauge *queueDepth = nullptr;
-        Gauge *queueHighWater = nullptr;
-        Gauge *inFlight = nullptr;
-    };
-    LoopMetrics metrics_;
 
     mutable std::mutex mu_;
     std::condition_variable workCv_; ///< queue non-empty or stopping
@@ -257,8 +238,11 @@ class ServiceLoop
     uint64_t rejectedThrottled_ = 0;
     uint64_t rejectedShutdown_ = 0;
     uint64_t completed_ = 0;
+    uint64_t workerBusyUs_ = 0;
 
     std::vector<std::thread> workers_;
+    /** Metrics-registry source reporting stats() as `loop.*`. */
+    int metricsSource_ = 0;
 };
 
 } // namespace tessel

@@ -18,9 +18,7 @@ namespace tessel {
 
 PlanningService::PlanningService(ServiceOptions options)
     : options_(std::move(options)),
-      cache_(options_.cacheDir,
-             PlanCacheOptions{options_.memoryCapacity,
-                              options_.verifyOnLoad})
+      cache_(options_.cacheDir, PlanCacheOptions{options_.memoryCapacity})
 {
     MetricsRegistry &reg = MetricsRegistry::instance();
     metrics_.answerMemory =
@@ -31,8 +29,22 @@ PlanningService::PlanningService(ServiceOptions options)
         reg.histogram("service.answer_ms", "source", "search");
     metrics_.answerStale =
         reg.histogram("service.answer_ms", "source", "stale");
-    metrics_.staleServed = reg.counter("service.stale_served");
-    metrics_.degradedServed = reg.counter("service.degraded_served");
+    metricsSource_ = reg.addSource([this](std::vector<MetricSample> &out) {
+        const ServiceStats s = stats();
+        out.push_back(
+            MetricSample::counter("service.stale_served", s.staleServed));
+        out.push_back(MetricSample::counter("service.degraded_served",
+                                            s.degradedServed));
+    });
+}
+
+ServiceStats
+PlanningService::stats() const
+{
+    ServiceStats out;
+    out.staleServed = staleServed_.load(std::memory_order_relaxed);
+    out.degradedServed = degradedServed_.load(std::memory_order_relaxed);
+    return out;
 }
 
 void
@@ -47,18 +59,18 @@ PlanningService::observeAnswer(const QueryReport &report) const
         metrics_.answerStale->observe(ms);
     else
         metrics_.answerSearch->observe(ms);
-    if (report.stale)
-        metrics_.staleServed->inc();
-    if (report.degraded)
-        metrics_.degradedServed->inc();
 }
 
 PlanningService::~PlanningService()
 {
+    MetricsRegistry::instance().removeSource(metricsSource_);
     waitBackgroundReplans();
 }
 
 namespace {
+
+/** How many nearest stored neighbors a miss tries adapting. */
+constexpr size_t kSeedNeighbors = 4;
 
 /** Resolution of one unique instance within a batch. */
 struct UniqueInstance
@@ -94,10 +106,11 @@ struct NeighborSeed
  */
 bool
 trySeedFromNeighbors(PlanCache &cache, const Placement &placement,
-                     const TesselOptions &eff, size_t k, NeighborSeed &out)
+                     const TesselOptions &eff, NeighborSeed &out)
 {
     const InstanceMeta meta = computeInstanceMeta(placement, eff);
-    for (const NeighborIndex::Neighbor &near : cache.neighbors(meta, k)) {
+    for (const NeighborIndex::Neighbor &near :
+         cache.neighbors(meta, kSeedNeighbors)) {
         const std::shared_ptr<const TesselResult> stored =
             cache.peekShared(near.fingerprint);
         if (!stored)
@@ -329,8 +342,7 @@ PlanningService::searchMiss(const PlanQuery &query, const TesselOptions &eff,
         opts.numThreads = 1;
     if (options_.neighborSeed) {
         TraceSpan span("seed-adapt");
-        if (trySeedFromNeighbors(cache_, query.placement, eff,
-                                 options_.neighborK, seed)) {
+        if (trySeedFromNeighbors(cache_, query.placement, eff, seed)) {
             opts.seed = &seed.seed;
             span.setLabel(seed.from);
         }
@@ -452,6 +464,8 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
         report->degraded = removal;
     }
     auto finish = [&](SharedPlan plan) {
+        if (removal)
+            degradedServed_.fetch_add(1, std::memory_order_relaxed);
         recordAnswer(plan, span, report);
         if (report) {
             report->wallSec = watch.seconds();
@@ -563,6 +577,7 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
         std::lock_guard<std::mutex> lock(bgMu_);
         bg_.push_back(BackgroundReplan{std::move(worker), done});
     }
+    staleServed_.fetch_add(1, std::memory_order_relaxed);
     if (report) {
         report->stale = true;
         report->source = "stale";

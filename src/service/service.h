@@ -148,6 +148,21 @@ struct BatchReport
     }
 };
 
+/**
+ * Flagged replan answers, counted over the service lifetime — the only
+ * home of the `service.stale_served` and `service.degraded_served`
+ * series.
+ */
+struct ServiceStats
+{
+    /** Replans that missed their budget and served the old plan
+     * retimed (QueryReport::stale). */
+    uint64_t staleServed = 0;
+    /** Replans answered on a survivor placement after a device
+     * failure (QueryReport::degraded). */
+    uint64_t degradedServed = 0;
+};
+
 /** Service construction knobs. */
 struct ServiceOptions
 {
@@ -155,8 +170,6 @@ struct ServiceOptions
     std::string cacheDir;
     /** Memory-tier capacity (results). */
     size_t memoryCapacity = 256;
-    /** Verify disk entries via the oracle before serving them. */
-    bool verifyOnLoad = true;
     /**
      * Workers for the cache-lookup and miss fan-outs; 0 picks
      * hardware_concurrency(), 1 runs everything inline. Only when two
@@ -176,8 +189,6 @@ struct ServiceOptions
      * cold searches — only how fast misses resolve.
      */
     bool neighborSeed = true;
-    /** How many nearest neighbors to try adapting per miss. */
-    size_t neighborK = 4;
     /**
      * Latency budget replan() gives the seeded foreground search
      * before falling back to the stale retimed answer (<= 0: always
@@ -290,6 +301,7 @@ class PlanningService
 
     PlanCache &cache() { return cache_; }
     const ServiceOptions &options() const { return options_; }
+    ServiceStats stats() const;
 
   private:
     /** Query options with service-level budget/cancel/threading applied. */
@@ -312,25 +324,26 @@ class PlanningService
     /** Join background replans whose search already finished. */
     void reapBackgroundReplans();
 
-    /** Record one answered query into `service.answer_ms{source=...}`
-     * (and the stale/degraded counters when flagged). */
+    /** Record one answered query into `service.answer_ms{source=...}`. */
     void observeAnswer(const QueryReport &report) const;
 
     ServiceOptions options_;
     PlanCache cache_;
 
-    /** Registry handles (`service.*`), registered once in the
-     * constructor so every series exists before the first snapshot. */
+    /** Registry histograms (`service.answer_ms`), registered once in
+     * the constructor so every series exists before the first snapshot. */
     struct ServiceMetrics
     {
         Histogram *answerMemory = nullptr;
         Histogram *answerDisk = nullptr;
         Histogram *answerSearch = nullptr;
         Histogram *answerStale = nullptr;
-        Counter *staleServed = nullptr;
-        Counter *degradedServed = nullptr;
     };
     ServiceMetrics metrics_;
+    std::atomic<uint64_t> staleServed_{0};
+    std::atomic<uint64_t> degradedServed_{0};
+    /** Metrics-registry source reporting stats() as `service.*`. */
+    int metricsSource_ = 0;
 
     std::mutex poolMu_; ///< guards lazy pool construction
     std::unique_ptr<ThreadPool> pool_;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "placement/shapes.h"
+#include "support/io.h"
 
 namespace tessel {
 
@@ -130,24 +131,6 @@ struct Scanner
         return true;
     }
 };
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default: out.push_back(c);
-        }
-    }
-    return out;
-}
 
 std::string
 jsonNumber(double v)

@@ -10,6 +10,7 @@
 #include "store/serialize.h"
 #include "support/io.h"
 #include "support/logging.h"
+#include "support/metrics.h"
 #include "support/tracing.h"
 
 namespace tessel {
@@ -323,53 +324,30 @@ PlanCache::PlanCache(std::string dir, PlanCacheOptions options)
         }
     }
 
-    // Mirror StoreStats into the metrics registry. Counters are
-    // registered up front (collectors must not register) and fed
-    // monotone deltas at snapshot time, so `store.*` always equals the
-    // sum of the per-instance StoreStats.
-    MetricsRegistry &reg = MetricsRegistry::instance();
-    metrics_.memoryHits = reg.counter("store.memory_hits");
-    metrics_.diskHits = reg.counter("store.disk_hits");
-    metrics_.misses = reg.counter("store.misses");
-    metrics_.stores = reg.counter("store.stores");
-    metrics_.verifyFailures = reg.counter("store.verify_failures");
-    metrics_.evictions = reg.counter("store.evictions");
-    metrics_.lockContended = reg.counter("store.lock_contended");
-    metrics_.neighborFetches = reg.counter("store.neighbor_fetches");
-    metrics_.revalidated = reg.counter("store.revalidated");
-    metrics_.gcRemoved = reg.counter("store.gc_removed");
-    collectorId_ = reg.addCollector([this] { mirrorMetrics(); });
+    metricsSource_ = MetricsRegistry::instance().addSource(
+        [this](std::vector<MetricSample> &out) {
+            const StoreStats s = stats();
+            const std::pair<const char *, uint64_t> counters[] = {
+                {"store.memory_hits", s.memoryHits},
+                {"store.disk_hits", s.diskHits},
+                {"store.misses", s.misses},
+                {"store.stores", s.stores},
+                {"store.verify_failures", s.verifyFailures},
+                {"store.evictions", s.evictions},
+                {"store.lock_contended", s.lockContended},
+                {"store.neighbor_fetches", s.neighborFetches},
+                {"store.revalidated", s.revalidated},
+                {"store.gc_removed", s.gcRemoved},
+            };
+            for (const auto &c : counters)
+                out.push_back(MetricSample::counter(c.first, c.second));
+        });
 }
 
 PlanCache::~PlanCache()
 {
-    MetricsRegistry::instance().removeCollector(collectorId_);
+    MetricsRegistry::instance().removeSource(metricsSource_);
     stopRevalidation();
-}
-
-void
-PlanCache::mirrorMetrics()
-{
-    // Skip (keeping mirrored_ untouched) while metrics are disabled:
-    // inc() would drop the delta, and a later re-enable should pick up
-    // from wherever the mirror last published.
-    if (!MetricsRegistry::enabled())
-        return;
-    const StoreStats cur = stats();
-    metrics_.memoryHits->inc(cur.memoryHits - mirrored_.memoryHits);
-    metrics_.diskHits->inc(cur.diskHits - mirrored_.diskHits);
-    metrics_.misses->inc(cur.misses - mirrored_.misses);
-    metrics_.stores->inc(cur.stores - mirrored_.stores);
-    metrics_.verifyFailures->inc(cur.verifyFailures -
-                                 mirrored_.verifyFailures);
-    metrics_.evictions->inc(cur.evictions - mirrored_.evictions);
-    metrics_.lockContended->inc(cur.lockContended -
-                                mirrored_.lockContended);
-    metrics_.neighborFetches->inc(cur.neighborFetches -
-                                  mirrored_.neighborFetches);
-    metrics_.revalidated->inc(cur.revalidated - mirrored_.revalidated);
-    metrics_.gcRemoved->inc(cur.gcRemoved - mirrored_.gcRemoved);
-    mirrored_ = cur;
 }
 
 PlanCache::Shard &
@@ -445,7 +423,7 @@ PlanCache::getShared(const Hash128 &fp, const Placement &placement,
         loaded.ok = false;
         loaded.error = "entry fingerprint does not match its file name";
     }
-    if (loaded.ok && options_.verifyOnLoad) {
+    if (loaded.ok) {
         TraceSpan span("verify");
         const VerifyOutcome verdict =
             verifyResultAgainstQuery(placement, options, loaded.result);
@@ -660,9 +638,8 @@ PlanCache::revalidateOnce()
         if (!store_.get(fp, &bytes))
             continue; // concurrently removed; nothing to do
         LoadedResult loaded = deserializeResult(bytes);
-        bool ok = loaded.ok && loaded.fingerprint == fp;
-        if (ok && options_.verifyOnLoad)
-            ok = verifyResultSelfConsistent(loaded.result).ok;
+        const bool ok = loaded.ok && loaded.fingerprint == fp &&
+                        verifyResultSelfConsistent(loaded.result).ok;
         if (ok) {
             revalidated_.fetch_add(1, std::memory_order_relaxed);
             continue;

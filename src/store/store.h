@@ -67,6 +67,11 @@
  * the serving path (raw disk reads plus brief writer-side purges), so
  * serving latency is unaffected while the shared namespace converges
  * on verified entries.
+ *
+ * Metrics: StoreStats is the only home of the `store.*` counters. Each
+ * PlanCache registers a metrics-registry source (support/metrics.h)
+ * that reports stats() at snapshot time, so the exported series are the
+ * sum of the live caches' StoreStats by construction.
  */
 
 #ifndef TESSEL_STORE_STORE_H
@@ -86,7 +91,6 @@
 #include "core/search.h"
 #include "store/fingerprint.h"
 #include "store/neighbor.h"
-#include "support/metrics.h"
 
 namespace tessel {
 
@@ -258,8 +262,6 @@ struct PlanCacheOptions
      * when smaller than `shards` the shard count is clamped down so the
      * total evictable capacity always equals this value (floored at 1). */
     size_t memoryCapacity = 256;
-    /** Re-verify disk entries via the oracle before trusting them. */
-    bool verifyOnLoad = true;
     /** Memory-tier shard count (>= 1; fingerprints hash to shards).
      * 1 restores the single-snapshot behavior with global LRU order. */
     size_t shards = 8;
@@ -279,7 +281,8 @@ class PlanCache
   public:
     explicit PlanCache(std::string dir, PlanCacheOptions options = {});
 
-    /** Joins the revalidation thread if one is running. */
+    /** Unregisters the metrics source and joins the revalidation
+     * thread if one is running. */
     ~PlanCache();
 
     PlanCache(const PlanCache &) = delete;
@@ -440,13 +443,6 @@ class PlanCache
      * file, meta sidecar, and neighbor-index entry together. */
     void removeRejectedEntry(const Hash128 &fp);
 
-    /** Snapshot-time collector body: feed the monotone delta of
-     * stats() since the last mirror into the `store.*` registry
-     * counters. StoreStats stays the tested source of truth; deltas
-     * (not absolute sets) let several PlanCache instances sum into one
-     * series. Runs only under the registry's collector lock. */
-    void mirrorMetrics();
-
     PlanStore store_;
     PlanCacheOptions options_;
 
@@ -460,25 +456,8 @@ class PlanCache
 
     NeighborIndex neighborIndex_;
 
-    // Registry mirror state (see mirrorMetrics()). Handles are
-    // registered once in the constructor; the collector is removed in
-    // the destructor, which blocks until any in-flight snapshot is done.
-    struct MetricsMirror
-    {
-        Counter *memoryHits = nullptr;
-        Counter *diskHits = nullptr;
-        Counter *misses = nullptr;
-        Counter *stores = nullptr;
-        Counter *verifyFailures = nullptr;
-        Counter *evictions = nullptr;
-        Counter *lockContended = nullptr;
-        Counter *neighborFetches = nullptr;
-        Counter *revalidated = nullptr;
-        Counter *gcRemoved = nullptr;
-    };
-    MetricsMirror metrics_;
-    StoreStats mirrored_; ///< stats() as of the last mirror
-    int collectorId_ = 0;
+    /** Metrics-registry source reporting stats() as `store.*`. */
+    int metricsSource_ = 0;
 
     // Background revalidation thread state.
     std::thread revalThread_;

@@ -15,6 +15,9 @@
  * write to a temporary name in the target directory followed by
  * rename(2), so concurrent readers of the plan store only ever observe
  * complete files.
+ *
+ * jsonEscape() is the one JSON string escaper every text exporter
+ * (metrics, traces, daemon responses, batch stats) shares.
  */
 
 #ifndef TESSEL_SUPPORT_IO_H
@@ -133,6 +136,14 @@ class ByteReader
     const uint8_t *end_;
     bool failed_ = false;
 };
+
+/**
+ * Escape @p s for use inside a JSON string literal: `"` and `\`, plus
+ * every byte below 0x20 — `\n`, `\r` and `\t` by name, the rest as
+ * `\u00XX` — so the result never spans lines. Other bytes (UTF-8
+ * included) pass through unchanged.
+ */
+std::string jsonEscape(const std::string &s);
 
 /** Read a whole file; @return false with @p err set on any failure. */
 bool readFile(const std::string &path, std::string *out, std::string *err);

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "support/io.h"
 #include "support/logging.h"
 
 namespace tessel {
@@ -19,17 +20,6 @@ std::atomic<bool> g_metricsEnabled{[] {
     return !(std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
              std::strcmp(env, "false") == 0);
 }()};
-
-/** Distributes threads across counter shards; the exact spread only
- *  affects contention, not correctness. */
-unsigned
-shardIndex()
-{
-    static std::atomic<unsigned> next{0};
-    thread_local unsigned mine =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return mine % Counter::kShards;
-}
 
 std::string
 seriesId(const std::string &name, const std::string &labelKey,
@@ -83,24 +73,6 @@ promLabelValue(const std::string &v)
     return out;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default: out.push_back(c);
-        }
-    }
-    return out;
-}
-
 /** Format a double the way both exporters want it: integers without a
  *  trailing ".0", everything else with enough digits to round-trip the
  *  values we record (fixed-point micro-units). */
@@ -119,51 +91,30 @@ numberText(double v)
 } // namespace
 
 // --------------------------------------------------------------------
-// Counter / Gauge / Histogram hot paths
+// Samples and histograms
 // --------------------------------------------------------------------
 
-void
-Counter::inc(uint64_t n)
+MetricSample
+MetricSample::counter(std::string name, uint64_t value,
+                      std::string labelKey, std::string labelValue)
 {
-    if (!g_metricsEnabled.load(std::memory_order_relaxed))
-        return;
-    cells_[shardIndex()].v.fetch_add(n, std::memory_order_relaxed);
+    MetricSample s;
+    s.name = std::move(name);
+    s.labelKey = std::move(labelKey);
+    s.labelValue = std::move(labelValue);
+    s.kind = Kind::Counter;
+    s.counterValue = value;
+    return s;
 }
 
-uint64_t
-Counter::value() const
+MetricSample
+MetricSample::gauge(std::string name, int64_t value)
 {
-    uint64_t total = 0;
-    for (const Cell &c : cells_)
-        total += c.v.load(std::memory_order_relaxed);
-    return total;
-}
-
-void
-Gauge::set(int64_t v)
-{
-    if (!g_metricsEnabled.load(std::memory_order_relaxed))
-        return;
-    v_.store(v, std::memory_order_relaxed);
-}
-
-void
-Gauge::setMax(int64_t v)
-{
-    if (!g_metricsEnabled.load(std::memory_order_relaxed))
-        return;
-    int64_t cur = v_.load(std::memory_order_relaxed);
-    while (cur < v &&
-           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed))
-        ;
-}
-
-void
-Gauge::add(int64_t delta)
-{
-    if (!g_metricsEnabled.load(std::memory_order_relaxed))
-        return;
-    v_.fetch_add(delta, std::memory_order_relaxed);
+    MetricSample s;
+    s.name = std::move(name);
+    s.kind = Kind::Gauge;
+    s.gaugeValue = value;
+    return s;
 }
 
 Histogram::Histogram(std::vector<double> bounds)
@@ -200,32 +151,6 @@ defaultLatencyBoundsMs()
     return bounds;
 }
 
-double
-histogramQuantile(const MetricSample &hist, double q)
-{
-    if (hist.count == 0 || hist.counts.empty())
-        return 0.0;
-    const double rank = q * static_cast<double>(hist.count);
-    uint64_t cum = 0;
-    for (size_t i = 0; i < hist.counts.size(); ++i) {
-        const uint64_t prev = cum;
-        cum += hist.counts[i];
-        if (static_cast<double>(cum) < rank)
-            continue;
-        if (i >= hist.bounds.size()) // overflow bucket: no upper bound
-            return hist.bounds.empty() ? 0.0 : hist.bounds.back();
-        const double lo = i == 0 ? 0.0 : hist.bounds[i - 1];
-        const double hi = hist.bounds[i];
-        if (hist.counts[i] == 0)
-            return hi;
-        const double frac =
-            (rank - static_cast<double>(prev)) /
-            static_cast<double>(hist.counts[i]);
-        return lo + (hi - lo) * std::min(1.0, std::max(0.0, frac));
-    }
-    return hist.bounds.empty() ? 0.0 : hist.bounds.back();
-}
-
 // --------------------------------------------------------------------
 // Registry
 // --------------------------------------------------------------------
@@ -249,78 +174,6 @@ MetricsRegistry::enabled()
     return g_metricsEnabled.load(std::memory_order_relaxed);
 }
 
-MetricsRegistry::Entry *
-MetricsRegistry::findOrCreate(const std::string &name,
-                              const std::string &labelKey,
-                              const std::string &labelValue,
-                              MetricSample::Kind kind,
-                              const std::vector<double> *bounds)
-{
-    const std::string id = seriesId(name, labelKey, labelValue);
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = series_.find(id);
-    if (it != series_.end()) {
-        Entry &e = it->second;
-        if (e.kind != kind)
-            panic("metric \"", id, "\" re-registered as ", kindName(kind),
-                  " (was ", kindName(e.kind), ")");
-        if (kind == MetricSample::Kind::Histogram && bounds != nullptr &&
-            e.histogram->bounds() != *bounds)
-            panic("histogram \"", id,
-                  "\" re-registered with different bounds");
-        return &e;
-    }
-    Entry e;
-    e.kind = kind;
-    e.name = name;
-    e.labelKey = labelKey;
-    e.labelValue = labelValue;
-    switch (kind) {
-    case MetricSample::Kind::Counter:
-        e.counter.reset(new Counter);
-        break;
-    case MetricSample::Kind::Gauge:
-        e.gauge.reset(new Gauge);
-        break;
-    case MetricSample::Kind::Histogram:
-        e.histogram.reset(new Histogram(
-            bounds != nullptr ? *bounds : defaultLatencyBoundsMs()));
-        break;
-    }
-    return &series_.emplace(id, std::move(e)).first->second;
-}
-
-Counter *
-MetricsRegistry::counter(const std::string &name)
-{
-    return counter(name, "", "");
-}
-
-Counter *
-MetricsRegistry::counter(const std::string &name,
-                         const std::string &labelKey,
-                         const std::string &labelValue)
-{
-    return findOrCreate(name, labelKey, labelValue,
-                        MetricSample::Kind::Counter, nullptr)
-        ->counter.get();
-}
-
-Gauge *
-MetricsRegistry::gauge(const std::string &name)
-{
-    return gauge(name, "", "");
-}
-
-Gauge *
-MetricsRegistry::gauge(const std::string &name, const std::string &labelKey,
-                       const std::string &labelValue)
-{
-    return findOrCreate(name, labelKey, labelValue,
-                        MetricSample::Kind::Gauge, nullptr)
-        ->gauge.get();
-}
-
 Histogram *
 MetricsRegistry::histogram(const std::string &name,
                            const std::vector<double> &bounds)
@@ -334,72 +187,93 @@ MetricsRegistry::histogram(const std::string &name,
                            const std::string &labelValue,
                            const std::vector<double> &bounds)
 {
-    return findOrCreate(name, labelKey, labelValue,
-                        MetricSample::Kind::Histogram, &bounds)
-        ->histogram.get();
+    const std::string id = seriesId(name, labelKey, labelValue);
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = series_.find(id);
+    if (it != series_.end()) {
+        if (it->second.histogram->bounds() != bounds)
+            panic("histogram \"", id,
+                  "\" re-registered with different bounds");
+        return it->second.histogram.get();
+    }
+    Entry e;
+    e.name = name;
+    e.labelKey = labelKey;
+    e.labelValue = labelValue;
+    e.histogram.reset(new Histogram(bounds));
+    return series_.emplace(id, std::move(e)).first->second.histogram.get();
 }
 
 int
-MetricsRegistry::addCollector(std::function<void()> fn)
+MetricsRegistry::addSource(Source fn)
 {
-    std::lock_guard<std::mutex> lock(collectorMu_);
-    const int id = nextCollectorId_++;
-    collectors_[id] = std::move(fn);
+    std::lock_guard<std::mutex> lock(sourceMu_);
+    const int id = nextSourceId_++;
+    sources_[id] = std::move(fn);
     return id;
 }
 
 void
-MetricsRegistry::removeCollector(int id)
+MetricsRegistry::removeSource(int id)
 {
-    std::lock_guard<std::mutex> lock(collectorMu_);
-    collectors_.erase(id);
+    std::lock_guard<std::mutex> lock(sourceMu_);
+    sources_.erase(id);
 }
 
 MetricsSnapshot
 MetricsRegistry::snapshot()
 {
+    std::vector<MetricSample> reported;
     {
-        // Collectors mirror external stats structs into pre-registered
-        // handles. Holding collectorMu_ for the whole sweep makes
-        // removeCollector() (e.g. a PlanCache destructor) block until
-        // no collector is mid-flight.
-        std::lock_guard<std::mutex> lock(collectorMu_);
-        for (auto &kv : collectors_)
-            kv.second();
+        // Holding sourceMu_ for the whole sweep makes removeSource()
+        // (e.g. a PlanCache destructor) block until no source is
+        // mid-flight. Sources take their owners' locks, never mu_.
+        std::lock_guard<std::mutex> lock(sourceMu_);
+        for (auto &kv : sources_)
+            kv.second(reported);
     }
-    MetricsSnapshot snap;
+    std::map<std::string, MetricSample> merged; // sorted by series id
+    for (MetricSample &s : reported) {
+        const std::string id = seriesId(s.name, s.labelKey, s.labelValue);
+        if (s.kind == MetricSample::Kind::Histogram)
+            panic("source reported histogram \"", id, "\"");
+        auto it = merged.find(id);
+        if (it == merged.end()) {
+            merged.emplace(id, std::move(s));
+            continue;
+        }
+        MetricSample &sum = it->second;
+        if (sum.kind != s.kind)
+            panic("metric \"", id, "\" reported as ", kindName(s.kind),
+                  " (was ", kindName(sum.kind), ")");
+        sum.counterValue += s.counterValue;
+        sum.gaugeValue += s.gaugeValue;
+    }
     std::lock_guard<std::mutex> lock(mu_);
-    snap.samples.reserve(series_.size());
     for (const auto &kv : series_) {
         const Entry &e = kv.second;
+        const Histogram &h = *e.histogram;
         MetricSample s;
         s.name = e.name;
         s.labelKey = e.labelKey;
         s.labelValue = e.labelValue;
-        s.kind = e.kind;
-        switch (e.kind) {
-        case MetricSample::Kind::Counter:
-            s.counterValue = e.counter->value();
-            break;
-        case MetricSample::Kind::Gauge:
-            s.gaugeValue = e.gauge->value();
-            break;
-        case MetricSample::Kind::Histogram: {
-            const Histogram &h = *e.histogram;
-            s.bounds = h.bounds_;
-            s.counts.resize(h.bounds_.size() + 1);
-            for (size_t i = 0; i <= h.bounds_.size(); ++i)
-                s.counts[i] =
-                    h.counts_[i].load(std::memory_order_relaxed);
-            s.count = h.count_.load(std::memory_order_relaxed);
-            s.sum = static_cast<double>(
-                        h.sumMicro_.load(std::memory_order_relaxed)) *
-                    1e-6;
-            break;
-        }
-        }
-        snap.samples.push_back(std::move(s));
+        s.kind = MetricSample::Kind::Histogram;
+        s.bounds = h.bounds_;
+        s.counts.resize(h.bounds_.size() + 1);
+        for (size_t i = 0; i <= h.bounds_.size(); ++i)
+            s.counts[i] = h.counts_[i].load(std::memory_order_relaxed);
+        s.count = h.count_.load(std::memory_order_relaxed);
+        s.sum = static_cast<double>(
+                    h.sumMicro_.load(std::memory_order_relaxed)) *
+                1e-6;
+        if (!merged.emplace(kv.first, std::move(s)).second)
+            panic("metric \"", kv.first,
+                  "\" reported by a source and registered as histogram");
     }
+    MetricsSnapshot snap;
+    snap.samples.reserve(merged.size());
+    for (auto &kv : merged)
+        snap.samples.push_back(std::move(kv.second));
     return snap;
 }
 

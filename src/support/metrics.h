@@ -1,30 +1,29 @@
 /**
  * @file
- * Process-wide metrics registry: counters, gauges, and fixed-bucket
- * histograms addressed by dotted names plus an optional single label
- * (e.g. `store.memory_hits`, `service.answer_ms{source=memory}`).
+ * Process-wide metrics registry: one point-in-time view over every
+ * layer's counters and gauges, plus the fixed-bucket latency histograms
+ * the registry owns itself. Series are addressed by dotted names plus
+ * an optional single label (e.g. `store.memory_hits`,
+ * `service.answer_ms{source=memory}`).
  *
- * Design constraints (see README "Observability"):
- *  - The hot path is wait-free for both readers and writers. Counter
- *    increments are relaxed fetch_adds on per-shard cache-line-padded
- *    atomics, gauge updates are single relaxed stores / CAS-free maxes,
- *    and histogram observations are two relaxed fetch_adds. No hot-path
- *    operation ever takes a lock, so instrumenting the RCU plan-cache
+ * One source per metric (see README "Observability"):
+ *  - Counters and gauges live only in the stats struct of the layer
+ *    that owns them (`StoreStats`, `LoopStats`, `ServiceStats`). Each
+ *    owner registers a *source* (`addSource`) that appends its stats as
+ *    absolute samples at snapshot time; samples sharing a series id
+ *    across live sources are summed. The hot path therefore writes
+ *    nothing but the layer's own stats.
+ *  - The registry owns only histograms. An observation is two relaxed
+ *    fetch_adds on a handle registered once (registration is the only
+ *    locked histogram operation), so instrumenting the RCU plan-cache
  *    hit path cannot break the `lockContended == 0` read-only-trace
  *    invariant.
- *  - Registration (`counter()`/`gauge()`/`histogram()`) is the only
- *    locked operation. Returned handles are stable for the life of the
- *    registry; instrument sites register once and cache the pointer.
  *  - A process-global enabled flag (`MetricsRegistry::setEnabled`,
  *    initialised from the `TESSEL_METRICS` environment variable, where
- *    `off`/`0`/`false` disables) turns every hot-path operation into a
- *    single relaxed load + branch, which is what `bench_service_load`
- *    measures the instrumented path against.
- *  - Existing stats structs (`StoreStats`, `LoopStats`, ...) remain the
- *    tested source of truth. Layers that already aggregate their own
- *    stats mirror them into the registry with snapshot-time collector
- *    callbacks (`addCollector`), publishing monotone *deltas* so that
- *    several instances of a layer sum naturally into one series.
+ *    `off`/`0`/`false` disables) turns every histogram observation into
+ *    a single relaxed load + branch, which is what `bench_service_load`
+ *    measures the instrumented path against. Sources are read at
+ *    snapshot time regardless of the flag.
  */
 
 #ifndef TESSEL_SUPPORT_METRICS_H
@@ -40,52 +39,6 @@
 #include <vector>
 
 namespace tessel {
-
-/** Monotone counter; wait-free sharded increments. */
-class Counter
-{
-  public:
-    /** Add @p n (relaxed, wait-free). No-op while metrics are disabled. */
-    void inc(uint64_t n = 1);
-
-    /** @return the summed value across all shards (relaxed reads). */
-    uint64_t value() const;
-
-    static constexpr unsigned kShards = 16;
-
-  private:
-    friend class MetricsRegistry;
-    Counter() = default;
-
-    struct alignas(64) Cell
-    {
-        std::atomic<uint64_t> v{0};
-    };
-    Cell cells_[kShards];
-};
-
-/** Last-value gauge with an optional monotone high-water companion. */
-class Gauge
-{
-  public:
-    /** Store @p v (relaxed). No-op while metrics are disabled. */
-    void set(int64_t v);
-
-    /** Raise the stored value to at least @p v (CAS-free on x86 via
-     *  fetch_max-style loop over relaxed loads; still wait-free in
-     *  practice because contention on a monotone max converges). */
-    void setMax(int64_t v);
-
-    /** Add @p delta (relaxed fetch_add). */
-    void add(int64_t delta);
-
-    int64_t value() const { return v_.load(std::memory_order_relaxed); }
-
-  private:
-    friend class MetricsRegistry;
-    Gauge() = default;
-    std::atomic<int64_t> v_{0};
-};
 
 /**
  * Fixed-bucket histogram. Bucket upper bounds are set at registration
@@ -135,6 +88,13 @@ struct MetricSample
     std::vector<uint64_t> counts;
     uint64_t count = 0;
     double sum = 0.0;
+
+    /** A counter sample, as a source reports it (absolute value). */
+    static MetricSample counter(std::string name, uint64_t value,
+                                std::string labelKey = {},
+                                std::string labelValue = {});
+    /** An unlabelled gauge sample, as a source reports it. */
+    static MetricSample gauge(std::string name, int64_t value);
 };
 
 /** Point-in-time snapshot, samples sorted by series id. */
@@ -142,14 +102,6 @@ struct MetricsSnapshot
 {
     std::vector<MetricSample> samples;
 };
-
-/**
- * Estimate the q-quantile (0 < q < 1) of a histogram sample by linear
- * interpolation inside the bucket that crosses the target rank. Returns
- * the last finite bound for ranks landing in the overflow bucket and
- * 0.0 for an empty histogram.
- */
-double histogramQuantile(const MetricSample &hist, double q);
 
 /** The registry. One process-wide instance(); tests may construct their
  *  own isolated registries. */
@@ -165,18 +117,11 @@ class MetricsRegistry
     static MetricsRegistry &instance();
 
     /**
-     * Register (or look up) a series. Dotted @p name; the labelled
-     * overloads attach one `key=value` label. Handles are stable and
-     * owned by the registry. Registering the same series id with a
-     * different kind (or different histogram bounds) is fatal — series
-     * identity is process-global.
+     * Register (or look up) a histogram. Dotted @p name; the labelled
+     * overload attaches one `key=value` label. Handles are stable and
+     * owned by the registry. Re-registering a series id with different
+     * bounds is fatal — series identity is process-global.
      */
-    Counter *counter(const std::string &name);
-    Counter *counter(const std::string &name, const std::string &labelKey,
-                     const std::string &labelValue);
-    Gauge *gauge(const std::string &name);
-    Gauge *gauge(const std::string &name, const std::string &labelKey,
-                 const std::string &labelValue);
     Histogram *histogram(const std::string &name,
                          const std::vector<double> &bounds =
                              defaultLatencyBoundsMs());
@@ -186,47 +131,44 @@ class MetricsRegistry
                          const std::vector<double> &bounds =
                              defaultLatencyBoundsMs());
 
-    /**
-     * Register a snapshot-time collector. Collectors run at the start of
-     * every snapshot() and mirror externally-aggregated stats into
-     * pre-registered handles (they must NOT register new series — call
-     * the registration functions up front). @return an id for
-     * removeCollector(); removal blocks until any in-flight snapshot
-     * finishes, so a collector may safely capture `this`.
-     */
-    int addCollector(std::function<void()> fn);
-    void removeCollector(int id);
+    /** Appends one owner's counters and gauges as absolute samples. */
+    using Source = std::function<void(std::vector<MetricSample> &)>;
 
-    /** Run collectors, then read every series (relaxed). */
+    /**
+     * Register a snapshot-time source. Every snapshot() runs each live
+     * source and sums samples that share a series id, so several
+     * instances of a layer add up to one series. A series reported as
+     * both a counter and a gauge, or by a source and as a histogram, is
+     * fatal. @return an id for removeSource().
+     */
+    int addSource(Source fn);
+
+    /** Unregister a source; blocks until no snapshot is running it, so
+     *  a source may capture `this` if its owner removes it in its
+     *  destructor before the stats it reads are destroyed. */
+    void removeSource(int id);
+
+    /** Run the sources, then read every histogram (relaxed). */
     MetricsSnapshot snapshot();
 
     /** Process-global enable switch (initialised from TESSEL_METRICS;
-     *  `off`/`0`/`false` disables). Affects hot-path writes only —
-     *  snapshots always read whatever has been recorded. */
+     *  `off`/`0`/`false` disables). Gates histogram observations only —
+     *  sources are read at every snapshot. */
     static void setEnabled(bool on);
     static bool enabled();
 
   private:
     struct Entry
     {
-        MetricSample::Kind kind;
         std::string name, labelKey, labelValue;
-        std::unique_ptr<Counter> counter;
-        std::unique_ptr<Gauge> gauge;
         std::unique_ptr<Histogram> histogram;
     };
 
-    Entry *findOrCreate(const std::string &name,
-                        const std::string &labelKey,
-                        const std::string &labelValue,
-                        MetricSample::Kind kind,
-                        const std::vector<double> *bounds);
-
-    mutable std::mutex mu_;                 // registration + snapshot read
-    std::map<std::string, Entry> series_;   // keyed by series id
-    std::mutex collectorMu_;                // collector list + execution
-    std::map<int, std::function<void()>> collectors_;
-    int nextCollectorId_ = 1;
+    std::mutex mu_;                       // histogram registration + read
+    std::map<std::string, Entry> series_; // histograms, keyed by series id
+    std::mutex sourceMu_;                 // source list + execution
+    std::map<int, Source> sources_;
+    int nextSourceId_ = 1;
 };
 
 /** Render a snapshot in the Prometheus text exposition format

@@ -9,8 +9,7 @@ namespace tessel {
 
 TraceRecorder::TraceRecorder(size_t capacity)
     : capacity_(std::max<size_t>(capacity, 2)),
-      slots_(new Slot[capacity_]),
-      epoch_(std::chrono::steady_clock::now())
+      epoch_(std::chrono::steady_clock::now()), ring_(capacity_)
 {
 }
 
@@ -54,35 +53,22 @@ TraceRecorder::threadId()
 void
 TraceRecorder::record(const SpanRecord &rec)
 {
-    const uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
-    Slot &slot = slots_[idx % capacity_];
-    // Seqlock write: mark the slot dirty (odd), fill, publish (even).
-    // Generation 2*idx+2 is unique per claim, so a reader that observes
-    // a changed seq knows its copy was torn.
-    slot.seq.store(2 * idx + 1, std::memory_order_release);
-    std::atomic_thread_fence(std::memory_order_release);
-    slot.rec = rec;
-    slot.seq.store(2 * idx + 2, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mu_);
+    ring_[recorded_ % capacity_] = rec;
+    ++recorded_;
 }
 
 std::vector<SpanRecord>
 TraceRecorder::collect() const
 {
-    // Oldest-first sweep: start at the slot the next write would claim.
-    const uint64_t head = next_.load(std::memory_order_acquire);
     std::vector<SpanRecord> out;
-    out.reserve(std::min<uint64_t>(head, capacity_));
-    for (size_t off = 0; off < capacity_; ++off) {
-        const Slot &slot = slots_[(head + off) % capacity_];
-        const uint64_t s1 = slot.seq.load(std::memory_order_acquire);
-        if (s1 == 0 || (s1 & 1) != 0)
-            continue; // never written, or a writer is mid-fill
-        SpanRecord copy = slot.rec;
-        std::atomic_thread_fence(std::memory_order_acquire);
-        const uint64_t s2 = slot.seq.load(std::memory_order_acquire);
-        if (s1 != s2)
-            continue; // overwritten while copying: drop the torn slot
-        out.push_back(copy);
+    {
+        // The ring holds the last min(recorded, capacity) spans.
+        std::lock_guard<std::mutex> lock(mu_);
+        const uint64_t held = std::min<uint64_t>(recorded_, capacity_);
+        out.reserve(held);
+        for (uint64_t i = recorded_ - held; i < recorded_; ++i)
+            out.push_back(ring_[i % capacity_]);
     }
     std::stable_sort(out.begin(), out.end(),
                      [](const SpanRecord &a, const SpanRecord &b) {
@@ -94,7 +80,8 @@ TraceRecorder::collect() const
 uint64_t
 TraceRecorder::recorded() const
 {
-    return next_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    return recorded_;
 }
 
 // --------------------------------------------------------------------
@@ -152,26 +139,12 @@ TraceSpan::setLabel(const std::string &label)
 
 namespace {
 
+/** A fixed-capacity label, which setLabel() NUL-terminates. */
 std::string
-jsonEscape(const char *s, size_t maxLen)
+labelText(const SpanRecord &s)
 {
-    std::string out;
-    for (size_t i = 0; i < maxLen && s[i] != '\0'; ++i) {
-        const char c = s[i];
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out.push_back(c);
-        }
-    }
-    return out;
+    return std::string(
+        s.label, std::find(s.label, s.label + SpanRecord::kLabelCap, '\0'));
 }
 
 } // namespace
@@ -188,7 +161,7 @@ toChromeTrace(const std::vector<SpanRecord> &spans)
             out += ",\n";
         first = false;
         out += "{\"name\": \"";
-        out += jsonEscape(s.name, 256);
+        out += jsonEscape(s.name);
         out += "\", \"cat\": \"tessel\", \"ph\": \"X\", \"pid\": 1";
         out += ", \"tid\": " + std::to_string(s.tid);
         out += ", \"ts\": " + std::to_string(s.tsMicros);
@@ -199,7 +172,7 @@ toChromeTrace(const std::vector<SpanRecord> &spans)
             bool firstArg = true;
             if (haveLabel) {
                 out += "\"label\": \"";
-                out += jsonEscape(s.label, SpanRecord::kLabelCap);
+                out += jsonEscape(labelText(s));
                 out += '"';
                 firstArg = false;
             }
@@ -210,7 +183,7 @@ toChromeTrace(const std::vector<SpanRecord> &spans)
                     out += ", ";
                 firstArg = false;
                 out += '"';
-                out += jsonEscape(s.argKey[i], 256);
+                out += jsonEscape(s.argKey[i]);
                 out += "\": " + std::to_string(s.argValue[i]);
             }
             out += '}';

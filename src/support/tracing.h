@@ -6,11 +6,12 @@
  *
  * The recorder is a *flight recorder*: it always holds the most recent
  * `capacity` spans and silently overwrites the oldest, so it can stay
- * on for the life of a daemon without growing. Recording is wait-free
- * (one fetch_add to claim a slot, plain stores to fill it, one release
- * store to publish); each slot is seqlock-guarded so an exporter
- * running concurrently with writers drops torn slots instead of
- * emitting garbage.
+ * on for the life of a daemon without growing. The ring is
+ * mutex-guarded: record() copies one span into the next slot under the
+ * lock and collect() copies the ring out under the same lock, so an
+ * exporter running concurrently with writers only ever sees whole
+ * spans. Spans are per query and per phase, never per solver step, so
+ * the lock is uncontended in practice.
  *
  * Tracing is off by default (a single relaxed load per span site);
  * `tessel_service --trace-out FILE` switches it on. Span names and arg
@@ -29,13 +30,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 namespace tessel {
 
-/** One completed span. POD so slots can be copied out under a seqlock. */
+/** One completed span (plain data, copied whole into and out of the ring). */
 struct SpanRecord
 {
     static constexpr int kMaxArgs = 4;
@@ -66,12 +67,11 @@ class TraceRecorder
     void setEnabled(bool on);
     bool enabled() const;
 
-    /** Commit one completed span (wait-free; overwrites oldest). */
+    /** Commit one completed span (overwrites the oldest). */
     void record(const SpanRecord &rec);
 
-    /** Copy out the currently held spans, oldest first. Safe to call
-     *  while writers are active: slots being overwritten mid-copy are
-     *  skipped. */
+    /** Copy out the currently held spans, ordered by start time. Safe
+     *  to call while writers are active. */
     std::vector<SpanRecord> collect() const;
 
     /** Total spans ever recorded (>= collect().size()). */
@@ -86,19 +86,13 @@ class TraceRecorder
     static uint32_t threadId();
 
   private:
-    struct Slot
-    {
-        // Seqlock: odd while a writer fills the slot, even when
-        // published; 0 means never written.
-        std::atomic<uint64_t> seq{0};
-        SpanRecord rec;
-    };
-
-    size_t capacity_;
-    std::unique_ptr<Slot[]> slots_;
-    std::atomic<uint64_t> next_{0};
+    const size_t capacity_;
     std::atomic<bool> enabled_{false};
-    std::chrono::steady_clock::time_point epoch_;
+    const std::chrono::steady_clock::time_point epoch_;
+
+    mutable std::mutex mu_;        ///< guards ring_ and recorded_
+    std::vector<SpanRecord> ring_; ///< capacity_ slots
+    uint64_t recorded_ = 0;        ///< spans ever recorded
 };
 
 /**

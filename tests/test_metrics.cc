@@ -1,15 +1,18 @@
 /**
  * @file
- * Metrics registry and flight-recorder tracing tests: exact counts
- * under concurrent hammering, le-inclusive histogram bucketing and
- * quantile interpolation, Prometheus exposition golden (mangling,
- * suffixes, label escaping), the global enable switch, snapshot-time
- * collectors, ring-buffer wraparound, span nesting, and
- * snapshot-while-writing consistency.
+ * Metrics registry and flight-recorder tracing tests: snapshot-time
+ * sources summing live instances into one series (and dropping a
+ * removed one), monotone snapshots while a source's owner counts,
+ * fatal kind clashes, le-inclusive histogram bucketing, stable
+ * histogram handles, the histogram enable switch, the Prometheus
+ * exposition golden (mangling, suffixes, label escaping), JSON export,
+ * ring-buffer wraparound, span nesting, and whole spans under
+ * concurrent record/collect.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -44,71 +47,106 @@ findSample(const MetricsSnapshot &snap, const std::string &name,
     return nullptr;
 }
 
-// ----------------------------------------------------------- Counter
-
-TEST(Metrics, CounterConcurrentHammerIsExact)
+/** A stand-in for a layer's stats struct and the source reading it. */
+struct FakeLayer
 {
-    ScopedMetricsEnabled on(true);
-    MetricsRegistry reg;
-    Counter *c = reg.counter("test.hammer");
-    constexpr int kThreads = 8;
-    constexpr uint64_t kIncrements = 100000;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t)
-        threads.emplace_back([c] {
-            for (uint64_t i = 0; i < kIncrements; ++i)
-                c->inc();
-        });
-    for (std::thread &t : threads)
-        t.join();
-    EXPECT_EQ(c->value(), kThreads * kIncrements);
-}
+    std::atomic<uint64_t> hits{0};
+    std::atomic<int64_t> depth{0};
 
-TEST(Metrics, CounterDisabledIsNoOp)
-{
-    MetricsRegistry reg;
-    Counter *c = reg.counter("test.noop");
+    MetricsRegistry::Source
+    source()
     {
-        ScopedMetricsEnabled off(false);
-        c->inc(1000);
+        return [this](std::vector<MetricSample> &out) {
+            out.push_back(MetricSample::counter("test.hits", hits.load()));
+            out.push_back(MetricSample::gauge("test.depth", depth.load()));
+        };
     }
-    EXPECT_EQ(c->value(), 0u);
-    {
-        ScopedMetricsEnabled on(true);
-        c->inc(3);
-    }
-    EXPECT_EQ(c->value(), 3u);
-}
+};
 
-TEST(Metrics, RegistrationReturnsStableHandles)
+// ----------------------------------------------------------- Sources
+
+TEST(Metrics, LiveSourcesSumIntoOneSeries)
 {
     MetricsRegistry reg;
-    Counter *a = reg.counter("test.same");
-    Counter *b = reg.counter("test.same");
-    EXPECT_EQ(a, b);
-    // Distinct label values are distinct series.
-    Counter *l1 = reg.counter("test.labelled", "k", "v1");
-    Counter *l2 = reg.counter("test.labelled", "k", "v2");
-    EXPECT_NE(l1, l2);
-    EXPECT_EQ(l1, reg.counter("test.labelled", "k", "v1"));
+    FakeLayer a, b;
+    a.hits = 5;
+    a.depth = 2;
+    b.hits = 7;
+    b.depth = 3;
+    const int ida = reg.addSource(a.source());
+    const int idb = reg.addSource(b.source());
+    const MetricsSnapshot snap = reg.snapshot();
+    ASSERT_EQ(snap.samples.size(), 2u); // one sample per series, not per source
+    EXPECT_EQ(findSample(snap, "test.hits")->counterValue, 12u);
+    EXPECT_EQ(findSample(snap, "test.depth")->gaugeValue, 5);
+    reg.removeSource(ida);
+    reg.removeSource(idb);
 }
 
-// ------------------------------------------------------------- Gauge
-
-TEST(Metrics, GaugeSetMaxIsMonotone)
+TEST(Metrics, RemovedSourceDropsItsPart)
 {
-    ScopedMetricsEnabled on(true);
     MetricsRegistry reg;
-    Gauge *g = reg.gauge("test.highwater");
-    g->setMax(5);
-    g->setMax(3);
-    EXPECT_EQ(g->value(), 5);
-    g->setMax(9);
-    EXPECT_EQ(g->value(), 9);
-    g->set(2);
-    EXPECT_EQ(g->value(), 2);
-    g->add(4);
-    EXPECT_EQ(g->value(), 6);
+    FakeLayer a, b;
+    a.hits = 5;
+    b.hits = 7;
+    const int ida = reg.addSource(a.source());
+    const int idb = reg.addSource(b.source());
+    reg.removeSource(ida);
+    MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(findSample(snap, "test.hits")->counterValue, 7u);
+    reg.removeSource(idb);
+    snap = reg.snapshot();
+    EXPECT_EQ(findSample(snap, "test.hits"), nullptr);
+    EXPECT_TRUE(snap.samples.empty());
+}
+
+TEST(Metrics, SnapshotsStayMonotoneWhileSourceCounts)
+{
+    MetricsRegistry reg;
+    FakeLayer layer;
+    const int id = reg.addSource(layer.source());
+    std::atomic<bool> stop{false};
+    std::thread writer([&] {
+        while (!stop.load(std::memory_order_relaxed))
+            layer.hits.fetch_add(1, std::memory_order_relaxed);
+    });
+    uint64_t last = 0;
+    for (int i = 0; i < 200; ++i) {
+        const MetricsSnapshot snap = reg.snapshot();
+        const MetricSample *s = findSample(snap, "test.hits");
+        ASSERT_NE(s, nullptr);
+        EXPECT_GE(s->counterValue, last);
+        last = s->counterValue;
+    }
+    stop.store(true, std::memory_order_relaxed);
+    writer.join();
+    EXPECT_EQ(findSample(reg.snapshot(), "test.hits")->counterValue,
+              layer.hits.load());
+    reg.removeSource(id);
+}
+
+TEST(MetricsDeathTest, KindClashesAreFatal)
+{
+    EXPECT_DEATH(
+        {
+            MetricsRegistry reg;
+            reg.addSource([](std::vector<MetricSample> &out) {
+                out.push_back(MetricSample::counter("test.x", 1));
+                out.push_back(MetricSample::gauge("test.x", 1));
+            });
+            reg.snapshot();
+        },
+        "test.x");
+    EXPECT_DEATH(
+        {
+            MetricsRegistry reg;
+            reg.histogram("test.y", {1.0});
+            reg.addSource([](std::vector<MetricSample> &out) {
+                out.push_back(MetricSample::counter("test.y", 1));
+            });
+            reg.snapshot();
+        },
+        "test.y");
 }
 
 // --------------------------------------------------------- Histogram
@@ -136,34 +174,32 @@ TEST(Metrics, HistogramBucketBoundariesAreLeInclusive)
     EXPECT_NEAR(s->sum, 0.5 + 1.0 + 1.001 + 10.0 + 100.0 + 500.0, 1e-6);
 }
 
-TEST(Metrics, HistogramQuantileInterpolates)
+TEST(Metrics, HistogramRegistrationReturnsStableHandles)
 {
-    ScopedMetricsEnabled on(true);
     MetricsRegistry reg;
-    Histogram *h = reg.histogram("test.quant", {10.0, 20.0, 40.0});
-    // 10 observations uniformly into (10, 20]: the q-quantile should
-    // interpolate linearly inside that bucket.
-    for (int i = 0; i < 10; ++i)
-        h->observe(15.0);
-    const MetricsSnapshot snap = reg.snapshot();
-    const MetricSample *s = findSample(snap, "test.quant");
-    ASSERT_NE(s, nullptr);
-    EXPECT_NEAR(histogramQuantile(*s, 0.5), 15.0, 1e-9);
-    EXPECT_NEAR(histogramQuantile(*s, 1.0), 20.0, 1e-9);
-    // Ranks landing in the overflow bucket clamp to the last finite
-    // bound instead of inventing an upper edge.
-    h->observe(1000.0);
-    const MetricsSnapshot snap2 = reg.snapshot();
-    const MetricSample *s2 = findSample(snap2, "test.quant");
-    ASSERT_NE(s2, nullptr);
-    EXPECT_NEAR(histogramQuantile(*s2, 0.999), 40.0, 1e-9);
-    // Empty histogram: 0.
-    Histogram *empty = reg.histogram("test.quant_empty", {1.0});
-    (void)empty;
-    const MetricsSnapshot snap3 = reg.snapshot();
-    const MetricSample *s3 = findSample(snap3, "test.quant_empty");
-    ASSERT_NE(s3, nullptr);
-    EXPECT_EQ(histogramQuantile(*s3, 0.5), 0.0);
+    Histogram *a = reg.histogram("test.same", {1.0});
+    EXPECT_EQ(a, reg.histogram("test.same", {1.0}));
+    // Distinct label values are distinct series.
+    Histogram *l1 = reg.histogram("test.labelled", "k", "v1", {1.0});
+    Histogram *l2 = reg.histogram("test.labelled", "k", "v2", {1.0});
+    EXPECT_NE(l1, l2);
+    EXPECT_EQ(l1, reg.histogram("test.labelled", "k", "v1", {1.0}));
+}
+
+TEST(Metrics, DisabledHistogramObservationIsNoOp)
+{
+    MetricsRegistry reg;
+    Histogram *h = reg.histogram("test.noop", {1.0});
+    {
+        ScopedMetricsEnabled off(false);
+        h->observe(0.5);
+    }
+    EXPECT_EQ(findSample(reg.snapshot(), "test.noop")->count, 0u);
+    {
+        ScopedMetricsEnabled on(true);
+        h->observe(0.5);
+    }
+    EXPECT_EQ(findSample(reg.snapshot(), "test.noop")->count, 1u);
 }
 
 // ----------------------------------------------------- Prometheus text
@@ -172,9 +208,12 @@ TEST(Metrics, PrometheusExpositionGolden)
 {
     ScopedMetricsEnabled on(true);
     MetricsRegistry reg;
-    reg.counter("store.memory_hits")->inc(7);
-    reg.counter("loop.rejected", "verdict", "queue-full")->inc(2);
-    reg.gauge("loop.queue_depth")->set(3);
+    const int id = reg.addSource([](std::vector<MetricSample> &out) {
+        out.push_back(MetricSample::counter("store.memory_hits", 7));
+        out.push_back(MetricSample::counter("loop.rejected", 2, "verdict",
+                                            "queue-full"));
+        out.push_back(MetricSample::gauge("loop.queue_depth", 3));
+    });
     reg.histogram("svc.ms", {1.0, 5.0})->observe(1.0);
     reg.histogram("svc.ms", {1.0, 5.0})->observe(2.0);
     const std::string text = toPrometheus(reg.snapshot());
@@ -192,23 +231,30 @@ TEST(Metrics, PrometheusExpositionGolden)
         "svc_ms_sum 3\n"
         "svc_ms_count 2\n";
     EXPECT_EQ(text, expected);
+    reg.removeSource(id);
 }
 
 TEST(Metrics, PrometheusEscapesLabelValues)
 {
     ScopedMetricsEnabled on(true);
     MetricsRegistry reg;
-    reg.counter("test.esc", "tenant", "a\"b\\c\nd")->inc();
+    const int id = reg.addSource([](std::vector<MetricSample> &out) {
+        out.push_back(
+            MetricSample::counter("test.esc", 1, "tenant", "a\"b\\c\nd"));
+    });
     const std::string text = toPrometheus(reg.snapshot());
     EXPECT_NE(text.find("tenant=\"a\\\"b\\\\c\\nd\""), std::string::npos)
         << text;
+    reg.removeSource(id);
 }
 
 TEST(Metrics, JsonExposesDottedNamesAndHistograms)
 {
     ScopedMetricsEnabled on(true);
     MetricsRegistry reg;
-    reg.counter("store.misses")->inc(4);
+    const int id = reg.addSource([](std::vector<MetricSample> &out) {
+        out.push_back(MetricSample::counter("store.misses", 4));
+    });
     reg.histogram("svc.ms", {1.0})->observe(0.5);
     const std::string json = toJson(reg.snapshot());
     EXPECT_NE(json.find("\"name\": \"store.misses\""), std::string::npos)
@@ -216,55 +262,7 @@ TEST(Metrics, JsonExposesDottedNamesAndHistograms)
     EXPECT_NE(json.find("\"value\": 4"), std::string::npos);
     EXPECT_NE(json.find("\"type\": \"histogram\""), std::string::npos);
     EXPECT_NE(json.find("\"counts\": [1, 0]"), std::string::npos) << json;
-}
-
-// --------------------------------------------------------- Collectors
-
-TEST(Metrics, CollectorsRunAtSnapshotAndAreRemovable)
-{
-    ScopedMetricsEnabled on(true);
-    MetricsRegistry reg;
-    Counter *mirrored = reg.counter("test.mirrored");
-    uint64_t external = 0, lastMirrored = 0;
-    const int id = reg.addCollector([&] {
-        mirrored->inc(external - lastMirrored);
-        lastMirrored = external;
-    });
-    external = 5;
-    MetricsSnapshot snap = reg.snapshot();
-    EXPECT_EQ(findSample(snap, "test.mirrored")->counterValue, 5u);
-    external = 9; // delta publishing: only +4 on the next snapshot
-    snap = reg.snapshot();
-    EXPECT_EQ(findSample(snap, "test.mirrored")->counterValue, 9u);
-    reg.removeCollector(id);
-    external = 100;
-    snap = reg.snapshot();
-    EXPECT_EQ(findSample(snap, "test.mirrored")->counterValue, 9u);
-}
-
-TEST(Metrics, SnapshotWhileWritingSeesConsistentTotals)
-{
-    ScopedMetricsEnabled on(true);
-    MetricsRegistry reg;
-    Counter *c = reg.counter("test.live");
-    std::atomic<bool> stop{false};
-    std::thread writer([&] {
-        while (!stop.load(std::memory_order_relaxed))
-            c->inc();
-    });
-    uint64_t last = 0;
-    for (int i = 0; i < 200; ++i) {
-        const MetricsSnapshot snap = reg.snapshot();
-        const MetricSample *s = findSample(snap, "test.live");
-        ASSERT_NE(s, nullptr);
-        // Counter totals must be monotone across snapshots taken
-        // concurrently with the writer.
-        EXPECT_GE(s->counterValue, last);
-        last = s->counterValue;
-    }
-    stop.store(true, std::memory_order_relaxed);
-    writer.join();
-    EXPECT_EQ(c->value(), c->value());
+    reg.removeSource(id);
 }
 
 // ------------------------------------------------------------ Tracing
@@ -340,18 +338,27 @@ TEST(Tracing, DisabledSpansCostNothingAndRecordNothing)
     EXPECT_TRUE(rec.collect().empty());
 }
 
-TEST(Tracing, CollectWhileWritingDropsTornSlotsOnly)
+TEST(Tracing, ConcurrentRecordAndCollectSeeWholeSpans)
 {
     TraceRecorder rec(/*capacity=*/32);
     rec.setEnabled(true);
     std::atomic<bool> stop{false};
     std::vector<std::thread> writers;
-    for (int t = 0; t < 4; ++t)
-        writers.emplace_back([&rec, &stop] {
-            while (!stop.load(std::memory_order_relaxed)) {
+    for (uint64_t t = 0; t < 4; ++t)
+        writers.emplace_back([&rec, &stop, t] {
+            // Writers lap the small ring constantly, so two of them
+            // often target one slot; every field of a span carries the
+            // same stamp, so a record mixing two writes shows up.
+            for (uint64_t i = 1; !stop.load(std::memory_order_relaxed);
+                 ++i) {
+                const uint64_t stamp = i * 4 + t;
                 SpanRecord r;
                 r.name = "load";
-                r.durMicros = 1;
+                r.tsMicros = stamp;
+                r.durMicros = stamp;
+                r.nargs = 1;
+                r.argKey[0] = "stamp";
+                r.argValue[0] = stamp;
                 rec.record(r);
             }
         });
@@ -359,15 +366,17 @@ TEST(Tracing, CollectWhileWritingDropsTornSlotsOnly)
         const std::vector<SpanRecord> spans = rec.collect();
         EXPECT_LE(spans.size(), rec.capacity());
         for (const SpanRecord &s : spans) {
-            // A torn slot would show an arbitrary name pointer; every
-            // collected span must be fully published.
             ASSERT_NE(s.name, nullptr);
             EXPECT_STREQ(s.name, "load");
+            EXPECT_EQ(s.durMicros, s.tsMicros);
+            EXPECT_EQ(s.argValue[0], s.tsMicros);
         }
     }
     stop.store(true, std::memory_order_relaxed);
     for (std::thread &t : writers)
         t.join();
+    EXPECT_EQ(rec.collect().size(),
+              std::min<uint64_t>(rec.recorded(), rec.capacity()));
 }
 
 TEST(Tracing, ChromeTraceJsonShape)

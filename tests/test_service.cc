@@ -8,9 +8,11 @@
  * from runOne, runBatch and the daemon loop on every tier — plus the
  * daemon loop: streaming answers while a worker is busy, clean
  * queue-full and per-tenant throttling rejections, graceful and
- * cancelling shutdown (cancelled answers flagged and never cached), and
+ * cancelling shutdown (cancelled answers flagged and never cached),
  * the lock-free hot path keeping lockContended at zero on a read-only
- * trace.
+ * trace, and the exported `loop.*` / `service.*` series equal to
+ * LoopStats / ServiceStats — plus one-line, valid-JSON response lines
+ * for ids holding control bytes.
  */
 
 #include <gtest/gtest.h>
@@ -29,9 +31,11 @@
 #include "placement/shapes.h"
 #include "service/loop.h"
 #include "service/service.h"
+#include "service/trace.h"
 #include "store/serialize.h"
 #include "support/io.h"
 #include "support/logging.h"
+#include "support/metrics.h"
 #include "support/tracing.h"
 
 namespace tessel {
@@ -759,6 +763,136 @@ TEST(ServiceLoop, ReadOnlyHotTraceNeverContends)
     const uint64_t after = loop.service().cache().stats().lockContended;
     EXPECT_EQ(memory_hits.load(), 20 * shapes.size());
     EXPECT_EQ(after - before, 0u);
+}
+
+/** The exported counter or gauge @p name{@p labelValue}; -1 if absent. */
+int64_t
+exported(const std::string &name, const std::string &labelValue = "")
+{
+    for (const MetricSample &s :
+         MetricsRegistry::instance().snapshot().samples) {
+        if (s.name != name || s.labelValue != labelValue)
+            continue;
+        return s.kind == MetricSample::Kind::Gauge
+                   ? s.gaugeValue
+                   : static_cast<int64_t>(s.counterValue);
+    }
+    return -1;
+}
+
+TEST(ServiceLoop, ExportedLoopSeriesEqualLoopStats)
+{
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-loop-metrics-", &dir));
+
+    ServiceLoopOptions opts = loopOptionsFor(dir, /*workers=*/1);
+    opts.queueDepth = 1;
+    // "metered" holds one token, refilled too slowly to matter.
+    opts.defaultBudget.ratePerSec = 1e-6;
+    opts.defaultBudget.burst = 1.0;
+    opts.tenantBudgets["vip"] = TenantBudget{0.0, 1.0};
+    ServiceLoop loop(std::move(opts));
+
+    // Park the worker, fill the one-slot queue, then overflow it.
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::promise<void> entered;
+    loop.submit(refQuery("V"), "vip",
+                [&entered, released](const ServiceLoop::Response &) {
+                    entered.set_value();
+                    released.wait();
+                });
+    entered.get_future().wait();
+    EXPECT_EQ(loop.submit(refQuery("X"), "metered", nullptr),
+              Admission::Accepted);
+    EXPECT_EQ(loop.submit(refQuery("M"), "vip", nullptr),
+              Admission::QueueFull);
+    release.set_value();
+    loop.drain();
+    // Room in the queue again, but the metered bucket is empty.
+    EXPECT_EQ(loop.submit(refQuery("K"), "metered", nullptr),
+              Admission::Throttled);
+
+    const LoopStats s = loop.stats();
+    EXPECT_EQ(s.submitted, 4u);
+    EXPECT_EQ(s.rejectedQueueFull, 1u);
+    EXPECT_EQ(s.rejectedThrottled, 1u);
+    EXPECT_EQ(s.completed, 2u);
+    EXPECT_GT(s.workerBusyUs, 0u);
+    auto i64 = [](uint64_t v) { return static_cast<int64_t>(v); };
+    EXPECT_EQ(exported("loop.submitted"), i64(s.submitted));
+    EXPECT_EQ(exported("loop.accepted"), i64(s.accepted));
+    EXPECT_EQ(exported("loop.rejected", "queue-full"),
+              i64(s.rejectedQueueFull));
+    EXPECT_EQ(exported("loop.rejected", "throttled"),
+              i64(s.rejectedThrottled));
+    EXPECT_EQ(exported("loop.rejected", "shutting-down"),
+              i64(s.rejectedShutdown));
+    EXPECT_EQ(exported("loop.tenant_throttled", "metered"),
+              i64(s.throttledByTenant.at("metered")));
+    EXPECT_EQ(exported("loop.tenant_throttled", "vip"), -1);
+    EXPECT_EQ(exported("loop.completed"), i64(s.completed));
+    EXPECT_EQ(exported("loop.worker_busy_us"), i64(s.workerBusyUs));
+    EXPECT_EQ(exported("loop.queue_depth"), i64(s.queueDepth));
+    EXPECT_EQ(exported("loop.queue_high_water"), i64(s.queueHighWater));
+    EXPECT_EQ(exported("loop.in_flight"), i64(s.inFlight));
+}
+
+TEST(PlanningService, ExportedServedCountersEqualServiceStats)
+{
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-svc-metrics-", &dir));
+    ServiceOptions opts = optionsFor(dir);
+    opts.replanBudgetSec = 1e-9; // a drift replan always serves stale
+    PlanningService service(opts);
+
+    TraceQuery tq;
+    tq.shape = "V";
+    tq.variant = "hetero";
+    std::string err;
+    const std::optional<PlanQuery> base = makeTraceQuery(tq, &err);
+    ASSERT_TRUE(base.has_value()) << err;
+    service.runOne(*base, nullptr);
+
+    TraceQuery drift = tq;
+    drift.driftDevice = 1;
+    drift.driftSpeed = 2.0;
+    const std::optional<ReplanRequest> drifted =
+        makeTraceReplan(drift, &err);
+    ASSERT_TRUE(drifted.has_value()) << err;
+    QueryReport stale;
+    service.replan(*drifted, &stale);
+    EXPECT_TRUE(stale.stale);
+
+    TraceQuery fail = tq;
+    fail.failDevice = 1;
+    const std::optional<ReplanRequest> failed = makeTraceReplan(fail, &err);
+    ASSERT_TRUE(failed.has_value()) << err;
+    QueryReport degraded;
+    service.replan(*failed, &degraded);
+    EXPECT_TRUE(degraded.degraded);
+    service.waitBackgroundReplans();
+
+    const ServiceStats s = service.stats();
+    EXPECT_EQ(s.staleServed, 1u);
+    EXPECT_EQ(s.degradedServed, 1u);
+    EXPECT_EQ(exported("service.stale_served"),
+              static_cast<int64_t>(s.staleServed));
+    EXPECT_EQ(exported("service.degraded_served"),
+              static_cast<int64_t>(s.degradedServed));
+}
+
+TEST(TraceCodec, ResponseLineEscapesControlBytesInId)
+{
+    ServiceLoop::Response resp;
+    resp.report.source = "error";
+    resp.error = "parse error: missing/unknown \"shape\"";
+    const std::string line =
+        formatResponseLine(std::string("a\nb\x01") + "c", resp);
+    for (const char c : line)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20) << line;
+    EXPECT_NE(line.find("\"id\": \"a\\nb\\u0001c\""), std::string::npos)
+        << line;
 }
 
 } // namespace

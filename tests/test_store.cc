@@ -3,13 +3,15 @@
  * Plan store tests: canonical fingerprint invariances, versioned
  * serialization round-trip exactness (property-tested over random
  * instances, including a >64-resource comm-aware one), corruption and
- * version-bump rejection, and the verification-on-load invariant.
+ * version-bump rejection, the verification-on-load invariant, and
+ * the exported `store.*` series summing the live caches' StoreStats.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 
@@ -22,6 +24,7 @@
 #include "store/serialize.h"
 #include "store/store.h"
 #include "support/io.h"
+#include "support/metrics.h"
 #include "support/rng.h"
 
 namespace tessel {
@@ -935,6 +938,64 @@ TEST(PlanCache, RevalidationSweepDropsRottenEntries)
     setLogVerbose(prev2);
     PlanCache fresh(dir);
     EXPECT_TRUE(fresh.get(good_fp, p, quickOptions()).has_value());
+}
+
+TEST(PlanCache, ExportedStoreSeriesSumLiveCacheStats)
+{
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-store-metrics-", &dir));
+
+    const Placement p = makeShapeByName("M", 4);
+    const TesselOptions opts = quickOptions();
+    const Hash128 fp = fingerprintQuery(p, opts);
+    const TesselResult result = tesselSearch(p, opts);
+    ASSERT_TRUE(result.found);
+
+    // Two live caches on one directory, each with its own history.
+    PlanCache a(dir);
+    auto b = std::make_unique<PlanCache>(dir);
+    EXPECT_FALSE(a.get(fp, p, opts).has_value()); // a: miss
+    a.put(fp, p, opts, result);                    // a: store
+    EXPECT_TRUE(a.get(fp, p, opts).has_value());  // a: memory hit
+    EXPECT_TRUE(b->get(fp, p, opts).has_value()); // b: disk hit
+    EXPECT_TRUE(b->get(fp, p, opts).has_value()); // b: memory hit
+    EXPECT_NE(b->peekShared(fp), nullptr);        // b: neighbor fetch
+    EXPECT_EQ(b->revalidateOnce(), 0u);           // b: revalidated
+
+    const std::pair<const char *, uint64_t StoreStats::*> series[] = {
+        {"store.memory_hits", &StoreStats::memoryHits},
+        {"store.disk_hits", &StoreStats::diskHits},
+        {"store.misses", &StoreStats::misses},
+        {"store.stores", &StoreStats::stores},
+        {"store.verify_failures", &StoreStats::verifyFailures},
+        {"store.evictions", &StoreStats::evictions},
+        {"store.lock_contended", &StoreStats::lockContended},
+        {"store.neighbor_fetches", &StoreStats::neighborFetches},
+        {"store.revalidated", &StoreStats::revalidated},
+        {"store.gc_removed", &StoreStats::gcRemoved},
+    };
+    auto exported = [](const std::string &name) -> int64_t {
+        for (const MetricSample &s :
+             MetricsRegistry::instance().snapshot().samples)
+            if (s.name == name)
+                return static_cast<int64_t>(s.counterValue);
+        return -1;
+    };
+    const StoreStats sa = a.stats(), sb = b->stats();
+    EXPECT_EQ(sa.misses + sa.stores + sa.memoryHits, 3u);
+    EXPECT_EQ(sb.diskHits + sb.memoryHits + sb.neighborFetches, 3u);
+    EXPECT_EQ(sb.revalidated, 1u);
+    for (const auto &entry : series)
+        EXPECT_EQ(exported(entry.first),
+                  static_cast<int64_t>(sa.*entry.second + sb.*entry.second))
+            << entry.first;
+
+    // A destroyed cache drops out of the sum.
+    b.reset();
+    for (const auto &entry : series)
+        EXPECT_EQ(exported(entry.first),
+                  static_cast<int64_t>(sa.*entry.second))
+            << entry.first;
 }
 
 } // namespace

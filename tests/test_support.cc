@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the support library: bitsets, tables, RNG, timers.
+ * Unit tests for the support library: bitsets, tables, RNG, timers,
+ * the JSON string escaper.
  */
 
 #include <gtest/gtest.h>
@@ -296,6 +297,28 @@ TEST(Stopwatch, MeasuresForwardProgress)
     const double b = w.seconds();
     EXPECT_GE(b, a);
     EXPECT_GE(a, 0.0);
+}
+
+TEST(JsonEscape, QuotesBackslashesAndNamedControls)
+{
+    EXPECT_EQ(jsonEscape(""), "");
+    EXPECT_EQ(jsonEscape("plain/text"), "plain/text");
+    EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+    EXPECT_EQ(jsonEscape("a\nb\rc\td"), "a\\nb\\rc\\td");
+}
+
+TEST(JsonEscape, OtherControlBytesBecomeUnicodeEscapes)
+{
+    EXPECT_EQ(jsonEscape("a\x01" "b"), "a\\u0001b");
+    EXPECT_EQ(jsonEscape(std::string("\0", 1)), "\\u0000");
+    EXPECT_EQ(jsonEscape("\x1f\x1b"), "\\u001f\\u001b");
+    // 0x20 and above pass through, UTF-8 included.
+    EXPECT_EQ(jsonEscape(" \x7f\xc3\xa9"), " \x7f\xc3\xa9");
+    std::string all;
+    for (int c = 0; c < 0x20; ++c)
+        all.push_back(static_cast<char>(c));
+    for (const char c : jsonEscape(all))
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20);
 }
 
 TEST(Logging, VerboseToggle)

@@ -14,14 +14,10 @@ Checks, against the Prometheus text exposition written by
      cumulative ``_bucket``) are monotonically non-decreasing versus an
      earlier same-process snapshot (FILE.prev, kept by the daemon's
      periodic writer), when one exists.
-  4. With --stats-json (a ``tessel_service --json`` batch stats file),
-     the ``store.*`` counters must equal the cache-lifetime StoreStats
-     block exactly — the registry mirrors the tested stats structs, so
-     any drift is a mirroring bug.
 
 Usage:
   tools/metrics_lint.py METRICS_FILE [--prev FILE] [--json FILE]
-                        [--readme README.md] [--stats-json FILE]
+                        [--readme README.md]
 
 Exits 0 when clean (warnings allowed), 1 on any error.
 """
@@ -108,40 +104,6 @@ def check_monotonic(prev, cur):
     return errors
 
 
-# registry series name -> key in the batch stats "cache" block
-STORE_STATS_FIELDS = {
-    "store_memory_hits_total": "memory_hits",
-    "store_disk_hits_total": "disk_hits",
-    "store_misses_total": "misses",
-    "store_stores_total": "stores",
-    "store_verify_failures_total": "verify_failures",
-    "store_evictions_total": "evictions",
-    "store_lock_contended_total": "lock_contended",
-    "store_neighbor_fetches_total": "neighbor_fetches",
-}
-
-
-def check_store_stats(series, stats_path):
-    errors = []
-    with open(stats_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    cache = doc.get("cache")
-    if cache is None:
-        return [f"{stats_path}: no \"cache\" block"]
-    for metric, field in STORE_STATS_FIELDS.items():
-        if field not in cache:
-            continue
-        got = series.get(metric)
-        want = float(cache[field])
-        if got is None:
-            errors.append(f"store counter {metric} missing from snapshot")
-        elif got != want:
-            errors.append(
-                f"{metric} = {got} but StoreStats {field} = {want}"
-            )
-    return errors
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("metrics", help="Prometheus text snapshot")
@@ -152,9 +114,6 @@ def main():
     ap.add_argument("--readme", default=None,
                     help="README with the Observability catalog "
                     "(default: README.md next to the repo root)")
-    ap.add_argument("--stats-json",
-                    help="tessel_service --json batch stats; store.* "
-                    "counters must match its cache block exactly")
     args = ap.parse_args()
 
     errors = []
@@ -208,12 +167,6 @@ def main():
             errors.append(f"README not found at {readme}")
     else:
         errors.append(f"JSON snapshot twin {json_path} missing")
-
-    if args.stats_json:
-        if os.path.exists(args.stats_json):
-            errors += check_store_stats(series, args.stats_json)
-        else:
-            errors.append(f"--stats-json {args.stats_json}: no such file")
 
     for w in warnings:
         print(f"metrics_lint: warning: {w}")

@@ -281,18 +281,6 @@ printReport(const BatchReport &report, const std::string &caption)
               << " verify failures, " << cs.evictions << " evictions\n\n";
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 bool
 writeStatsJson(const std::string &path, const BatchReport &report)
 {
@@ -561,14 +549,8 @@ runServe(const Args &args)
     });
 
     std::mutex out_mu;
-    std::atomic<uint64_t> stale_count{0};
-    std::atomic<uint64_t> degraded_count{0};
     auto emit = [&](const ServiceLoop::Response &resp,
                     const std::string &id) {
-        if (resp.report.stale)
-            stale_count.fetch_add(1, std::memory_order_relaxed);
-        if (resp.report.degraded)
-            degraded_count.fetch_add(1, std::memory_order_relaxed);
         const std::string line = formatResponseLine(id, resp);
         std::lock_guard<std::mutex> lock(out_mu);
         std::cout << line << "\n" << std::flush;
@@ -640,6 +622,7 @@ runServe(const Args &args)
                      "in-flight queries (signal again to cancel)\n";
     loop.drain();
     const LoopStats stats = loop.stats();
+    const ServiceStats served = loop.service().stats();
     const uint64_t lock_contended =
         loop.service().cache().stats().lockContended;
     loop.shutdown();
@@ -647,7 +630,7 @@ runServe(const Args &args)
     watcher.join();
     std::cerr << "tessel_service --serve: " << stats.submitted
               << " submitted, " << stats.completed << " answered ("
-              << stale_count.load() << " stale, " << degraded_count.load()
+              << served.staleServed << " stale, " << served.degradedServed
               << " degraded), rejected " << stats.rejectedQueueFull
               << " queue-full / " << stats.rejectedThrottled
               << " throttled / " << stats.rejectedShutdown
