@@ -37,8 +37,10 @@
  *                               (default 0.02; 0 disables the gate)
  *
  * A fourth phase replays the read-only hot trace with the metrics
- * registry's histogram observations switched off and on (best of 3
- * each) and gates the instrumented path within
+ * registry's histogram observations switched off and on (40 adjacent
+ * off/on pairs of legs, each leg repeating the trace for at least
+ * 50 ms; the overhead is one minus the median on/off QPS ratio) and
+ * gates the instrumented path within
  * TESSEL_METRICS_MAX_OVERHEAD of the uninstrumented one — the
  * histograms' relaxed atomics must be invisible at daemon scale, and
  * lockContended must stay untouched either way.
@@ -277,39 +279,51 @@ main(int argc, char **argv)
     const uint64_t contendedDelta = contendedAfter - contendedBefore;
 
     // Phase 4 — metrics overhead: the same read-only hot replay with
-    // histogram observations off vs on, best of 3 each (the replay is
-    // sub-second, so best-of smooths scheduler noise). Instrumentation
-    // must not reintroduce contention either: the lock counter is
-    // watched across both legs.
+    // histogram observations off vs on. Resident hits are answered
+    // inline, so one pass over the hot trace takes well under a
+    // millisecond; a leg repeats the trace until it spans at least
+    // kOverheadLegSec, so the timer's resolution does not matter. Load
+    // from other processes moves one leg's QPS by tens of percent, so
+    // the legs run as kOverheadPairs adjacent off/on pairs (alternating
+    // which side runs first) and the overhead is read from the median
+    // of the per-pair QPS ratios: the two legs of a pair share the
+    // machine's conditions. Instrumentation must not reintroduce
+    // contention either: the lock counter is watched across both legs.
+    constexpr double kOverheadLegSec = 0.05;
+    constexpr int kOverheadPairs = 40;
     const double maxOverhead =
         envDouble("TESSEL_METRICS_MAX_OVERHEAD", 0.02);
     const bool metricsWereOn = MetricsRegistry::enabled();
-    auto bestHotQps = [&](int reps) {
-        double best = 0.0;
-        for (int r = 0; r < reps; ++r) {
+    auto hotQpsLeg = [&](bool metricsOn) {
+        MetricsRegistry::setEnabled(metricsOn);
+        size_t answered = 0;
+        double wallSec = 0.0;
+        while (wallSec < kOverheadLegSec) {
             const ReplayResult run =
                 replay(loop, hotOnly, batchHashes, /*outstanding=*/8);
-            if (run.wallSec > 0.0)
-                best = std::max(
-                    best, static_cast<double>(run.samples.size()) /
-                              run.wallSec);
+            answered += run.samples.size();
+            wallSec += run.wallSec;
         }
-        return best;
+        return static_cast<double>(answered) / wallSec;
     };
     const uint64_t contendedBeforeMetrics =
         loop.service().cache().stats().lockContended;
-    MetricsRegistry::setEnabled(false);
-    const double qpsMetricsOff = bestHotQps(3);
-    MetricsRegistry::setEnabled(true);
-    const double qpsMetricsOn = bestHotQps(3);
+    std::vector<double> offQps, onQps, onOffRatios;
+    for (int pair = 0; pair < kOverheadPairs; ++pair) {
+        const bool onFirst = pair % 2 == 1;
+        const double first = hotQpsLeg(onFirst);
+        const double second = hotQpsLeg(!onFirst);
+        offQps.push_back(onFirst ? second : first);
+        onQps.push_back(onFirst ? first : second);
+        onOffRatios.push_back(onQps.back() / offQps.back());
+    }
     MetricsRegistry::setEnabled(metricsWereOn);
     const uint64_t contendedMetricsDelta =
         loop.service().cache().stats().lockContended -
         contendedBeforeMetrics;
-    const double metricsOverhead =
-        qpsMetricsOff > 0.0
-            ? (qpsMetricsOff - qpsMetricsOn) / qpsMetricsOff
-            : 0.0;
+    const double qpsMetricsOff = percentile(offQps, 0.5);
+    const double qpsMetricsOn = percentile(onQps, 0.5);
+    const double metricsOverhead = 1.0 - percentile(onOffRatios, 0.5);
     loop.shutdown();
 
     // Aggregate.

@@ -64,6 +64,8 @@ ServiceLoop::ServiceLoop(ServiceLoopOptions options)
                     "loop.tenant_throttled", kv.second, "tenant", kv.first));
             out.push_back(MetricSample::counter("loop.completed",
                                                 s.completed));
+            out.push_back(MetricSample::counter("loop.answered_inline",
+                                                s.answeredInline));
             out.push_back(MetricSample::counter("loop.worker_busy_us",
                                                 s.workerBusyUs));
             out.push_back(MetricSample::gauge(
@@ -121,10 +123,63 @@ ServiceLoop::tenantAdmit(const std::string &tenant)
             std::min(std::max(1.0, bucket.budget.burst),
                      bucket.tokens + elapsed * bucket.budget.ratePerSec);
     }
-    if (bucket.tokens < 1.0)
+    if (bucket.tokens < 1.0) {
+        ++bucket.throttled;
         return false;
+    }
     bucket.tokens -= 1.0;
     return true;
+}
+
+Admission
+ServiceLoop::admitLocked(const std::string &tenant, bool queues)
+{
+    ++submitted_;
+    if (stop_) {
+        ++rejectedShutdown_;
+        return Admission::ShuttingDown;
+    }
+    if (queues && queue_.size() >= options_.queueDepth) {
+        ++rejectedQueueFull_;
+        return Admission::QueueFull;
+    }
+    if (!tenantAdmit(tenant)) {
+        ++rejectedThrottled_;
+        return Admission::Throttled;
+    }
+    ++accepted_;
+    return Admission::Accepted;
+}
+
+void
+ServiceLoop::reject(const Callback &done, Admission verdict,
+                    const std::string &label, const std::string &tenant)
+{
+    // Rejections surface as a clean per-query response, never as a
+    // silent drop: the callback fires inline with the verdict.
+    if (!done)
+        return;
+    Response resp;
+    resp.admission = verdict;
+    resp.report.label = label;
+    resp.report.source = "rejected";
+    resp.error = std::string("rejected: ") + admissionName(verdict) +
+                 (verdict == Admission::Throttled
+                      ? " (tenant '" + tenant + "' over budget)"
+                      : "");
+    done(resp);
+}
+
+void
+ServiceLoop::complete(uint64_t busyUs)
+{
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        --inFlight_;
+        ++completed_;
+        workerBusyUs_ += busyUs;
+    }
+    idleCv_.notify_all();
 }
 
 Admission
@@ -134,41 +189,15 @@ ServiceLoop::enqueue(Item item, const std::string &tenant,
     Admission verdict = Admission::Accepted;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++submitted_;
-        if (stop_) {
-            verdict = Admission::ShuttingDown;
-            ++rejectedShutdown_;
-        } else if (queue_.size() >= options_.queueDepth) {
-            verdict = Admission::QueueFull;
-            ++rejectedQueueFull_;
-        } else if (!tenantAdmit(tenant)) {
-            verdict = Admission::Throttled;
-            ++rejectedThrottled_;
-            ++buckets_[tenant].throttled;
-        } else {
-            ++accepted_;
+        verdict = admitLocked(tenant, /*queues=*/true);
+        if (verdict == Admission::Accepted) {
+            queue_.push_back(std::move(item));
+            queueHighWater_ = std::max(queueHighWater_, queue_.size());
         }
     }
     if (verdict != Admission::Accepted) {
-        // Rejections surface as a clean per-query response, never as a
-        // silent drop: the callback fires inline with the verdict.
-        if (item.done) {
-            Response resp;
-            resp.admission = verdict;
-            resp.report.label = label;
-            resp.report.source = "rejected";
-            resp.error = std::string("rejected: ") + admissionName(verdict) +
-                         (verdict == Admission::Throttled
-                              ? " (tenant '" + tenant + "' over budget)"
-                              : "");
-            item.done(resp);
-        }
+        reject(item.done, verdict, label, tenant);
         return verdict;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        queue_.push_back(std::move(item));
-        queueHighWater_ = std::max(queueHighWater_, queue_.size());
     }
     workCv_.notify_one();
     return verdict;
@@ -178,6 +207,35 @@ Admission
 ServiceLoop::submit(PlanQuery query, const std::string &tenant,
                     Callback done)
 {
+    // A resident plan is answered here, on the caller's thread: no
+    // queue, no worker hand-off. The lookup runs before admission, so a
+    // hit is admitted without the queue-full check (it never queues);
+    // admission happens inside answerResident, between the lookup and
+    // recording the answer, so a refused hit records nothing.
+    Response resp;
+    Admission verdict = Admission::Accepted;
+    const SharedPlan hit = service_.answerResident(
+        query, service_.fingerprint(query), &resp.report, [&] {
+            std::lock_guard<std::mutex> lock(mu_);
+            verdict = admitLocked(tenant, /*queues=*/false);
+            if (verdict != Admission::Accepted)
+                return false;
+            ++inFlight_; // drain() waits until the callback returns
+            ++answeredInline_;
+            return true;
+        });
+    if (hit) {
+        if (done)
+            done(resp);
+        complete(/*busyUs=*/0);
+        return Admission::Accepted;
+    }
+    if (verdict != Admission::Accepted) {
+        reject(done, verdict, query.label, tenant);
+        return verdict;
+    }
+
+    // Not resident: the workers answer it from disk or by searching.
     const std::string label = query.label;
     Item item;
     item.query = std::move(query);
@@ -233,14 +291,7 @@ ServiceLoop::workerLoop()
             resp.error = "cancelled by shutdown";
         if (item.done)
             item.done(resp);
-
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --inFlight_;
-            ++completed_;
-            workerBusyUs_ += busyUs;
-        }
-        idleCv_.notify_all();
+        complete(busyUs);
     }
 }
 
@@ -292,6 +343,7 @@ ServiceLoop::stats() const
     out.rejectedThrottled = rejectedThrottled_;
     out.rejectedShutdown = rejectedShutdown_;
     out.completed = completed_;
+    out.answeredInline = answeredInline_;
     out.queueDepth = queue_.size();
     out.queueHighWater = queueHighWater_;
     out.inFlight = inFlight_;

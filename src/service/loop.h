@@ -14,12 +14,30 @@
  * either drains gracefully or cancels in-flight searches through the
  * same CancelToken plumbing the batch path uses.
  *
- * Admission control: submit() never blocks and never silently drops.
- * A query is either accepted (its callback will fire exactly once with
- * the answer) or rejected *synchronously* with a typed verdict — queue
- * full, tenant over budget, or loop shutting down — and the callback
- * fires immediately with that verdict and a human-readable error, so
- * every submitted query gets exactly one response either way.
+ * Resident plans are answered at admission. submit(PlanQuery)
+ * fingerprints the query on the caller's thread and looks it up in the
+ * memory tier only (PlanningService::answerResident — the same hit path
+ * answer() takes, so the report and plan hash are identical). A hit
+ * never queues and never wakes a worker: when admission passes, the
+ * callback fires with the answer before submit() returns. Misses
+ * (including plans only on disk) and every replan request queue for the
+ * workers. Which path a query takes depends only on whether its plan is
+ * resident; no option selects it. Because callbacks of rejections and
+ * of memory-tier hits run on the submitting thread, a caller must not
+ * hold, across submit(), a lock its callback takes.
+ *
+ * Admission control: submit() never blocks on the queue and never
+ * silently drops. A query is either accepted (its callback will fire
+ * exactly once with the answer) or rejected *synchronously* with a
+ * typed verdict — loop shutting down, queue full, or tenant over
+ * budget, checked in that order, so the first two charge no token —
+ * and the callback fires immediately with that verdict and a
+ * human-readable error, so every submitted query gets exactly one
+ * response either way. A resident hit skips the queue-full check,
+ * because it never queues: it is accepted whenever the loop is
+ * accepting and the tenant has a token, even with the queue full. A
+ * resident hit refused at admission still counts as a store memory hit
+ * (the store counts lookups, not answers) and answers nothing.
  *
  * Token buckets: each tenant holds `burst` tokens refilled at
  * `ratePerSec`; a submission costs one token. A rate of 0 disables
@@ -56,7 +74,8 @@ namespace tessel {
 /** Typed admission verdict for one streamed query. */
 enum class Admission
 {
-    Accepted,     ///< enqueued; the callback will fire with the answer
+    Accepted,     ///< queued or answered inline; the callback fires with
+                  ///< the answer
     QueueFull,    ///< rejected: admission queue at capacity
     Throttled,    ///< rejected: tenant token bucket empty
     ShuttingDown, ///< rejected: loop no longer accepts work
@@ -107,15 +126,20 @@ struct ServiceLoopOptions
 struct LoopStats
 {
     uint64_t submitted = 0;         ///< every submit() call
-    uint64_t accepted = 0;          ///< admitted to the queue
+    uint64_t accepted = 0;          ///< admitted: queued or answered inline
     uint64_t rejectedQueueFull = 0;
     uint64_t rejectedThrottled = 0;
     uint64_t rejectedShutdown = 0;
-    uint64_t completed = 0;         ///< callbacks fired with an answer
+    /** Callbacks fired with an answer, by a worker or inline. */
+    uint64_t completed = 0;
+    /** Accepted resident hits answered in submit(), never queued. */
+    uint64_t answeredInline = 0;
     size_t queueDepth = 0;          ///< currently queued (snapshot)
     size_t queueHighWater = 0;      ///< max queueDepth ever observed
-    size_t inFlight = 0;            ///< currently being answered
-    uint64_t workerBusyUs = 0;      ///< worker time spent answering, µs
+    /** Currently being answered, by a worker or inline. */
+    size_t inFlight = 0;
+    /** Worker time spent answering, µs (inline answers excluded). */
+    uint64_t workerBusyUs = 0;
     /** Throttled rejections by tenant (sums to rejectedThrottled). */
     std::map<std::string, uint64_t> throttledByTenant;
 };
@@ -130,17 +154,21 @@ class ServiceLoop
         /** Filled for accepted queries (fingerprint, plan hash, source,
          * period, wall time); only `label` is set on rejections. */
         QueryReport report;
-        /** The loop's CancelSource had tripped by completion time: the
-         * answer may be truncated and was not cached. */
+        /** The loop's CancelSource had tripped by the time a worker
+         * finished the answer: it may be truncated and was not cached.
+         * Never set on an inline answer (a resident plan is complete). */
         bool cancelled = false;
         /** Human-readable cause; empty on a clean answer. */
         std::string error;
     };
 
     /**
-     * Completion callback. Fires exactly once per submit(): inline for
-     * rejections, from a dispatch worker for accepted queries — so it
-     * must be thread-safe against other queries' callbacks.
+     * Completion callback. Fires exactly once per submit(): inline, on
+     * the submitting thread before submit() returns, for rejections and
+     * for memory-tier hits; from a dispatch worker for everything else.
+     * So it must be thread-safe against other queries' callbacks, and a
+     * caller must not hold, across submit(), a lock its callback takes.
+     * It must not throw: the answer stays in flight until it returns.
      */
     using Callback = std::function<void(const Response &)>;
 
@@ -155,17 +183,21 @@ class ServiceLoop
     ServiceLoop &operator=(const ServiceLoop &) = delete;
 
     /**
-     * Admit one query for @p tenant. Never blocks: returns the verdict
-     * immediately, and @p done always fires exactly once (inline, with
-     * the verdict, when not Accepted).
+     * Admit one query for @p tenant. Never waits for the queue or a
+     * worker: a plan resident in the memory tier is answered right here
+     * (the callback fires before this returns), anything else is queued
+     * or rejected. @p done always fires exactly once (inline, with the
+     * verdict, when not Accepted).
      */
     Admission submit(PlanQuery query, const std::string &tenant,
                      Callback done);
 
     /**
      * Admit one replan request (cluster drift or device failure) for
-     * @p tenant. Same admission contract as the query overload; an
-     * accepted request is answered like PlanningService::replan, so
+     * @p tenant. Same admission contract as the query overload, except
+     * that a replan always queues, even when its drifted plan is
+     * resident; an accepted request is answered like
+     * PlanningService::replan, so
      * the response report may carry `stale` (budget-missed, old plan
      * conservatively retimed) or `degraded` (survivor placement after
      * a failure) — both are verified, servable answers, never errors.
@@ -173,7 +205,9 @@ class ServiceLoop
     Admission submit(ReplanRequest request, const std::string &tenant,
                      Callback done);
 
-    /** Block until the queue is empty and no query is in flight. */
+    /** Block until the queue is empty and no query is in flight — an
+     * inline answer is in flight from its admission until its callback
+     * returns. */
     void drain();
 
     /**
@@ -202,9 +236,23 @@ class ServiceLoop
         Callback done;
     };
 
-    /** Shared admission path for both submit overloads. */
+    /** Admission path of everything that queues: misses, replans. */
     Admission enqueue(Item item, const std::string &tenant,
                       const std::string &label);
+
+    /**
+     * Count one submission and run the admission checks in order —
+     * shutting down, queue full (only when the work @p queues), tenant
+     * token — counting the verdict. Caller holds mu_.
+     */
+    Admission admitLocked(const std::string &tenant, bool queues);
+
+    /** Fire @p done (if set) with the rejection @p verdict. */
+    static void reject(const Callback &done, Admission verdict,
+                       const std::string &label, const std::string &tenant);
+
+    /** One accepted answer delivered, after @p busyUs of worker time. */
+    void complete(uint64_t busyUs);
 
     /** Token bucket state for one tenant (guarded by mu_). */
     struct Bucket
@@ -215,7 +263,8 @@ class ServiceLoop
         uint64_t throttled = 0; ///< rejections charged to this tenant
     };
 
-    /** Refill and charge @p tenant's bucket; false when throttled. */
+    /** Refill and charge @p tenant's bucket; false (and the rejection
+     * charged to the tenant) when throttled. Caller holds mu_. */
     bool tenantAdmit(const std::string &tenant);
 
     void workerLoop();
@@ -238,6 +287,7 @@ class ServiceLoop
     uint64_t rejectedThrottled_ = 0;
     uint64_t rejectedShutdown_ = 0;
     uint64_t completed_ = 0;
+    uint64_t answeredInline_ = 0;
     uint64_t workerBusyUs_ = 0;
 
     std::vector<std::thread> workers_;

@@ -367,13 +367,49 @@ PlanningService::searchMiss(const PlanQuery &query, const TesselOptions &eff,
     return cache_.put(fp, query.placement, eff, std::move(result));
 }
 
-std::shared_ptr<const TesselResult>
-PlanningService::answer(const PlanQuery &query, QueryReport *report)
+Hash128
+PlanningService::fingerprint(const PlanQuery &query) const
+{
+    return fingerprintQuery(query.placement, resolveOptions(query));
+}
+
+SharedPlan
+PlanningService::answerResident(const PlanQuery &query, const Hash128 &fp,
+                                QueryReport *report,
+                                const std::function<bool()> &admit)
 {
     TraceSpan span("query");
     span.setLabel(query.label);
+    const Stopwatch watch;
+    SharedPlan plan = cache_.getMemory(fp);
+    if (!plan || (admit && !admit())) {
+        span.discard();
+        return {};
+    }
+    recordAnswer(plan, span, report);
+    if (report) {
+        report->label = query.label;
+        report->fingerprint = fp.hex();
+        report->source = sourceName(PlanCache::Source::Memory);
+        report->wallSec = watch.seconds();
+        observeAnswer(*report);
+    }
+    return plan;
+}
+
+std::shared_ptr<const TesselResult>
+PlanningService::answer(const PlanQuery &query, QueryReport *report)
+{
     const TesselOptions eff = resolveOptions(query);
     const Hash128 fp = fingerprintQuery(query.placement, eff);
+    if (SharedPlan hit = answerResident(query, fp, report))
+        return std::move(hit.result);
+
+    // Not resident: the disk tier (getShared looks in memory once more,
+    // so a plan admitted since the lookup above is still a memory hit),
+    // then the search.
+    TraceSpan span("query");
+    span.setLabel(query.label);
     const Stopwatch watch;
     if (report) {
         report->label = query.label;

@@ -16,6 +16,7 @@
 #define TESSEL_SERVICE_SERVICE_H
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -267,6 +268,24 @@ class PlanningService
 
     /** answer() returning a private copy of the result. */
     TesselResult runOne(const PlanQuery &query, QueryReport *report = nullptr);
+
+    /** The fingerprint answer() looks @p query up under (the query's
+     * options with the service-level budget and cancellation applied). */
+    Hash128 fingerprint(const PlanQuery &query) const;
+
+    /**
+     * The memory-hit path of answer() for @p query, fingerprinted as
+     * @p fp: look it up in the memory tier only — never disk, never
+     * verification. A hit that @p admit accepts (absent: every hit) is
+     * recorded like any memory hit: the `query` span, opened before the
+     * lookup; the plan hash from the resident's digest; and
+     * `service.answer_ms{source=memory}`. A miss, or a hit @p admit
+     * refuses, discards the span, leaves @p report untouched and
+     * returns an empty plan. Thread-safe like answer().
+     */
+    SharedPlan answerResident(const PlanQuery &query, const Hash128 &fp,
+                              QueryReport *report,
+                              const std::function<bool()> &admit = nullptr);
 
     /**
      * Elastic replan: answer the base query's instance under the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -13,10 +14,67 @@ namespace tessel {
 
 namespace {
 
+/** Append code point @p cp (a Unicode scalar value) as UTF-8. */
+void
+appendUtf8(std::string *out, uint32_t cp)
+{
+    if (cp < 0x80) {
+        out->push_back(static_cast<char>(cp));
+    } else if (cp < 0x800) {
+        out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
+        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else if (cp < 0x10000) {
+        out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
+        out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else {
+        out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
+        out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+        out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    }
+}
+
+/**
+ * Whether @p t follows the JSON number grammar: an optional minus, an
+ * integer part without leading zeros, then an optional fraction and an
+ * optional signed exponent, each with at least one digit.
+ */
+bool
+isJsonNumber(const std::string &t)
+{
+    size_t k = 0;
+    auto digits = [&] {
+        const size_t from = k;
+        while (k < t.size() && std::isdigit(static_cast<unsigned char>(t[k])))
+            ++k;
+        return k - from;
+    };
+    if (k < t.size() && t[k] == '-')
+        ++k;
+    const size_t int_start = k;
+    const size_t int_digits = digits();
+    if (int_digits == 0 || (int_digits > 1 && t[int_start] == '0'))
+        return false;
+    if (k < t.size() && t[k] == '.') {
+        ++k;
+        if (digits() == 0)
+            return false;
+    }
+    if (k < t.size() && (t[k] == 'e' || t[k] == 'E')) {
+        ++k;
+        if (k < t.size() && (t[k] == '+' || t[k] == '-'))
+            ++k;
+        if (digits() == 0)
+            return false;
+    }
+    return k == t.size();
+}
+
 /**
  * Minimal flat-JSON-object scanner. The trace format is one object per
  * line with scalar values only, so a full JSON library would be dead
- * weight (and the container bans new dependencies); this accepts the
+ * weight (and the build takes no new dependencies); this accepts the
  * documented subset and rejects everything else with a message.
  */
 struct Scanner
@@ -52,7 +110,56 @@ struct Scanner
         return true;
     }
 
-    /** Parse a JSON string (no \u escapes; traces are ASCII). */
+    /** Four hex digits of a \u escape, as a UTF-16 code unit. */
+    bool
+    parseHex4(unsigned *unit)
+    {
+        if (s.size() - i < 4)
+            return fail("truncated \\u escape");
+        *unit = 0;
+        for (int k = 0; k < 4; ++k, ++i) {
+            const char h = s[i];
+            unsigned digit = 0;
+            if (h >= '0' && h <= '9')
+                digit = static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f')
+                digit = static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F')
+                digit = static_cast<unsigned>(h - 'A' + 10);
+            else
+                return fail("bad hex digit in \\u escape");
+            *unit = *unit * 16 + digit;
+        }
+        return true;
+    }
+
+    /** The code point of a \u escape (the "\u" already consumed): a
+     * high surrogate must pair with a following low one. */
+    bool
+    parseCodePoint(uint32_t *cp)
+    {
+        unsigned hi = 0;
+        if (!parseHex4(&hi))
+            return false;
+        if (hi >= 0xDC00 && hi <= 0xDFFF)
+            return fail("lone low surrogate");
+        if (hi < 0xD800 || hi > 0xDBFF) {
+            *cp = hi;
+            return true;
+        }
+        unsigned lo = 0;
+        if (s.compare(i, 2, "\\u") != 0)
+            return fail("lone high surrogate");
+        i += 2;
+        if (!parseHex4(&lo))
+            return false;
+        if (lo < 0xDC00 || lo > 0xDFFF)
+            return fail("lone high surrogate");
+        *cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+        return true;
+    }
+
+    /** Parse a JSON string, decoding every JSON escape (\u to UTF-8). */
     bool
     parseString(std::string *out)
     {
@@ -69,9 +176,18 @@ struct Scanner
                 case '"': c = '"'; break;
                 case '\\': c = '\\'; break;
                 case '/': c = '/'; break;
+                case 'b': c = '\b'; break;
+                case 'f': c = '\f'; break;
                 case 'n': c = '\n'; break;
                 case 't': c = '\t'; break;
                 case 'r': c = '\r'; break;
+                case 'u': {
+                    uint32_t cp = 0;
+                    if (!parseCodePoint(&cp))
+                        return false;
+                    appendUtf8(out, cp);
+                    continue;
+                }
                 default:
                     return fail("unsupported escape");
                 }
@@ -113,9 +229,13 @@ struct Scanner
             *num = 0.0;
             return true;
         }
+        // Take the whole number-like token, then accept it only when it
+        // is a JSON number that std::stod consumes completely, so "4-2"
+        // or "1e" is an error rather than a silently truncated 4 or 1.
+        // (std::stod reads the current C locale's decimal point, so the
+        // grammar check alone does not guarantee it reads the token
+        // whole.)
         const size_t start = i;
-        if (i < s.size() && (s[i] == '-' || s[i] == '+'))
-            ++i;
         while (i < s.size() &&
                (std::isdigit(static_cast<unsigned char>(s[i])) ||
                 s[i] == '.' || s[i] == 'e' || s[i] == 'E' ||
@@ -123,10 +243,16 @@ struct Scanner
             ++i;
         if (i == start)
             return fail("expected value");
+        const std::string token = s.substr(start, i - start);
+        size_t used = 0;
         try {
-            *num = std::stod(s.substr(start, i - start));
+            *num = std::stod(token, &used);
         } catch (...) {
-            return fail("bad number");
+            used = 0;
+        }
+        if (!isJsonNumber(token) || used != token.size()) {
+            i = start;
+            return fail("bad number '" + token + "'");
         }
         return true;
     }

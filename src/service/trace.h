@@ -22,7 +22,10 @@
  * The parser accepts exactly the flat-object subset the format needs
  * (string / number / bool values, no nesting) and rejects anything
  * malformed with a per-line error instead of crashing the daemon;
- * unknown keys are ignored for forward compatibility.
+ * unknown keys are ignored for forward compatibility. Within that
+ * subset it is standard JSON: strings take every JSON escape (\u
+ * escapes decode to UTF-8, surrogate pairs combined, lone surrogates
+ * rejected), and a number must match the JSON grammar in full.
  */
 
 #ifndef TESSEL_SERVICE_TRACE_H
@@ -94,7 +97,7 @@ struct TraceQuery
 
 /**
  * Parse one trace line. @return false with @p err set on malformed
- * JSON, a non-scalar value, a wrong value type for a known key, or a
+ * JSON (a malformed number included), a non-scalar value, a wrong value type for a known key, or a
  * missing/unknown "shape". Unknown keys are ignored.
  */
 bool parseTraceLine(const std::string &line, TraceQuery *out,

@@ -381,33 +381,39 @@ PlanCache::lockWriter(Shard &shard)
 }
 
 SharedPlan
+PlanCache::getMemory(const Hash128 &fp)
+{
+    // Hot path: snapshot lookup without the writer lock, sharing the
+    // resident. The access stamp feeds the approximate-LRU eviction;
+    // relaxed order suffices (it only ranks entries, it never orders
+    // memory).
+    Shard &shard = shardFor(fp);
+    const std::shared_ptr<const Snapshot> snap = loadSnapshot(shard);
+    const auto it = snap->map.find(fp);
+    if (it == snap->map.end())
+        return {};
+    it->second.lastUsed->store(
+        tick_.fetch_add(1, std::memory_order_relaxed) + 1,
+        std::memory_order_relaxed);
+    shard.memoryHits.fetch_add(1, std::memory_order_relaxed);
+    return it->second.plan;
+}
+
+SharedPlan
 PlanCache::getShared(const Hash128 &fp, const Placement &placement,
                      const TesselOptions &options, Source *source)
 {
     if (source)
         *source = Source::Miss;
-    Shard &shard = shardFor(fp);
-
-    // Hot path: snapshot lookup without the writer lock, sharing the
-    // resident. The access stamp feeds the approximate-LRU eviction;
-    // relaxed order suffices (it only ranks entries, it never orders
-    // memory).
-    {
-        const std::shared_ptr<const Snapshot> snap = loadSnapshot(shard);
-        const auto it = snap->map.find(fp);
-        if (it != snap->map.end()) {
-            it->second.lastUsed->store(
-                tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
-            shard.memoryHits.fetch_add(1, std::memory_order_relaxed);
-            if (source)
-                *source = Source::Memory;
-            return it->second.plan;
-        }
+    if (SharedPlan hit = getMemory(fp)) {
+        if (source)
+            *source = Source::Memory;
+        return hit;
     }
 
     // Disk tier: read, decode, and verify without holding any lock so
     // slow entries do not serialize unrelated readers.
+    Shard &shard = shardFor(fp);
     std::string bytes;
     {
         TraceSpan span("disk-io");

@@ -38,9 +38,10 @@
  *
  * Shared residents: a memory-tier entry is a SharedPlan — one immutable
  * result plus its plan digest, computed once when the entry is admitted
- * (put() or a verified disk load). getShared() hands every hit the same
- * resident, so a hit costs a reference-count increment, not a deep copy
- * of the plan and a re-serialization to digest it. get() and peek() are
+ * (put() or a verified disk load). getMemory() — the memory-only lookup
+ * getShared() itself starts with — hands every hit the same resident,
+ * so a hit costs a reference-count increment, not a deep copy of the
+ * plan and a re-serialization to digest it. get() and peek() are
  * copying wrappers over getShared() and peekShared().
  *
  * Concurrency: the memory tier is sharded by fingerprint, and within a
@@ -98,7 +99,9 @@ namespace tessel {
  * Hit/miss/verification counters of one PlanCache.
  *
  * Counter definitions (each get() increments exactly one of the first
- * three): `memoryHits` + `diskHits` are lookups answered from a tier,
+ * three; a getMemory() that misses increments none, because its caller
+ * goes on to a get() that counts the lookup once): `memoryHits` +
+ * `diskHits` are lookups answered from a tier,
  * `misses` are lookups absent from both tiers, and `verifyFailures`
  * are lookups whose disk entry existed but was rejected (decode or
  * oracle failure) — from the caller's perspective those behave as
@@ -292,7 +295,16 @@ class PlanCache
     enum class Source { Memory, Disk, Miss };
 
     /**
-     * Look up @p fp. A memory hit shares the resident entry. Disk
+     * The memory tier alone: share the resident serving @p fp and count
+     * a memory hit, or return an empty SharedPlan without counting a
+     * miss (the caller falls through to getShared(), which counts it).
+     * Lock-free, and never reads disk or runs verification, so it is
+     * cheap enough for a thread that must not block.
+     */
+    SharedPlan getMemory(const Hash128 &fp);
+
+    /**
+     * Look up @p fp: getMemory() first, then the disk tier. Disk
      * answers are deserialized and verified against (@p placement,
      * @p options) per the verification-on-load invariant, then admitted
      * to the memory tier (digested once there) and shared the same way.

@@ -9,10 +9,15 @@
  * daemon loop: streaming answers while a worker is busy, clean
  * queue-full and per-tenant throttling rejections, graceful and
  * cancelling shutdown (cancelled answers flagged and never cached),
- * the lock-free hot path keeping lockContended at zero on a read-only
- * trace, and the exported `loop.*` / `service.*` series equal to
- * LoopStats / ServiceStats — plus one-line, valid-JSON response lines
- * for ids holding control bytes.
+ * resident hits answered inline on the submitting thread (past a full
+ * queue, never past an empty bucket or a shutdown) while misses still
+ * reach the workers, drain() waiting for a running inline callback, two
+ * client threads mixing inline hits and queued misses, the lock-free
+ * hot path keeping lockContended at zero on a read-only trace, and the
+ * exported `loop.*` / `service.*` series equal to LoopStats /
+ * ServiceStats — plus the trace-line codec: one-line, valid-JSON
+ * response lines for ids holding control bytes, every JSON string
+ * escape, strict numbers, and trace lines that round-trip.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +28,9 @@
 #include <cstring>
 #include <functional>
 #include <future>
+#include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -566,12 +573,28 @@ TEST(ServiceLoop, QueueFullRejectsWithCleanError)
     EXPECT_EQ(verdict, Admission::QueueFull);
     EXPECT_TRUE(rejected_cb) << "rejection callback must fire inline";
 
+    // V is resident (the parked worker searched it before entering its
+    // callback). A resident hit never queues, so the full queue does not
+    // reject it: it is accepted and answered before submit returns.
+    bool resident_cb = false;
+    EXPECT_EQ(loop.submit(refQuery("V"), "a",
+                          [&resident_cb](const ServiceLoop::Response &r) {
+                              resident_cb = true;
+                              EXPECT_EQ(r.admission, Admission::Accepted);
+                              EXPECT_STREQ(r.report.source, "memory");
+                              EXPECT_TRUE(r.report.found);
+                          }),
+              Admission::Accepted);
+    EXPECT_TRUE(resident_cb);
+
     release.set_value();
     loop.drain();
     EXPECT_EQ(queued_answers.load(), 1u);
     const LoopStats stats = loop.stats();
     EXPECT_EQ(stats.rejectedQueueFull, 1u);
-    EXPECT_EQ(stats.completed, 2u);
+    EXPECT_EQ(stats.completed, 3u);
+    EXPECT_EQ(stats.answeredInline, 1u);
+    EXPECT_EQ(stats.queueHighWater, 1u);
 }
 
 TEST(ServiceLoop, TenantBudgetsThrottlePerTenant)
@@ -609,9 +632,32 @@ TEST(ServiceLoop, TenantBudgetsThrottlePerTenant)
                   Admission::Accepted);
 
     loop.drain();
-    const LoopStats stats = loop.stats();
+    LoopStats stats = loop.stats();
     EXPECT_EQ(stats.rejectedThrottled, 1u);
     EXPECT_EQ(stats.accepted, 6u);
+
+    // A resident plan answers without queueing, but not without a
+    // token: V is resident now and "metered" is still dry.
+    const uint64_t inline_before = stats.answeredInline;
+    bool resident_cb = false;
+    EXPECT_EQ(loop.submit(refQuery("V"), "metered",
+                          [&resident_cb](const ServiceLoop::Response &r) {
+                              resident_cb = true;
+                              EXPECT_EQ(r.admission, Admission::Throttled);
+                              EXPECT_STREQ(r.report.source, "rejected");
+                              EXPECT_TRUE(r.report.planHash.empty());
+                              EXPECT_NE(r.error.find("tenant 'metered' "
+                                                     "over budget"),
+                                        std::string::npos)
+                                  << r.error;
+                          }),
+              Admission::Throttled);
+    EXPECT_TRUE(resident_cb);
+    stats = loop.stats();
+    EXPECT_EQ(stats.rejectedThrottled, 2u);
+    EXPECT_EQ(stats.throttledByTenant.at("metered"), 2u);
+    EXPECT_EQ(stats.accepted, 6u);
+    EXPECT_EQ(stats.answeredInline, inline_before);
 }
 
 TEST(ServiceLoop, TokenBucketSurvivesClockSteppingBackwards)
@@ -677,8 +723,23 @@ TEST(ServiceLoop, ShutdownDrainsAndCancelFlagsWithoutCaching)
         loop.shutdown(/*cancel_in_flight=*/false);
         EXPECT_EQ(answered.load(), 3u);
         EXPECT_FALSE(loop.accepting());
-        EXPECT_EQ(loop.submit(refQuery("V"), "t", nullptr),
+        // V is resident (the lookup counts a memory hit), yet a stopped
+        // loop answers nothing.
+        const uint64_t hits_before =
+            loop.service().cache().stats().memoryHits;
+        bool rejected_cb = false;
+        EXPECT_EQ(loop.submit(refQuery("V"), "t",
+                              [&rejected_cb](const ServiceLoop::Response &r) {
+                                  rejected_cb = true;
+                                  EXPECT_EQ(r.admission,
+                                            Admission::ShuttingDown);
+                                  EXPECT_TRUE(r.report.planHash.empty());
+                              }),
                   Admission::ShuttingDown);
+        EXPECT_TRUE(rejected_cb);
+        EXPECT_EQ(loop.service().cache().stats().memoryHits,
+                  hits_before + 1);
+        EXPECT_EQ(loop.stats().answeredInline, 0u);
     }
 
     // Cancelling: park the worker in a callback, queue one more query,
@@ -735,34 +796,163 @@ TEST(ServiceLoop, ReadOnlyHotTraceNeverContends)
     ServiceLoop loop(loopOptionsFor(dir, /*workers=*/2));
     const std::vector<std::string> shapes = {"V", "X", "M", "NN", "K"};
 
-    // Two warm passes: searches, then disk promotions into memory. Both
-    // take the writer lock; after them every instance is resident.
-    for (int pass = 0; pass < 2; ++pass) {
-        for (const std::string &s : shapes)
-            loop.submit(refQuery(s), "warm", nullptr);
-        loop.drain();
-    }
+    // Warm pass: every query misses, so the workers search and admit
+    // it (taking the writer lock); afterwards every instance is
+    // resident. Nothing was answered inline.
+    for (const std::string &s : shapes)
+        loop.submit(refQuery(s), "warm", nullptr);
+    loop.drain();
+    const LoopStats warm = loop.stats();
+    EXPECT_GT(warm.workerBusyUs, 0u);
+    EXPECT_EQ(warm.answeredInline, 0u);
+    EXPECT_EQ(warm.completed, shapes.size());
 
-    // Read-only replay: pure snapshot hits. The writer mutex is never
-    // touched, so the contention counter must not move — this is the
-    // regression signal for the lock-free hit path.
+    // Read-only replay: pure snapshot hits, each answered on this
+    // thread before submit returns. The writer mutex is never touched,
+    // so the contention counter must not move — this is the regression
+    // signal for the lock-free hit path.
     const uint64_t before = loop.service().cache().stats().lockContended;
-    std::atomic<size_t> memory_hits{0};
+    const std::thread::id submitter = std::this_thread::get_id();
+    size_t memory_hits = 0;
     for (int round = 0; round < 20; ++round) {
-        for (const std::string &s : shapes)
+        for (const std::string &s : shapes) {
+            bool answered = false;
             loop.submit(refQuery(s), "hot",
-                        [&memory_hits](const ServiceLoop::Response &resp) {
+                        [&](const ServiceLoop::Response &resp) {
+                            answered = true;
+                            EXPECT_EQ(std::this_thread::get_id(), submitter);
                             memory_hits +=
                                 resp.report.source == std::string("memory")
                                     ? 1
                                     : 0;
                         });
-        // Drain per round so the bounded queue never rejects.
-        loop.drain();
+            EXPECT_TRUE(answered) << s << " was not answered inline";
+        }
     }
     const uint64_t after = loop.service().cache().stats().lockContended;
-    EXPECT_EQ(memory_hits.load(), 20 * shapes.size());
+    EXPECT_EQ(memory_hits, 20 * shapes.size());
     EXPECT_EQ(after - before, 0u);
+    const LoopStats hot = loop.stats();
+    EXPECT_EQ(hot.answeredInline, 20 * shapes.size());
+    EXPECT_EQ(hot.completed, warm.completed + 20 * shapes.size());
+    EXPECT_EQ(hot.workerBusyUs, warm.workerBusyUs);
+    EXPECT_EQ(hot.queueHighWater, warm.queueHighWater);
+
+    // A miss still reaches a worker.
+    PlanQuery miss = refQuery("V");
+    miss.options.maxRepetendMicrobatches = 5;
+    loop.submit(std::move(miss), "cold", nullptr);
+    loop.drain();
+    const LoopStats cold = loop.stats();
+    EXPECT_GT(cold.workerBusyUs, hot.workerBusyUs);
+    EXPECT_EQ(cold.answeredInline, hot.answeredInline);
+    EXPECT_EQ(cold.completed, hot.completed + 1);
+}
+
+TEST(ServiceLoop, DrainWaitsForRunningInlineCallback)
+{
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-loop-inline-drain-", &dir));
+    ServiceLoop loop(loopOptionsFor(dir, /*workers=*/1));
+    loop.submit(refQuery("V"), "t", nullptr);
+    loop.drain();
+
+    // A resident hit whose callback blocks: the submitting thread is
+    // stuck inside submit(), and the answer is in flight until the
+    // callback returns.
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::promise<void> entered;
+    std::thread submitter([&] {
+        EXPECT_EQ(loop.submit(refQuery("V"), "t",
+                              [&entered, released](
+                                  const ServiceLoop::Response &resp) {
+                                  EXPECT_STREQ(resp.report.source, "memory");
+                                  entered.set_value();
+                                  released.wait();
+                              }),
+                  Admission::Accepted);
+    });
+    entered.get_future().wait();
+    EXPECT_EQ(loop.stats().inFlight, 1u);
+
+    std::atomic<bool> drained{false};
+    std::thread drainer([&] {
+        loop.drain();
+        drained = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(drained.load()) << "drain() returned mid-callback";
+    release.set_value();
+    drainer.join();
+    submitter.join();
+    EXPECT_TRUE(drained.load());
+    const LoopStats stats = loop.stats();
+    EXPECT_EQ(stats.inFlight, 0u);
+    EXPECT_EQ(stats.answeredInline, 1u);
+    EXPECT_EQ(stats.completed, 2u);
+}
+
+TEST(ServiceLoop, ConcurrentSubmittersMixInlineHitsAndQueuedMisses)
+{
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-loop-mixed-", &dir));
+    ServiceLoop loop(loopOptionsFor(dir, /*workers=*/2));
+    const std::vector<std::string> hot = {"V", "X", "M"};
+    for (const std::string &s : hot)
+        loop.submit(refQuery(s), "warm", nullptr);
+    loop.drain();
+
+    // Two client threads, each interleaving resident hits (answered
+    // inline on the client thread) with misses (queued for the
+    // workers): one miss both clients send, and one of each client's
+    // own. Every answer must be found, and equal fingerprints must get
+    // equal plans.
+    constexpr int kRounds = 6;
+    std::mutex mu;
+    std::map<std::string, std::set<std::string>> plans;
+    size_t answered = 0;
+    auto client = [&](int id) {
+        for (int round = 0; round < kRounds; ++round) {
+            PlanQuery query = refQuery(hot[(round + id) % hot.size()]);
+            if (round == 2) {
+                query = refQuery("V");
+                query.options.maxRepetendMicrobatches = 5;
+            } else if (round == 5) {
+                query = refQuery("X");
+                query.options.maxRepetendMicrobatches = 5 + id;
+            }
+            loop.submit(std::move(query), "client",
+                        [&](const ServiceLoop::Response &resp) {
+                            EXPECT_EQ(resp.admission, Admission::Accepted);
+                            EXPECT_TRUE(resp.report.found);
+                            std::lock_guard<std::mutex> lock(mu);
+                            plans[resp.report.fingerprint].insert(
+                                resp.report.planHash);
+                            ++answered;
+                        });
+        }
+    };
+    const LoopStats before = loop.stats();
+    std::thread a(client, 0), b(client, 1);
+    a.join();
+    b.join();
+    loop.drain();
+
+    const LoopStats after = loop.stats();
+    const uint64_t submitted = 2 * kRounds;
+    EXPECT_EQ(answered, submitted);
+    EXPECT_EQ(after.submitted - before.submitted, submitted);
+    EXPECT_EQ(after.accepted - before.accepted, submitted);
+    EXPECT_EQ(after.completed - before.completed, submitted);
+    // Four of the twelve queries miss; every hit is inline, and so may
+    // be the second copy of the shared miss.
+    EXPECT_GE(after.answeredInline - before.answeredInline, 8u);
+    EXPECT_LE(after.answeredInline - before.answeredInline, 9u);
+    EXPECT_GT(after.workerBusyUs, before.workerBusyUs);
+    EXPECT_EQ(after.inFlight, 0u);
+    for (const auto &kv : plans)
+        EXPECT_EQ(kv.second.size(), 1u) << kv.first;
 }
 
 /** The exported counter or gauge @p name{@p labelValue}; -1 if absent. */
@@ -812,12 +1002,16 @@ TEST(ServiceLoop, ExportedLoopSeriesEqualLoopStats)
     // Room in the queue again, but the metered bucket is empty.
     EXPECT_EQ(loop.submit(refQuery("K"), "metered", nullptr),
               Admission::Throttled);
+    // V is resident: answered inline.
+    EXPECT_EQ(loop.submit(refQuery("V"), "vip", nullptr),
+              Admission::Accepted);
 
     const LoopStats s = loop.stats();
-    EXPECT_EQ(s.submitted, 4u);
+    EXPECT_EQ(s.submitted, 5u);
     EXPECT_EQ(s.rejectedQueueFull, 1u);
     EXPECT_EQ(s.rejectedThrottled, 1u);
-    EXPECT_EQ(s.completed, 2u);
+    EXPECT_EQ(s.completed, 3u);
+    EXPECT_EQ(s.answeredInline, 1u);
     EXPECT_GT(s.workerBusyUs, 0u);
     auto i64 = [](uint64_t v) { return static_cast<int64_t>(v); };
     EXPECT_EQ(exported("loop.submitted"), i64(s.submitted));
@@ -832,6 +1026,7 @@ TEST(ServiceLoop, ExportedLoopSeriesEqualLoopStats)
               i64(s.throttledByTenant.at("metered")));
     EXPECT_EQ(exported("loop.tenant_throttled", "vip"), -1);
     EXPECT_EQ(exported("loop.completed"), i64(s.completed));
+    EXPECT_EQ(exported("loop.answered_inline"), i64(s.answeredInline));
     EXPECT_EQ(exported("loop.worker_busy_us"), i64(s.workerBusyUs));
     EXPECT_EQ(exported("loop.queue_depth"), i64(s.queueDepth));
     EXPECT_EQ(exported("loop.queue_high_water"), i64(s.queueHighWater));
@@ -893,6 +1088,92 @@ TEST(TraceCodec, ResponseLineEscapesControlBytesInId)
         EXPECT_GE(static_cast<unsigned char>(c), 0x20) << line;
     EXPECT_NE(line.find("\"id\": \"a\\nb\\u0001c\""), std::string::npos)
         << line;
+}
+
+TEST(TraceCodec, ParsesEveryJsonStringEscape)
+{
+    TraceQuery q;
+    std::string err;
+    // Python's json.dumps writes non-ASCII as \u escapes by default.
+    ASSERT_TRUE(parseTraceLine(R"({"id": "caf\u00e9", "shape": "V"})", &q,
+                               &err))
+        << err;
+    EXPECT_EQ(q.id, "caf\xc3\xa9");
+    // A surrogate pair is one code point: U+1F600, four UTF-8 bytes.
+    ASSERT_TRUE(parseTraceLine(R"({"id": "\ud83d\ude00", "shape": "V"})",
+                               &q, &err))
+        << err;
+    EXPECT_EQ(q.id, "\xf0\x9f\x98\x80");
+    ASSERT_TRUE(parseTraceLine(R"({"id": "a\bb\fc\/\u20AC", "shape": "V"})",
+                               &q, &err))
+        << err;
+    EXPECT_EQ(q.id, "a\bb\fc/\xe2\x82\xac");
+
+    for (const char *bad : {
+             R"({"id": "\ud83d", "shape": "V"})",       // lone high
+             R"({"id": "\ud83dx", "shape": "V"})",      // lone high
+             R"({"id": "\ud83d\u0041", "shape": "V"})", // high + non-low
+             R"({"id": "\ude00", "shape": "V"})",       // lone low
+             R"({"id": "\u00g9", "shape": "V"})",       // not hex
+             R"({"id": "\u00)",                         // truncated
+             R"({"id": "\x41", "shape": "V"})",         // not JSON
+         })
+        EXPECT_FALSE(parseTraceLine(bad, &q, &err)) << bad;
+}
+
+TEST(TraceCodec, RejectsMalformedNumbers)
+{
+    TraceQuery q;
+    std::string err;
+    for (const char *bad :
+         {"4-2", "1e", "+4", "04", "-", ".5", "5.", "1e+", "--4", "1.2.3",
+          "1e999"}) {
+        for (const char *key : {"devices", "budget_sec"}) {
+            const std::string line = std::string("{\"shape\": \"V\", \"") +
+                                     key + "\": " + bad + "}";
+            EXPECT_FALSE(parseTraceLine(line, &q, &err)) << line;
+            EXPECT_NE(err.find("bad number"), std::string::npos)
+                << line << ": " << err;
+        }
+    }
+
+    ASSERT_TRUE(parseTraceLine(
+        R"({"shape": "V", "devices": 4, "budget_sec": -0.25E+1})", &q, &err))
+        << err;
+    EXPECT_EQ(q.devices, 4);
+    EXPECT_EQ(q.budgetSec, -2.5);
+    ASSERT_TRUE(parseTraceLine(
+        R"({"shape": "V", "devices": 0, "budget_sec": 2.5e0})", &q, &err))
+        << err;
+    EXPECT_EQ(q.devices, 0);
+    EXPECT_EQ(q.budgetSec, 2.5);
+}
+
+TEST(TraceCodec, TraceLineRoundTripsIdsWithControlBytes)
+{
+    // jsonEscape writes control bytes as \u00XX and passes UTF-8
+    // through; the parser must read back exactly what it wrote.
+    TraceQuery q;
+    q.id = std::string("a\nb\x01\x1f\"\\c\b\f\t\r") + std::string(1, '\0') +
+           "caf\xc3\xa9";
+    q.shape = "V";
+    q.variant = "hetero";
+    q.devices = 4;
+    q.budgetSec = 2.5;
+    q.tenant = "team\x02";
+    const std::string line = formatTraceLine(q);
+    EXPECT_EQ(line.find('\n'), std::string::npos) << line;
+
+    TraceQuery back;
+    std::string err;
+    ASSERT_TRUE(parseTraceLine(line, &back, &err)) << err << ": " << line;
+    EXPECT_EQ(back.id, q.id);
+    EXPECT_EQ(back.tenant, q.tenant);
+    EXPECT_EQ(back.shape, q.shape);
+    EXPECT_EQ(back.variant, q.variant);
+    EXPECT_EQ(back.devices, q.devices);
+    EXPECT_EQ(back.budgetSec, q.budgetSec);
+    EXPECT_EQ(formatTraceLine(back), line);
 }
 
 } // namespace

@@ -504,8 +504,10 @@ installStopHandlers()
 /**
  * Daemon mode: read one JSON query per stdin line, answer through a
  * ServiceLoop, and emit one JSON response per line on stdout (stdout is
- * shared by concurrent workers, so emission is serialized; responses
- * may interleave out of input order — match on "id"). Malformed lines
+ * shared by the workers and by resident hits answered inline on this
+ * thread, so emission is serialized under a lock never held across
+ * submit(); responses may interleave out of input order — match on
+ * "id"). Malformed lines
  * and unknown coordinates get an error response, never a crash. EOF
  * drains in-flight queries, prints a summary to stderr, and exits 0.
  */
@@ -630,7 +632,8 @@ runServe(const Args &args)
     watcher.join();
     std::cerr << "tessel_service --serve: " << stats.submitted
               << " submitted, " << stats.completed << " answered ("
-              << served.staleServed << " stale, " << served.degradedServed
+              << stats.answeredInline << " inline, " << served.staleServed
+              << " stale, " << served.degradedServed
               << " degraded), rejected " << stats.rejectedQueueFull
               << " queue-full / " << stats.rejectedThrottled
               << " throttled / " << stats.rejectedShutdown
