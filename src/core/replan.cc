@@ -7,8 +7,7 @@
  * Adaptation itself is store/adapt.h's pipeline — the served plan is
  * treated as its own best neighbor: structural correspondence is
  * trivially satisfied (same placement), so the work reduces to
- * re-lowering under the new costs (incrementally, via relowerWithComm,
- * when the delta permits), re-deriving or re-solving the repetend
+ * lowering under the new costs, re-deriving or re-solving the repetend
  * timing, and oracle verification. The verified retimed plan doubles
  * as the conservative `stale` answer the service can hand out when a
  * replan misses its latency budget.
@@ -43,23 +42,6 @@ prepareReplanSeed(const Placement &placement, const TesselOptions &drifted,
         drifted.cluster &&
         !drifted.cluster->isTrivial(placement.numDevices());
 
-    TesselOptions eff = drifted;
-    if (comm_aware) {
-        TraceSpan span("relower");
-        if (delta && served.commAware && served.expansion) {
-            bool patched = false;
-            out.lowered = relowerWithComm(
-                placement, *drifted.cluster, drifted.edgeMB, drifted.comm,
-                *served.expansion, *delta, &patched);
-            out.incrementalLower = patched;
-        } else {
-            out.lowered = expandWithComm(placement, *drifted.cluster,
-                                         drifted.edgeMB, drifted.comm);
-        }
-        span.setArg("incremental", out.incrementalLower ? 1 : 0);
-        eff.lowered = &*out.lowered;
-    }
-
     // Pure speed drift can flip a trivial cluster non-trivial without
     // creating a single comm block (every link still free). The served
     // plan is then structurally a plan of the drifted solve placement —
@@ -68,15 +50,17 @@ prepareReplanSeed(const Placement &placement, const TesselOptions &drifted,
     // oracle still decides whether its timing survived the new spans.
     const TesselResult *adapt_from = &served;
     TesselResult shim;
-    if (comm_aware && !served.commAware && out.lowered->numLinks == 0) {
+    if (comm_aware && !served.commAware &&
+        commResourceDemand(placement, *drifted.cluster, drifted.edgeMB,
+                           drifted.comm) == placement.numDevices()) {
         shim = served;
         shim.commAware = true;
         adapt_from = &shim;
     }
 
     TraceSpan span("retime");
-    AdaptOutcome adapted =
-        adaptResultToQuery(placement, eff, *adapt_from, exactPhasesAllowed);
+    AdaptOutcome adapted = adaptResultToQuery(placement, drifted, *adapt_from,
+                                              exactPhasesAllowed);
     span.setArg("ok", adapted.ok ? 1 : 0);
     out.work.merge(adapted.breakdown);
     if (!adapted.ok) {
@@ -100,8 +84,6 @@ tesselReplan(const Placement &placement, const TesselOptions &drifted,
     TesselOptions opts = drifted;
     if (seed.ok)
         opts.seed = &seed.seed;
-    if (seed.lowered)
-        opts.lowered = &*seed.lowered;
     TesselResult result = tesselSearch(placement, opts);
     result.breakdown.merge(seed.work);
     if (info)

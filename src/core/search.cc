@@ -96,7 +96,6 @@ addSolveStats(SearchBreakdown &breakdown, const SolveStats &stats)
     breakdown.solverNodes += stats.nodes;
     breakdown.valueSweeps += stats.valueSweeps;
     breakdown.policyImprovements += stats.policyImprovements;
-    breakdown.memoReused += stats.memoReused;
     breakdown.seededNodesPruned += stats.seedPrunes;
 }
 
@@ -733,16 +732,9 @@ tesselSearch(const Placement &placement, const TesselOptions &options)
     const Placement *solve_placement = &placement;
     TesselOptions eff = options;
     if (comm_aware) {
-        // A caller-provided lowering (TesselOptions::lowered) is
-        // guaranteed equal to what expandWithComm would build here —
-        // the replan path computes it once via relowerWithComm and
-        // shares it between adaptation and search.
         TraceSpan span("lower");
-        expansion = eff.lowered ? *eff.lowered
-                                : expandWithComm(placement, *options.cluster,
-                                                 options.edgeMB,
-                                                 options.comm);
-        span.setArg("reused", eff.lowered ? 1 : 0);
+        expansion = expandWithComm(placement, *options.cluster,
+                                   options.edgeMB, options.comm);
         span.setArg("links", expansion->numLinks);
         solve_placement = &expansion->placement;
         // Link pseudo-devices hold no parameters: pad with zeros.

@@ -116,16 +116,6 @@ struct TesselOptions
      * call; nullptr runs cold.
      */
     const SearchSeed *seed = nullptr;
-    /**
-     * Precomputed comm lowering for this exact (placement, cluster,
-     * edgeMB, comm) tuple: when set, comm-aware paths copy it instead
-     * of re-running expandWithComm. The caller must guarantee it equals
-     * what expandWithComm would produce (relowerWithComm does, by
-     * construction) — it is a pure work-avoidance cache, plan-invariant
-     * and excluded from the fingerprint exactly like `seed`. The
-     * pointee must outlive the call; nullptr lowers from scratch.
-     */
-    const CommExpansion *lowered = nullptr;
 };
 
 /** Search diagnostics (feeds the Fig. 9/10 benches). */
@@ -147,7 +137,8 @@ struct SearchBreakdown
     /** Howard policy improvements (period raises) across repetend
      * solves. */
     uint64_t policyImprovements = 0;
-    /** Cross-round dominance-memo reuses inside BnB solves. */
+    /** Always 0: every BnB solve starts from an empty dominance memo.
+     *  Kept (and still serialized) only because bench/e2e reads it. */
     uint64_t memoReused = 0;
     int threadsUsed = 1;          ///< sweep worker count actually used
     bool earlyExit = false;       ///< lower bound reached (Algorithm 1 L19)
@@ -238,10 +229,9 @@ std::optional<TesselPlan> completeRepetendPlan(
 /**
  * Everything prepareReplanSeed distills from a served plan for a
  * *drifted* re-query of the same placement: the warm-start seed for
- * the fresh search, the retimed old plan itself (the verified
+ * the fresh search and the retimed old plan itself (the verified
  * conservative answer a budget-missed replan may serve while the
- * search finishes in the background), and the incremental lowering the
- * search can reuse.
+ * search finishes in the background).
  */
 struct ReplanSeed
 {
@@ -251,8 +241,8 @@ struct ReplanSeed
     bool ok = false;
     /** Why adaptation failed (diagnostic; empty when ok). */
     std::string reason;
-    /** Whether the comm lowering was patched incrementally from the
-     * served plan's expansion (vs rebuilt from scratch). */
+    /** Always false: the drifted instance is lowered from scratch.
+     * Kept only because bench/e2e reads it. */
     bool incrementalLower = false;
     /** Whether retiming re-solved the repetend window (true) or the
      * served timing survived the drift verbatim (false). */
@@ -265,9 +255,6 @@ struct ReplanSeed
      * feasible against the drifted query (not necessarily optimal);
      * valid when ok. This is the `stale=true` fallback answer. */
     TesselResult retimedResult;
-    /** Lowering of the drifted instance (set for comm-aware queries);
-     * hand it to the search via TesselOptions::lowered. */
-    std::optional<CommExpansion> lowered;
     /** Solver work the adaptation spent (merge into the breakdown). */
     SearchBreakdown work;
 };
@@ -275,12 +262,11 @@ struct ReplanSeed
 /**
  * Adapt @p served — the plan answered under the pre-drift cluster —
  * into a ReplanSeed for the same placement under @p drifted (the
- * options with the perturbed cluster bound). @p delta, when given,
- * enables the incremental comm re-lowering (relowerWithComm) off the
- * served plan's expansion; nullptr lowers from scratch. @p
- * exactPhasesAllowed is the caller's attestation that the served and
- * drifted instances share a phaseOptionsDigest (true for pure cluster
- * drift, where only the cluster knob moved).
+ * options with the perturbed cluster bound). @p delta, when given, is
+ * the drift that produced @p drifted; a delta that removes devices is
+ * refused. @p exactPhasesAllowed is the caller's attestation that the
+ * served and drifted instances share a phaseOptionsDigest (true for
+ * pure cluster drift, where only the cluster knob moved).
  *
  * Drift-only: device removal changes the placement itself, so failure
  * replans go through fresh placements (placement/shapes.h

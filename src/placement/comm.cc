@@ -166,123 +166,6 @@ expandWithComm(const Placement &placement, const ClusterModel &cluster,
     return exp;
 }
 
-CommExpansion
-relowerWithComm(const Placement &placement, const ClusterModel &cluster,
-                const std::map<std::pair<int, int>, double> &edge_mb,
-                const CommOptions &options, const CommExpansion &previous,
-                const ClusterDelta &delta, bool *patched)
-{
-    if (patched)
-        *patched = false;
-    auto full = [&] {
-        return expandWithComm(placement, cluster, edge_mb, options);
-    };
-    if (delta.removesDevices())
-        return full();
-
-    const int k = placement.numBlocks();
-    const int nd = placement.numDevices();
-
-    // `previous` must be a well-formed expansion of this very placement:
-    // real specs first (identity origSpec prefix), comm specs after
-    // (origSpec -1), device/link counts consistent. Anything else is a
-    // contract breach we answer with a fresh expansion, not a crash.
-    const int prev_blocks = previous.placement.numBlocks();
-    if (previous.numRealDevices != nd || prev_blocks < k ||
-        previous.placement.numDevices() != nd + previous.numLinks ||
-        static_cast<int>(previous.origSpec.size()) != prev_blocks ||
-        static_cast<int>(previous.indexSpec.size()) != prev_blocks ||
-        static_cast<int>(previous.linkEndpoints.size()) != previous.numLinks)
-        return full();
-    for (int i = 0; i < k; ++i)
-        if (previous.origSpec[i] != i)
-            return full();
-    for (int e = k; e < prev_blocks; ++e)
-        if (previous.origSpec[e] >= 0)
-            return full();
-
-    // Dry-run the transfer enumeration under the *drifted* cluster. The
-    // patch is sound only if it emits exactly previous's comm-block
-    // sequence — same (producer, consumer, destination) in the same
-    // order, since expandWithComm appends comm specs in this order. A
-    // drift that creates or destroys transfers changes the solve
-    // placement's structure, which only a full re-expansion can build.
-    struct Transfer
-    {
-        int i, j;
-        DeviceId src, dst;
-        Time span;
-    };
-    std::vector<Transfer> transfers;
-    forEachTransfer(placement, cluster, edge_mb, options,
-                    [&](int i, int j, DeviceId src, DeviceId dst,
-                        Time span) {
-                        transfers.push_back({i, j, src, dst, span});
-                    });
-    if (static_cast<int>(transfers.size()) != prev_blocks - k)
-        return full();
-
-    std::vector<BlockSpec> specs;
-    specs.reserve(static_cast<size_t>(prev_blocks));
-    for (int e = 0; e < prev_blocks; ++e)
-        specs.push_back(previous.placement.block(e));
-
-    // Real blocks: everything but the span must match the original
-    // placement (previous's copies carry the comm deps expandWithComm
-    // appended — those must point past the real prefix and follow the
-    // original deps verbatim). Spans are recomputed for every block:
-    // scaledSpan is cheap, and re-running the formula everywhere keeps
-    // the patch correct even when the caller's delta understates the
-    // drift.
-    for (int i = 0; i < k; ++i) {
-        const BlockSpec &ob = placement.block(i);
-        BlockSpec &pb = specs[i];
-        if (pb.name != ob.name || pb.kind != ob.kind ||
-            !(pb.devices == ob.devices) || pb.memory != ob.memory ||
-            pb.deps.size() < ob.deps.size())
-            return full();
-        for (size_t d = 0; d < ob.deps.size(); ++d)
-            if (pb.deps[d] != ob.deps[d])
-                return full();
-        for (size_t d = ob.deps.size(); d < pb.deps.size(); ++d)
-            if (pb.deps[d] < k)
-                return full();
-        pb.span = cluster.scaledSpan(ob.span, ob.devices);
-    }
-
-    // Comm blocks: endpoints, consumer, and producer must match the dry
-    // run position for position; spans come from the drifted costs.
-    for (size_t t = 0; t < transfers.size(); ++t) {
-        const int e = k + static_cast<int>(t);
-        const Transfer &tr = transfers[t];
-        BlockSpec &cb = specs[e];
-        if (cb.kind != BlockKind::Comm || previous.indexSpec[e] != tr.j ||
-            cb.deps != std::vector<int>{tr.i})
-            return full();
-        const DeviceId link = lowestDevice(cb.devices);
-        if (link < nd || link >= nd + previous.numLinks)
-            return full();
-        const auto want = tr.src < tr.dst
-                              ? std::make_pair(tr.src, tr.dst)
-                              : std::make_pair(tr.dst, tr.src);
-        if (previous.linkEndpoints[link - nd] != want)
-            return full();
-        cb.span = tr.span;
-    }
-
-    CommExpansion out;
-    out.numRealDevices = nd;
-    out.numLinks = previous.numLinks;
-    out.origSpec = previous.origSpec;
-    out.indexSpec = previous.indexSpec;
-    out.linkEndpoints = previous.linkEndpoints;
-    out.placement = Placement(placement.name() + "+comm",
-                              nd + out.numLinks, std::move(specs));
-    if (patched)
-        *patched = true;
-    return out;
-}
-
 int
 commResourceDemand(const Placement &placement, const ClusterModel &cluster,
                    const std::map<std::pair<int, int>, double> &edge_mb,

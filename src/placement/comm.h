@@ -130,40 +130,12 @@ CommExpansion expandWithComm(
     const CommOptions &options = {});
 
 /**
- * Incremental re-lowering for elastic replanning: produce the expansion
- * of @p placement under the *drifted* @p cluster, reusing the structure
- * of @p previous (the expansion the served plan was solved on) instead
- * of rebuilding it — names, dependency wiring, link allocation, and
- * index maps are copied; only spans are recomputed (real blocks via
- * scaledSpan, comm blocks via the transfer dry run under the new
- * costs).
- *
- * Falls back to a full expandWithComm() whenever the patch cannot be
- * proven equivalent: the delta removes devices (the placement itself
- * changes), @p previous is not a well-formed expansion of this exact
- * placement, or the drift changed the *set* of comm blocks (a link
- * flipping between free and charged creates or destroys transfers,
- * which patching cannot express). Either way the returned expansion is
- * bit-identical to what expandWithComm(placement, cluster, ...) would
- * build — the fallback trivially, the patch because every field is
- * either copied from a validated previous expansion or recomputed with
- * the same formulas.
- *
- * @param patched optionally receives whether the cheap patch path was
- *        taken (false = full re-expansion).
- */
-CommExpansion relowerWithComm(
-    const Placement &placement, const ClusterModel &cluster,
-    const std::map<std::pair<int, int>, double> &edge_mb,
-    const CommOptions &options, const CommExpansion &previous,
-    const ClusterDelta &delta, bool *patched = nullptr);
-
-/**
  * Dry-run resource count: the total resources (real devices plus link
  * pseudo-devices) expandWithComm would allocate. Any count is
  * representable — ResourceSet grows past 64 bits transparently — so
  * this is sizing information (solver state scales with it), not a
- * feasibility check.
+ * feasibility check. A count equal to the real device count means the
+ * lowering emits no comm block at all (prepareReplanSeed relies on it).
  */
 int commResourceDemand(const Placement &placement,
                        const ClusterModel &cluster,

@@ -571,8 +571,6 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
     std::thread worker([this, task, promise, done] {
         TesselOptions opts = task->effective;
         opts.seed = &task->seed.seed;
-        if (task->seed.lowered)
-            opts.lowered = &*task->seed.lowered;
         TesselResult result = tesselSearch(task->query.placement, opts);
         result.breakdown.merge(task->seed.work);
         promise->set_value(

@@ -15,6 +15,9 @@ namespace {
 
 /** Per-key cap on dominance entries; beyond this, insertion stops. */
 constexpr size_t kMaxEntriesPerKey = 24;
+/** Cap on distinct scheduled sets in the memo; once reached, no further
+ *  state is inserted. */
+constexpr size_t kMaxMemoKeys = size_t{1} << 22;
 
 } // namespace
 
@@ -28,7 +31,6 @@ struct BnbSolver::Impl
     // Static derived data.
     std::vector<std::vector<int>> succs;
     std::vector<Time> tail; // Longest dependency path incl. own span.
-    std::vector<int> topo;
     // Per-block device indices, CSR layout: block i occupies devices
     // devList[devBegin[i] .. devBegin[i+1]). Precomputed so the hot
     // dispatch/undo/bound loops never touch mask bits.
@@ -58,7 +60,7 @@ struct BnbSolver::Impl
 
     // Per-depth scratch (depth == numScheduled <= nb): dispatch
     // save/restore rows and candidate buffers, allocated once per
-    // solve so steady-state search does zero heap allocation.
+    // solve so dispatch and candidate gathering never allocate.
     DepthArena<Time> savedAvail;
     DepthArena<Mem> savedMem;
     struct Cand
@@ -81,29 +83,11 @@ struct BnbSolver::Impl
     TimeBudget budget{0.0};
     SolveStats stats;
 
+    // Dominance memo: per scheduled set, the vectors of the states
+    // already visited in this run. Cleared by every run(), so a reused
+    // solver answers exactly like a fresh one.
     using DomVec = std::vector<Time>;
-
-    /**
-     * One dominance-memo entry. `epoch` stamps the run() that last
-     * inserted it: same-epoch entries prune duplicates within a round
-     * exactly as before. `exhaustedAt` is a cross-round proof level —
-     * the entry's subtree was exhaustively explored in some decide()
-     * round with deadline `exhaustedAt` without finding a schedule, so
-     * no completion with makespan <= exhaustedAt exists below it and
-     * any later round with deadline <= exhaustedAt may prune dominated
-     * states outright. Entries whose exploration was cut short (early
-     * SAT stop, budget trip) keep exhaustedAt = -1 and never prune
-     * across rounds.
-     */
-    struct MemoEntry
-    {
-        DomVec v;
-        Time exhaustedAt = -1;
-        uint32_t epoch = 0;
-    };
-    std::unordered_map<BlockSet, std::vector<MemoEntry>, BlockSetHash>
-        memo;
-    uint32_t memoEpoch = 0;
+    std::unordered_map<BlockSet, std::vector<DomVec>, BlockSetHash> memo;
     DomVec domScratch; // Current node's vector (reused across nodes).
 
     explicit Impl(const SolverProblem &p, SolverOptions o)
@@ -159,7 +143,7 @@ struct BnbSolver::Impl
                      "solver: block ", i, " has bad orderAfter");
         }
         // Topological order (Kahn) for tail computation.
-        topo.clear();
+        std::vector<int> topo;
         std::vector<int> ready;
         for (int i = 0; i < nb; ++i)
             if (indeg[i] == 0)
@@ -225,7 +209,7 @@ struct BnbSolver::Impl
         stop = false;
         provenInfeasibleDisabled = false;
         stats = SolveStats{};
-        ++memoEpoch;
+        memo.clear();
         savedAvail.reset(nb + 1, nd);
         savedMem.reset(nb + 1, nd);
         readyList.clear();
@@ -283,21 +267,11 @@ struct BnbSolver::Impl
     Time
     currentLimit() const
     {
-        Time limit = kUnlimitedMem; // Effectively +inf.
         if (decideMode)
-            limit = deadline;
-        else if (haveIncumbent)
-            limit = bestMakespan - 1;
-        // A concurrently improving external incumbent tightens the
-        // bound mid-solve; only strictly better completions matter.
-        // Decide mode answers "is the deadline reachable" and must not
-        // be clamped by an unrelated optimization incumbent.
-        if (opts.liveCutoff && !decideMode) {
-            const Time live =
-                opts.liveCutoff->load(std::memory_order_acquire);
-            limit = std::min(limit, live - 1);
-        }
-        return limit;
+            return deadline;
+        if (haveIncumbent)
+            return bestMakespan - 1;
+        return kUnlimitedMem; // Effectively +inf.
     }
 
     /** Build the dominance vector for the current state into @p v. */
@@ -324,84 +298,51 @@ struct BnbSolver::Impl
     }
 
     /**
-     * @return true when the current state is dominated (prune it).
-     * Otherwise inserts the state and points @p slot at the new entry
-     * (left null when the entry caps forbid insertion) so search() can
-     * record the exhaustion proof level on clean backtrack.
-     *
-     * A dominating entry prunes when it is from the current round
-     * (visited-duplicate semantics, unchanged) or when its recorded
-     * proof level covers the current @p limit (cross-round reuse).
-     * Entry references stay valid for the whole subtree: rehashing
-     * never invalidates unordered_map references, and the bucket
-     * vector only mutates on same-key visits, which share this node's
-     * depth and therefore cannot occur inside its subtree.
+     * @return true when a state already visited with the same scheduled
+     * set dominates the current one (prune it). Otherwise drops the
+     * entries the current state dominates and inserts it, within the
+     * per-key and key-count caps.
      */
     bool
-    checkAndInsertMemo(Time limit, MemoEntry *&slot)
+    checkAndInsertMemo()
     {
         if (!opts.useDominance)
             return false;
         auto &entries = memo[schedSet];
         buildDomVector(domScratch);
-        MemoEntry *refresh = nullptr;
-        for (MemoEntry &e : entries) {
-            if (!dominates(e.v, domScratch))
-                continue;
-            if (e.epoch == memoEpoch) {
+        for (const DomVec &e : entries) {
+            if (dominates(e, domScratch)) {
                 ++stats.memoHits;
                 return true;
             }
-            if (e.exhaustedAt >= 0 && limit <= e.exhaustedAt) {
-                ++stats.memoHits;
-                ++stats.memoReused;
-                return true;
-            }
-            if (!refresh && dominates(domScratch, e.v))
-                refresh = &e;
         }
-        if (refresh) {
-            // Equal-vector stale entry: adopt it in place instead of
-            // drop-and-reinsert, keeping any exhaustion proof it holds
-            // (the proof is a fact about the state, not the round) in
-            // case this round's re-exploration is cut short.
-            refresh->epoch = memoEpoch;
-            slot = refresh;
-            return false;
-        }
-        // Drop entries the current state dominates (stale equal states
-        // are refreshed this way) plus dead old-epoch ones — an entry
-        // from an earlier round that never earned a proof level can
-        // never prune again and must not clog the per-key cap. Then
-        // insert, reusing storage.
+        // Drop entries the current state dominates, then insert,
+        // reusing storage.
         size_t w = 0;
         for (size_t r = 0; r < entries.size(); ++r) {
-            if (dominates(domScratch, entries[r].v))
-                continue;
-            if (entries[r].epoch != memoEpoch &&
-                entries[r].exhaustedAt < 0)
+            if (dominates(domScratch, entries[r]))
                 continue;
             if (w != r)
                 entries[w] = std::move(entries[r]);
             ++w;
         }
         entries.resize(w);
-        if (entries.size() < kMaxEntriesPerKey &&
-            memo.size() < opts.memoCap) {
-            entries.emplace_back();
-            entries.back().v = domScratch;
-            entries.back().epoch = memoEpoch;
-            slot = &entries.back();
-        }
+        if (entries.size() < kMaxEntriesPerKey && memo.size() < kMaxMemoKeys)
+            entries.push_back(domScratch);
         return false;
     }
 
     bool
     budgetTripped()
     {
-        if ((stats.nodes & 1023) == 0) {
-            if (budget.expired() ||
-                (opts.nodeLimit && stats.nodes >= opts.nodeLimit)) {
+        // The node cap binds exactly; clock and cancel-flag reads are
+        // polled every 1024 nodes (starting at the first).
+        if (opts.nodeLimit && stats.nodes >= opts.nodeLimit) {
+            stats.budgetExhausted = true;
+            provenInfeasibleDisabled = true;
+            stop = true;
+        } else if ((stats.nodes & 1023) == 0) {
+            if (budget.expired()) {
                 stats.budgetExhausted = true;
                 provenInfeasibleDisabled = true;
                 stop = true;
@@ -491,8 +432,7 @@ struct BnbSolver::Impl
             ++stats.boundPrunes;
             return;
         }
-        MemoEntry *slot = nullptr;
-        if (checkAndInsertMemo(limit, slot))
+        if (checkAndInsertMemo())
             return;
 
         // Gather dispatchable candidates from the ready list. The
@@ -551,7 +491,7 @@ struct BnbSolver::Impl
             Mem *saved_mem = savedMem.row(depth);
             for (const Cand &c : cands) {
                 if (stop)
-                    return; // Unwinding: leave the entry unexhausted.
+                    return;
                 const Time saved_makespan = curMakespan;
                 dispatch(c.block, c.est, saved_avail, saved_mem);
                 curMakespan = std::max(curMakespan, finishOf[c.block]);
@@ -559,16 +499,6 @@ struct BnbSolver::Impl
                 undo(c.block, saved_makespan, saved_avail, saved_mem);
             }
         }
-        // Subtree exhausted without a stop: in decide mode that proves
-        // no completion with makespan <= deadline exists below this
-        // state (bound prunes are admissible at `limit`, memo prunes
-        // certify inductively), so later rounds with deadlines <= limit
-        // may prune dominated states from this entry. An empty
-        // candidate set (memory deadlock / all pruned) is exhausted
-        // too. Minimize mode keeps no proof level: its limit tightens
-        // mid-subtree with the incumbent and liveCutoff.
-        if (slot && decideMode && !stop)
-            slot->exhaustedAt = std::max(slot->exhaustedAt, limit);
     }
 
     SolveResult
@@ -605,32 +535,6 @@ struct BnbSolver::Impl
         }
         return res;
     }
-
-    /** Static lower bound used to seed the binary search. */
-    Time
-    staticLowerBound() const
-    {
-        Time lb = 0;
-        std::vector<Time> work(nd, 0);
-        for (int i = 0; i < nb; ++i)
-            for (int d : devicesOf(i))
-                work[d] += prob.blocks[i].span;
-        for (int d = 0; d < nd; ++d) {
-            const Time base =
-                prob.initialAvail.empty() ? 0 : prob.initialAvail[d];
-            lb = std::max(lb, base + work[d]);
-        }
-        // Critical path with release times.
-        std::vector<Time> head(nb, 0);
-        for (int i : topo) {
-            Time h = prob.blocks[i].release;
-            for (int dep : prob.blocks[i].deps)
-                h = std::max(h, head[dep]);
-            head[i] = h + prob.blocks[i].span;
-            lb = std::max(lb, head[i]);
-        }
-        return lb;
-    }
 };
 
 BnbSolver::BnbSolver(const SolverProblem &problem, SolverOptions options)
@@ -649,41 +553,7 @@ BnbSolver::minimizeMakespan()
 SolveResult
 BnbSolver::decide(Time deadline)
 {
-    SolveResult res = impl_->run(true, deadline);
-    // In decide mode a found schedule means SAT; classify accordingly.
-    return res;
-}
-
-SolveResult
-BnbSolver::binarySearchMakespan()
-{
-    const Time lb = impl_->staticLowerBound();
-    // First find any feasible schedule to bound the search from above.
-    SolveResult any = decide(kUnlimitedMem);
-    if (!any.feasible())
-        return any;
-    SolveStats total = any.stats;
-    Time lo = lb;
-    Time hi = any.makespan;
-    SolveResult best = any;
-    while (lo < hi) {
-        const Time mid = lo + (hi - lo) / 2;
-        SolveResult r = decide(mid);
-        total.merge(r.stats);
-        if (r.feasible()) {
-            best = r;
-            hi = r.makespan;
-        } else if (r.status == SolveStatus::Infeasible) {
-            lo = mid + 1;
-        } else {
-            // Budget exhausted: return the best found so far, unproven.
-            best.status = SolveStatus::Feasible;
-            total.budgetExhausted = true;
-            break;
-        }
-    }
-    best.stats = total;
-    return best;
+    return impl_->run(true, deadline);
 }
 
 } // namespace tessel

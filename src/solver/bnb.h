@@ -14,16 +14,15 @@
  *  - workload + critical-path lower bounds against the incumbent;
  *  - dominance memo keyed on the scheduled set, comparing device
  *    availability, open dependency finish times, and partial makespan;
- *    the memo survives across decide() rounds on one solver, reusing
- *    entries whose subtrees were proven empty at a covering deadline
- *    (see MemoEntry in bnb.cc);
+ *    one memo per call, cleared when the next call starts;
  *  - Property 4.1 symmetry chains (micro-batch interchangeability).
  *
  * Hot-path mechanics: dispatchable candidates come from a ready list
- * maintained incrementally on dispatch/undo, and all per-node scratch
- * (candidate buffers, save/restore rows, dominance vectors) lives in
- * per-depth arenas (support/arena.h), so steady-state search performs
- * zero heap allocation.
+ * maintained incrementally on dispatch/undo, and the dispatch
+ * save/restore rows and candidate buffers live in per-depth arenas
+ * (support/arena.h), so dispatch and candidate gathering never allocate.
+ * The search as a whole is not allocation-free: each dominance-memo
+ * insertion copies the state vector and may add a map node.
  */
 
 #ifndef TESSEL_SOLVER_BNB_H
@@ -38,8 +37,9 @@ namespace tessel {
 /**
  * Branch-and-bound solver for SolverProblem instances.
  *
- * A solver object is single-use per call but reusable across calls; each
- * call re-derives its internal state from the problem.
+ * A solver object may be called more than once; each call re-derives its
+ * search state (memo included) from the problem, so it answers exactly
+ * like a fresh solver.
  */
 class BnbSolver
 {
@@ -60,20 +60,11 @@ class BnbSolver
 
     /**
      * Decision procedure: find any schedule with makespan <= @p deadline.
-     * This mirrors the paper's use of Z3 satisfiability checks inside the
-     * binary-search / lazy-search loops.
+     * This plays the role of one Z3 satisfiability check in the paper;
+     * the phase search calls it once with an unlimited deadline to test
+     * whether a phase can be completed at all.
      */
     SolveResult decide(Time deadline);
-
-    /**
-     * Convenience: binary-search the optimal makespan using decide(),
-     * exactly the strategy Sec. V describes for the Z3 encoding. Provided
-     * for parity experiments; minimizeMakespan() is normally faster.
-     * The dominance memo carries proven-empty subtrees from round to
-     * round, so later decide() rounds expand strictly fewer nodes than
-     * cold re-solves.
-     */
-    SolveResult binarySearchMakespan();
 
   private:
     struct Impl;

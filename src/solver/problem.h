@@ -4,15 +4,17 @@
  *
  * This is the substitution for the paper's Z3 encoding: block start times
  * are the decision variables; exclusivity, dependency, release-time, and
- * peak-memory constraints match Eq. 1. Tessel's repetend, warmup, and
- * cooldown searches all lower onto this structure, as does the
- * time-optimal (TO) baseline of Figs. 3 and 9.
+ * peak-memory constraints match Eq. 1. Tessel's warmup and cooldown
+ * searches lower onto this structure, as does the time-optimal (TO)
+ * baseline of Figs. 3 and 9. Where the paper binary-searches a phase's
+ * makespan over satisfiability checks, each solve here is a single
+ * BnbSolver call: one direct minimization, or one decide() for a
+ * feasibility check.
  */
 
 #ifndef TESSEL_SOLVER_PROBLEM_H
 #define TESSEL_SOLVER_PROBLEM_H
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -84,10 +86,6 @@ struct SolveStats
     /** Insertions into the incrementally maintained ready list (BnB);
      *  proportional to dependency-edge work, not node count x blocks. */
     uint64_t readyPushes = 0;
-    /** Dominance prunes served by memo entries proven exhausted in an
-     *  earlier decide() round on the same solver (cross-round memo
-     *  reuse inside binarySearchMakespan). */
-    uint64_t memoReused = 0;
     /** Bound prunes taken while the solve's cutoff was still inherited
      *  from a warm-start seed (RepetendSolveOptions::cutoffFromSeed)
      *  rather than from a candidate the enclosing search accepted
@@ -111,7 +109,6 @@ struct SolveStats
         valueSweeps += other.valueSweeps;
         policyImprovements += other.policyImprovements;
         readyPushes += other.readyPushes;
-        memoReused += other.memoReused;
         seedPrunes += other.seedPrunes;
         return *this;
     }
@@ -138,25 +135,16 @@ struct SolverOptions
 {
     /** Wall-clock budget in seconds (<= 0: unlimited). */
     double timeBudgetSec = 0.0;
-    /** Node expansion cap (0: unlimited). */
+    /** Node expansion cap (0: unlimited); binds exactly. */
     uint64_t nodeLimit = 0;
     /** Enable the dominance memo (ablation knob for the solver bench). */
     bool useDominance = true;
     /** Honor SolverBlock::orderAfter symmetry chains. */
     bool useSymmetry = true;
-    /** Maximum number of memo entries kept before insertion stops. */
-    size_t memoCap = size_t{1} << 22;
     /** Cooperative cancellation, polled alongside the time budget. A
      *  cancelled solve reports stats.cancelled and never claims
      *  Infeasible. */
     CancelToken cancel;
-    /**
-     * Live external incumbent (e.g. the parallel search's shared best
-     * period): states are pruned unless they can *strictly* beat its
-     * current value, re-read on every bound check instead of being
-     * frozen at solve start. nullptr disables.
-     */
-    const std::atomic<Time> *liveCutoff = nullptr;
     /**
      * Per-block dispatch priority for decide() first dives, indexed by
      * block position in SolverProblem::blocks: candidates sort by

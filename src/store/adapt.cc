@@ -117,12 +117,8 @@ adaptResultToQuery(const Placement &placement, const TesselOptions &options,
     TesselOptions eff = options;
     eff.seed = nullptr; // Adaptation must not recurse into seeding.
     if (comm_aware) {
-        // Same caller-cache contract as tesselSearch: a provided
-        // lowering equals what expandWithComm would build here.
-        expansion = eff.lowered ? *eff.lowered
-                                : expandWithComm(placement, *options.cluster,
-                                                 options.edgeMB,
-                                                 options.comm);
+        expansion = expandWithComm(placement, *options.cluster,
+                                   options.edgeMB, options.comm);
         solve_placement = &expansion->placement;
         if (!eff.initialMem.empty())
             eff.initialMem.resize(solve_placement->numDevices(), 0);

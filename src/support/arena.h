@@ -5,9 +5,11 @@
  * Both exact solvers (PeriodSearch and the BnB makespan solver) are deep
  * depth-first recursions whose per-node temporaries used to be freshly
  * heap-allocated vectors. These helpers give every recursion depth its
- * own reusable frame, so steady-state search performs zero heap
- * allocation: a frame is allocated the first time its depth is reached
- * and reused on every later visit of that depth.
+ * own reusable frame, so the temporaries they hold cost no heap
+ * allocation in steady state: a frame is allocated the first time its
+ * depth is reached and reused on every later visit of that depth. (The
+ * BnB solver's dominance memo lives outside these frames and still
+ * allocates on insertion.)
  */
 
 #ifndef TESSEL_SUPPORT_ARENA_H

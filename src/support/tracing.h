@@ -20,7 +20,7 @@
  * Span taxonomy (see README "Observability"):
  *   query  -> lower / seed-adapt / repetend-sweep / phase-solve /
  *             verify / serialize / disk-io
- *   replan -> relower / retime / race
+ *   replan -> retime / race
  */
 
 #ifndef TESSEL_SUPPORT_TRACING_H

@@ -3,7 +3,8 @@
  * Differential-testing oracle suite: the branch-and-bound solver (all
  * pruning enabled) must agree with a prune-free brute-force permutation
  * solver on hundreds of seeded random tiny instances, with and without
- * comm blocks on link pseudo-devices, and every schedule either solver
+ * comm blocks on link pseudo-devices — both its minimization and its
+ * finite-deadline decide() verdicts — and every schedule either solver
  * emits must pass the standalone verifySolverSchedule() checker. Plans
  * produced by the end-to-end search (warmup + repetend window + cooldown)
  * are verified through the same checker.
@@ -58,6 +59,17 @@ compareOne(const SolverProblem &sp, uint64_t seed, int which)
     const OracleVerdict v_brute = verifySolverSchedule(sp, brute.starts);
     if (!v_brute.ok)
         return ctx + ": brute schedule rejected: " + v_brute.message;
+
+    // Finite-deadline decide() on the same solver: the optimum is
+    // reachable and one unit less is proven unreachable.
+    const SolveResult at = solver.decide(brute.makespan);
+    if (!at.feasible() || at.makespan > brute.makespan)
+        return ctx + ": decide(optimum) found no schedule";
+    const OracleVerdict v_at = verifySolverSchedule(sp, at.starts);
+    if (!v_at.ok)
+        return ctx + ": decide schedule rejected: " + v_at.message;
+    if (solver.decide(brute.makespan - 1).status != SolveStatus::Infeasible)
+        return ctx + ": decide(optimum - 1) not proven infeasible";
     return "";
 }
 
@@ -122,23 +134,6 @@ TEST(Differential, BnbMatchesBruteForceOnWideResourceSets)
     // blocks whose masks need a second word.
     EXPECT_GT(wide, 20);
     EXPECT_GT(multiword, 10);
-}
-
-TEST(Differential, BinarySearchAgreesWithDirectMinimization)
-{
-    Rng rng(0xb1a5);
-    RandomInstanceParams params;
-    for (int i = 0; i < 40; ++i) {
-        const SolverProblem sp = randomInstance(rng, params);
-        BnbSolver a(sp);
-        const SolveResult direct = a.minimizeMakespan();
-        BnbSolver b(sp);
-        const SolveResult bin = b.binarySearchMakespan();
-        ASSERT_EQ(direct.feasible(), bin.feasible()) << "instance " << i;
-        if (direct.feasible()) {
-            EXPECT_EQ(direct.makespan, bin.makespan) << "instance " << i;
-        }
-    }
 }
 
 TEST(Differential, VerifierRejectsCorruptedSchedules)

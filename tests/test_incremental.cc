@@ -1,12 +1,13 @@
 /**
  * @file
- * Counter-regression tests for the persistent dominance memo: it must
- * leave binarySearchMakespan's answer unchanged while reusing proofs
- * from earlier decide() rounds, and decide() sequences must stay sound.
- * The instances are fixed (GPT M-shape, mT5 NN-shape) and every solver
- * involved is deterministic, so the assertions pin exact node and reuse
- * counts, not just statistical tendencies. (The warm-started period
- * kernel is pinned by test_mcr's golden and warm-vs-cold tests.)
+ * Counter-regression tests for single branch-and-bound solves: one
+ * minimizeMakespan() and one decide(kUnlimitedMem) per instance, the two
+ * calls the phase search makes. The instances are fixed (GPT M-shape,
+ * mT5 NN-shape) and the solver is deterministic, so the assertions pin
+ * exact makespans and node, memo-hit and bound-prune counts, not just
+ * statistical tendencies. A solver called more than once must answer
+ * exactly like fresh solvers. (The warm-started period kernel is pinned
+ * by test_mcr's golden and warm-vs-cold tests.)
  */
 
 #include <gtest/gtest.h>
@@ -20,82 +21,96 @@
 namespace tessel {
 namespace {
 
-/** Expected binarySearchMakespan outcome on one fixed instance. */
-struct MemoGolden
+/** Expected single-solve outcomes on one fixed instance. */
+struct SolveGolden
 {
     int microbatches;
+    // minimizeMakespan()
     Time makespan;
     uint64_t nodes;
-    uint64_t memoReused;
+    uint64_t memoHits;
+    uint64_t boundPrunes;
+    // decide(kUnlimitedMem): the first leaf the search reaches.
+    Time decideMakespan;
+    uint64_t decideNodes;
+    uint64_t decideMemoHits;
 };
 
 /**
- * Run binarySearchMakespan on @p shape (4 devices, memory cap 4) for
- * each golden row, pinning the exact node and memo-reuse counts. The
- * golden counts were captured while a clear-every-round baseline still
- * ran alongside and expanded strictly more nodes in aggregate.
+ * Solve @p shape (4 devices, memory cap 4) once per call kind for each
+ * golden row. The memory cap derails the est/tail greedy first dive, so
+ * the first leaf is not optimal and minimization prunes real subtrees.
  */
 void
-expectMemoGolden(const Placement &shape,
-                 const std::vector<MemoGolden> &golden)
+expectSolveGolden(const Placement &shape,
+                  const std::vector<SolveGolden> &golden)
 {
-    // The memory cap matters: it derails the est/tail greedy first
-    // dive, so the binary search runs real SAT rounds with shrinking
-    // deadlines (the regime cross-round proofs accelerate). Unlimited
-    // memory makes the first dive optimal and every later round UNSAT
-    // at a *rising* deadline, which proofs can never cover.
-    uint64_t reused = 0;
-    for (const MemoGolden &g : golden) {
+    for (const SolveGolden &g : golden) {
         Problem prob(shape, g.microbatches, 4);
         const SolverProblem sp = buildFullInstance(prob);
-        BnbSolver solver(sp);
-        const SolveResult r = solver.binarySearchMakespan();
-        ASSERT_TRUE(r.feasible());
-        EXPECT_EQ(r.makespan, g.makespan);
-        // Cross-check against direct minimization on a fresh solver.
-        BnbSolver direct(sp);
-        EXPECT_EQ(direct.minimizeMakespan().makespan, r.makespan);
-        EXPECT_EQ(r.stats.nodes, g.nodes) << "n=" << g.microbatches;
-        EXPECT_EQ(r.stats.memoReused, g.memoReused)
+
+        BnbSolver minimize(sp);
+        const SolveResult m = minimize.minimizeMakespan();
+        ASSERT_EQ(m.status, SolveStatus::Optimal) << "n=" << g.microbatches;
+        EXPECT_EQ(m.makespan, g.makespan) << "n=" << g.microbatches;
+        EXPECT_EQ(m.stats.nodes, g.nodes) << "n=" << g.microbatches;
+        EXPECT_EQ(m.stats.memoHits, g.memoHits) << "n=" << g.microbatches;
+        EXPECT_EQ(m.stats.boundPrunes, g.boundPrunes)
             << "n=" << g.microbatches;
         // The ready list is maintained incrementally: its insertion
         // count is bounded by dependency-edge work per node, not
         // nodes x blocks.
-        EXPECT_GT(r.stats.readyPushes, 0u);
-        EXPECT_LT(r.stats.readyPushes,
-                  r.stats.nodes * sp.blocks.size() + sp.blocks.size());
-        reused += r.stats.memoReused;
+        EXPECT_GT(m.stats.readyPushes, 0u);
+        EXPECT_LT(m.stats.readyPushes,
+                  m.stats.nodes * sp.blocks.size() + sp.blocks.size());
+
+        BnbSolver decide(sp);
+        const SolveResult d = decide.decide(kUnlimitedMem);
+        ASSERT_TRUE(d.feasible()) << "n=" << g.microbatches;
+        EXPECT_EQ(d.makespan, g.decideMakespan) << "n=" << g.microbatches;
+        EXPECT_EQ(d.stats.nodes, g.decideNodes) << "n=" << g.microbatches;
+        EXPECT_EQ(d.stats.memoHits, g.decideMemoHits)
+            << "n=" << g.microbatches;
     }
-    EXPECT_GT(reused, 0u);
 }
 
-TEST(IncrementalSolver, PersistentMemoMShapeGolden)
+TEST(IncrementalSolver, MShapeSingleSolveGolden)
 {
-    expectMemoGolden(makeMShape(4), {{2, 27, 342, 0}, {3, 42, 1954, 48}});
+    expectSolveGolden(makeMShape(4), {{2, 27, 161, 46, 23, 27, 23, 0},
+                                      {3, 42, 1431, 390, 270, 54, 34, 0}});
 }
 
-TEST(IncrementalSolver, PersistentMemoNnShapeGolden)
+TEST(IncrementalSolver, NnShapeSingleSolveGolden)
 {
-    expectMemoGolden(makeNnShape(4), {{2, 50, 815, 47}, {3, 73, 3216, 94}});
+    expectSolveGolden(makeNnShape(4), {{2, 50, 305, 65, 61, 51, 53, 6},
+                                       {3, 73, 1545, 473, 210, 78, 87, 9}});
 }
 
-TEST(IncrementalSolver, PersistentMemoDecideSequencesStaySound)
+TEST(IncrementalSolver, ReusedSolverAgreesWithFreshSolvers)
 {
-    // Manual decide() sequences with non-monotone deadlines: proof
-    // levels must only prune rounds they cover, so every answer has to
-    // match a fresh solver's (whose first decide() starts from an empty
-    // memo, i.e. the cold answer).
+    // Manual decide() sequences with non-monotone deadlines on one
+    // solver: every call starts from an empty memo, so each verdict and
+    // node count must match a fresh solver's, and a deadline is
+    // reachable exactly when it is at least the optimum.
     Problem prob(makeVShape(4), 3);
     const SolverProblem sp = buildFullInstance(prob);
-    BnbSolver persistent(sp);
+    BnbSolver reused(sp);
     BnbSolver probe(sp);
-    const Time opt = probe.minimizeMakespan().makespan;
+    const SolveResult best = probe.minimizeMakespan();
+    ASSERT_EQ(best.status, SolveStatus::Optimal);
+    const Time opt = best.makespan;
     for (const Time d :
          {opt - 1, opt, opt + 5, opt - 2, opt + 1, opt - 1, opt}) {
         BnbSolver fresh(sp);
-        EXPECT_EQ(persistent.decide(d).feasible(), fresh.decide(d).feasible())
-            << "deadline " << d;
+        const SolveResult a = reused.decide(d);
+        const SolveResult b = fresh.decide(d);
+        EXPECT_EQ(a.status, b.status) << "deadline " << d;
+        EXPECT_EQ(a.stats.nodes, b.stats.nodes) << "deadline " << d;
+        EXPECT_EQ(a.feasible(), d >= opt) << "deadline " << d;
     }
+    const SolveResult again = reused.minimizeMakespan();
+    EXPECT_EQ(again.makespan, opt);
+    EXPECT_EQ(again.stats.nodes, best.stats.nodes);
 }
 
 } // namespace

@@ -327,10 +327,9 @@ writeStatsJson(const std::string &path, const BatchReport &report)
  * --chaos overlays a drift or failure knob on every line, one injection
  * class per variant so a single replayed trace walks every replan path:
  * device failure on the hetero V line, speed drift on the remaining
- * hetero lines (incremental re-lowering), a link-parameter drift on the
- * mem-capped lines (structure-changing — falls back to a fresh
- * lowering), and a mild speed drift on the homogeneous lines (trivial
- * base cluster turning non-trivial).
+ * hetero lines, a link-parameter drift on the mem-capped lines (the
+ * charged link adds comm blocks), and a mild speed drift on the
+ * homogeneous lines (trivial base cluster turning non-trivial).
  */
 int
 runEmitTrace(const Args &args)
