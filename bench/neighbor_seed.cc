@@ -7,8 +7,8 @@
  * then sweep the canonical one-knob perturbation of every stored query:
  * one more micro-batch of NR-sweep headroom (maxRepetendMicrobatches
  * + 1). Each perturbed query fingerprints differently from everything
- * stored (budget-class knobs are hashed), so it can never be a cache
- * hit; it is answered twice:
+ * stored (the NR cap is hashed), so it can never be a cache hit; it is
+ * answered twice:
  *
  *   cold — a service with seeding disabled on an empty directory
  *          (the full Algorithm 1 sweep), and
@@ -60,13 +60,13 @@ envDouble(const char *name, double fallback)
 
 /** The canonical one-knob perturbation of every stored query: one more
  * micro-batch of NR-sweep headroom. The placement, cluster, memory
- * model, and budgets all stay put, so the neighbor index maps each
- * perturbed query straight back to its base instance and adaptation
- * takes the fast path with exactly-reusable phase schedules; the
- * deeper sweep itself still runs for real on both sides. (Cost-moving
- * knobs — link speeds, an extra stage — are exercised by
- * tests/test_neighbor.cc; this bench measures the sweep-dominated
- * regime the ISSUE's speedup target names.) */
+ * model, node cap and deadlines all stay put, so the neighbor index
+ * maps each perturbed query straight back to its base instance and
+ * adaptation takes the fast path with exactly-reusable phase
+ * schedules; the deeper sweep itself still runs for real on both
+ * sides. (Cost-moving knobs — link speeds, an extra stage — are
+ * exercised by tests/test_neighbor.cc; this bench measures the
+ * sweep-dominated regime its speedup floor gates.) */
 std::vector<PlanQuery>
 perturbedQueries(int devices, double budget_sec)
 {

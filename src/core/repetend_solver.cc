@@ -558,6 +558,7 @@ class PeriodSearch
             return false;
         if (budget_.expired()) {
             stats_.budgetExhausted = true;
+            stats_.timedOut = true;
             return stopped_ = true;
         }
         if (opts_.cancel.cancelled()) {
@@ -584,6 +585,7 @@ class PeriodSearch
             return false;
         if (budget_.expired()) {
             stats_.budgetExhausted = true;
+            stats_.timedOut = true;
             return stopped_ = true;
         }
         if (opts_.cancel.cancelled()) {

@@ -85,7 +85,7 @@ tesselReplan(const Placement &placement, const TesselOptions &drifted,
     if (seed.ok)
         opts.seed = &seed.seed;
     TesselResult result = tesselSearch(placement, opts);
-    result.breakdown.merge(seed.work);
+    result.breakdown.mergeSeedWork(seed.work);
     if (info)
         *info = std::move(seed);
     return result;

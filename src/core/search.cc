@@ -89,10 +89,12 @@ postWindowMem(const Placement &placement, const RepetendAssignment &assign,
     return mem;
 }
 
-/** Fold one inner solve's effort counters into the breakdown. */
+/** Fold one inner solve's effort counters, and whether the wall clock
+ * cut it, into the breakdown. */
 void
 addSolveStats(SearchBreakdown &breakdown, const SolveStats &stats)
 {
+    breakdown.budgetExhausted |= stats.timedOut;
     breakdown.solverNodes += stats.nodes;
     breakdown.valueSweeps += stats.valueSweeps;
     breakdown.policyImprovements += stats.policyImprovements;
@@ -118,23 +120,34 @@ seedPhasePriority(const SearchSeed *seed, const std::vector<BlockRef> &refs)
     return prio;
 }
 
+/** BnB options of every warmup/cooldown solve: the query's deadline and
+ * node cap. */
+SolverOptions
+phaseSolverOptions(const TesselOptions &options, const CancelToken &cancel)
+{
+    SolverOptions so;
+    so.timeBudgetSec = options.phaseBudgetSec;
+    so.nodeLimit = options.phaseNodeLimit;
+    so.cancel = cancel;
+    return so;
+}
+
 /** Satisfiability check: does any valid schedule of the phase exist?
- * @p seed orders the first dive only; the verdict is seed-invariant. */
+ * @p options.seed orders the first dive only; the verdict is
+ * seed-invariant. */
 bool
 phaseSatisfiable(const Placement &placement,
                  const std::vector<BlockRef> &refs,
-                 const std::vector<Mem> &entry_mem, Mem mem_limit,
-                 double budget_sec, const CancelToken &cancel,
-                 const SearchSeed *seed, SearchBreakdown &breakdown)
+                 const std::vector<Mem> &entry_mem,
+                 const TesselOptions &options, const CancelToken &cancel,
+                 SearchBreakdown &breakdown)
 {
     if (refs.empty())
         return true;
-    PhaseInstance inst =
-        buildPhase(placement, refs, entry_mem, mem_limit, nullptr, nullptr);
-    const std::vector<Time> prio = seedPhasePriority(seed, refs);
-    SolverOptions so;
-    so.timeBudgetSec = budget_sec;
-    so.cancel = cancel;
+    PhaseInstance inst = buildPhase(placement, refs, entry_mem,
+                                    options.memLimit, nullptr, nullptr);
+    const std::vector<Time> prio = seedPhasePriority(options.seed, refs);
+    SolverOptions so = phaseSolverOptions(options, cancel);
     if (!prio.empty())
         so.seedPriority = &prio;
     BnbSolver solver(inst.sp, so);
@@ -203,10 +216,7 @@ completeRepetendPlan(const Placement &placement,
             PhaseInstance inst = buildPhase(placement, warm_refs, entry,
                                             options.memLimit, nullptr,
                                             nullptr);
-            SolverOptions so;
-            so.timeBudgetSec = options.phaseBudgetSec;
-            so.cancel = cancel;
-            BnbSolver solver(inst.sp, so);
+            BnbSolver solver(inst.sp, phaseSolverOptions(options, cancel));
             const SolveResult r = solver.minimizeMakespan();
             breakdown.warmupSeconds += watch.seconds();
             addSolveStats(breakdown, r.stats);
@@ -259,10 +269,7 @@ completeRepetendPlan(const Placement &placement,
                 placement, cool_refs,
                 postWindowMem(placement, assign, options.initialMem),
                 options.memLimit, &avail_after_window, &external);
-            SolverOptions so;
-            so.timeBudgetSec = options.phaseBudgetSec;
-            so.cancel = cancel;
-            BnbSolver solver(inst.sp, so);
+            BnbSolver solver(inst.sp, phaseSolverOptions(options, cancel));
             const SolveResult r = solver.minimizeMakespan();
             breakdown.cooldownSeconds += watch.seconds();
             addSolveStats(breakdown, r.stats);
@@ -453,8 +460,7 @@ class SweepState
                 ++local.satChecks;
                 accept = phaseSatisfiable(
                     placement_, warmupBlocks(placement_, assign), entry_,
-                    options_.memLimit, options_.phaseBudgetSec, token,
-                    options_.seed, local);
+                    options_, token, local);
                 local.warmupSeconds += w_watch.seconds();
                 if (accept) {
                     Stopwatch c_watch;
@@ -463,8 +469,7 @@ class SweepState
                         placement_, cooldownBlocks(placement_, assign),
                         postWindowMem(placement_, assign,
                                       options_.initialMem),
-                        options_.memLimit, options_.phaseBudgetSec, token,
-                        options_.seed, local);
+                        options_, token, local);
                     local.cooldownSeconds += c_watch.seconds();
                 }
             } else {
@@ -602,8 +607,7 @@ serialSweep(const Placement &enum_placement, const CommExpansion *expansion,
                     ++result.breakdown.satChecks;
                     const bool sat_w = phaseSatisfiable(
                         placement, warmupBlocks(placement, assign), entry,
-                        options.memLimit, options.phaseBudgetSec,
-                        options.cancel, options.seed, result.breakdown);
+                        options, options.cancel, result.breakdown);
                     result.breakdown.warmupSeconds += w_watch.seconds();
                     if (!sat_w)
                         return true;
@@ -613,8 +617,7 @@ serialSweep(const Placement &enum_placement, const CommExpansion *expansion,
                         placement, cooldownBlocks(placement, assign),
                         postWindowMem(placement, assign,
                                       options.initialMem),
-                        options.memLimit, options.phaseBudgetSec,
-                        options.cancel, options.seed, result.breakdown);
+                        options, options.cancel, result.breakdown);
                     result.breakdown.cooldownSeconds += c_watch.seconds();
                     if (!sat_c)
                         return true;

@@ -77,12 +77,25 @@ struct TesselOptions
     /** Lazy-search optimization (Sec. V): SAT-only completion checks in
      * the loop, one time-optimal completion at the end. */
     bool lazy = true;
-    /** Wall budget for the whole search (<= 0: unlimited). */
+    /**
+     * Serving deadlines (<= 0: none): wall budgets for the whole
+     * search, per repetend candidate solve and per warmup/cooldown
+     * solve. They bound how long a caller waits, not what the plan is:
+     * a search one of them cuts short still returns its best-so-far,
+     * but flags it (SearchBreakdown::budgetExhausted) and the service
+     * never stores it. So they are not part of the fingerprint.
+     */
     double totalBudgetSec = 0.0;
-    /** Wall budget per repetend candidate solve. */
     double repetendBudgetSec = 2.0;
-    /** Wall budget per warmup/cooldown solve. */
     double phaseBudgetSec = 10.0;
+    /**
+     * Node cap per warmup/cooldown BnB solve, both the final completion
+     * and the lazy sweep's satisfiability checks (0: unlimited). A solve
+     * that reaches it keeps its best schedule, unproven. Unlike the wall
+     * budgets it is deterministic, so it is fingerprinted: a plan is a
+     * pure function of its fingerprint on any host at any load.
+     */
+    uint64_t phaseNodeLimit = 2'500'000;
     /**
      * Worker threads for the per-NR candidate sweep. 0 picks
      * hardware_concurrency(); 1 runs the exact legacy serial path.
@@ -142,7 +155,10 @@ struct SearchBreakdown
     uint64_t memoReused = 0;
     int threadsUsed = 1;          ///< sweep worker count actually used
     bool earlyExit = false;       ///< lower bound reached (Algorithm 1 L19)
-    bool budgetExhausted = false; ///< totalBudgetSec tripped
+    /** A wall deadline (totalBudgetSec, repetendBudgetSec or
+     * phaseBudgetSec) cut this search short, so the result may depend
+     * on host speed: served, but never cached. */
+    bool budgetExhausted = false;
     /** Makespan of the warm-start seed plan (-1: search ran unseeded);
      * merged by max so the provenance survives worker folds. */
     Time seedMakespan = -1;
@@ -178,6 +194,20 @@ struct SearchBreakdown
                            ? seedMakespan
                            : other.seedMakespan;
         seededNodesPruned += other.seededNodesPruned;
+        return *this;
+    }
+
+    /**
+     * Fold a warm-start seed's adaptation work into this breakdown:
+     * every counter, never the deadline flag. A seed only prunes, so a
+     * deadline that cut the adaptation short cannot change the plan.
+     */
+    SearchBreakdown &
+    mergeSeedWork(const SearchBreakdown &work)
+    {
+        const bool cut = budgetExhausted;
+        merge(work);
+        budgetExhausted = cut;
         return *this;
     }
 };
@@ -255,7 +285,8 @@ struct ReplanSeed
      * feasible against the drifted query (not necessarily optimal);
      * valid when ok. This is the `stale=true` fallback answer. */
     TesselResult retimedResult;
-    /** Solver work the adaptation spent (merge into the breakdown). */
+    /** Solver work the adaptation spent (merge into the breakdown with
+     * SearchBreakdown::mergeSeedWork). */
     SearchBreakdown work;
 };
 

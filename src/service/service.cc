@@ -116,7 +116,7 @@ trySeedFromNeighbors(PlanCache &cache, const Placement &placement,
         if (!stored)
             continue;
         // Exact phase reuse is licensed only when the stored instance's
-        // phase-relevant options (budgets, memory model) digest equals
+        // phase-relevant options (node cap, memory model) digest equals
         // the query's — adaptation then proves placement identity on
         // its own before trusting the attestation.
         InstanceMeta stored_meta;
@@ -167,6 +167,7 @@ recordAnswer(const SharedPlan &plan, TraceSpan &span, QueryReport *report)
         return;
     report->planHash = plan.digest.hex();
     report->found = result.found;
+    report->deadlineHit = result.breakdown.budgetExhausted;
     report->period = result.period;
     report->valueSweeps = result.breakdown.valueSweeps;
     report->policyImprovements = result.breakdown.policyImprovements;
@@ -348,7 +349,7 @@ PlanningService::searchMiss(const PlanQuery &query, const TesselOptions &eff,
         }
     }
     TesselResult result = tesselSearch(query.placement, opts);
-    result.breakdown.merge(seed.work);
+    result.breakdown.mergeSeedWork(seed.work);
     if (report) {
         report->source = "search";
         if (seed.seeded) {
@@ -358,11 +359,11 @@ PlanningService::searchMiss(const PlanQuery &query, const TesselOptions &eff,
         }
     }
     // A search that observed a cancellation (daemon shutdown, batch
-    // abort) may have been truncated mid-sweep; its answer is valid for
-    // *this* caller but must not be cached — cancellation is not part
-    // of the fingerprint, so an uncancelled future query would be
+    // abort) or that a wall deadline cut short may have been truncated;
+    // its answer is valid for *this* caller but must not be cached —
+    // neither is part of the fingerprint, so a future query would be
     // served the truncated plan as if fully searched.
-    if (eff.cancel.cancelled())
+    if (eff.cancel.cancelled() || result.breakdown.budgetExhausted)
         return makeSharedPlan(std::move(result));
     return cache_.put(fp, query.placement, eff, std::move(result));
 }
@@ -561,10 +562,11 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
     if (report)
         report->seedMakespan = task->seed.seed.makespan;
 
-    // The full replan runs with the query's own (fingerprinted) budgets
+    // The full replan runs with the query's own node cap and deadlines
     // — replanBudgetSec bounds only how long this caller *waits*, never
     // how hard the search tries, so the published plan is bit-identical
-    // to a cold search of the drifted instance.
+    // to a cold search of the drifted instance. Like searchMiss, it
+    // publishes nothing that a cancel or a deadline cut short.
     auto promise = std::make_shared<std::promise<SharedPlan>>();
     std::future<SharedPlan> future = promise->get_future();
     auto done = std::make_shared<std::atomic<bool>>(false);
@@ -572,9 +574,9 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
         TesselOptions opts = task->effective;
         opts.seed = &task->seed.seed;
         TesselResult result = tesselSearch(task->query.placement, opts);
-        result.breakdown.merge(task->seed.work);
+        result.breakdown.mergeSeedWork(task->seed.work);
         promise->set_value(
-            opts.cancel.cancelled()
+            opts.cancel.cancelled() || result.breakdown.budgetExhausted
                 ? makeSharedPlan(std::move(result))
                 : cache_.put(task->fingerprint, task->query.placement,
                              task->effective, std::move(result)));
@@ -670,12 +672,13 @@ referenceShapeQuery(const std::string &shape, const std::string &variant,
     if (!known || num_devices < 2 || num_devices % 2 != 0)
         return std::nullopt;
 
+    // The node cap bounds the work, so no budget means no deadline.
     TesselOptions base;
-    base.totalBudgetSec = budget_sec;
+    base.totalBudgetSec = budget_sec > 0.0 ? budget_sec : 0.0;
     base.repetendBudgetSec =
-        budget_sec > 0.0 ? std::min(1.0, budget_sec) : 1.0;
+        budget_sec > 0.0 ? std::min(1.0, budget_sec) : 0.0;
     base.phaseBudgetSec =
-        budget_sec > 0.0 ? std::min(5.0, budget_sec) : 5.0;
+        budget_sec > 0.0 ? std::min(5.0, budget_sec) : 0.0;
 
     PlanQuery query;
     query.label = shape + "/" + variant;

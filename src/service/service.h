@@ -102,6 +102,12 @@ struct QueryReport
     bool stale = false;
     /** Answered on a survivor placement after a device failure. */
     bool degraded = false;
+    /**
+     * A wall deadline (the query's budgets) cut the search behind this
+     * answer short: the plan is the best found in time, may depend on
+     * host speed, and was not stored. A repeat searches again.
+     */
+    bool deadlineHit = false;
 };
 
 /**
@@ -181,7 +187,8 @@ struct ServiceOptions
      * way by the search's determinism contract.
      */
     int numThreads = 0;
-    /** > 0 overrides every query's totalBudgetSec. */
+    /** > 0 overrides every query's totalBudgetSec (a deadline, so the
+     * fingerprint does not change). */
     double perQueryBudgetSec = 0.0;
     /**
      * On a store miss, consult the neighbor index and warm-start the
@@ -194,9 +201,10 @@ struct ServiceOptions
      * Latency budget replan() gives the seeded foreground search
      * before falling back to the stale retimed answer (<= 0: always
      * wait for the fresh plan — no stale answers). The budget gates
-     * only *waiting*: the search always runs to completion with the
-     * query's own fingerprinted budgets and publishes to the store,
-     * in the background when the caller stopped waiting.
+     * only *waiting*: the search always runs to completion under the
+     * query's own fingerprinted node cap and deadlines, and publishes
+     * to the store (in the background when the caller stopped
+     * waiting) unless a deadline cut it short.
      */
     double replanBudgetSec = 1.0;
     /** Batch-wide cancellation, linked into every search. */
@@ -248,15 +256,17 @@ class PlanningService
      * at a time per service (concurrent runOne() calls are fine — the
      * daemon path uses those).
      *
-     * Results whose search observed a cancellation are NOT admitted to
-     * the cache: cancellation is not part of the fingerprint, so a
-     * truncated answer must never be served to an uncancelled query.
+     * Results whose search observed a cancellation or was cut short by
+     * a wall deadline are NOT admitted to the cache: neither is part of
+     * the fingerprint, so a truncated answer must never be served to
+     * another query (QueryReport::deadlineHit flags the latter).
      */
     BatchReport runBatch(const std::vector<PlanQuery> &queries);
 
     /**
      * Answer one query: the memory or verified disk tier, else the
-     * neighbor-seeded search (admitted to the cache unless cancelled).
+     * neighbor-seeded search (admitted to the cache unless cancelled or
+     * cut short by a deadline).
      * A cache hit returns the memory-tier resident itself — no copy —
      * and @p report's plan hash is the digest the resident was admitted
      * with, so a hot answer never re-serializes its plan. The result is
@@ -334,7 +344,8 @@ class PlanningService
 
     /** Miss pipeline shared by both answer paths and runBatch:
      * neighbor seeding, the search (single-threaded when @p serial),
-     * cache admission unless cancelled, report source and seed fields.
+     * cache admission unless cancelled or cut by a deadline, report
+     * source and seed fields.
      * @return the admitted resident, or the digested uncached result. */
     SharedPlan searchMiss(const PlanQuery &query, const TesselOptions &eff,
                           const Hash128 &fp, bool serial,
@@ -388,7 +399,9 @@ class PlanningService
  *
  * @param num_devices device count per shape (K needs it even, >= 2).
  * @param include_hetero add makeHeteroShapeByName comm-aware variants.
- * @param budget_sec per-query total search budget (<= 0: unlimited).
+ * @param budget_sec per-query wall deadline (<= 0: none); answers it
+ *        cuts short are served but not cached. Not part of the
+ *        fingerprint: the phase node cap bounds the work.
  */
 std::vector<PlanQuery> referenceShapeQueries(int num_devices,
                                              bool include_hetero = true,

@@ -555,6 +555,8 @@ formatResponseLine(const std::string &id, const ServiceLoop::Response &resp)
             os << ", \"stale\": true";
         if (resp.report.degraded)
             os << ", \"degraded\": true";
+        if (resp.report.deadlineHit)
+            os << ", \"deadline_hit\": true";
     }
     if (resp.cancelled)
         os << ", \"cancelled\": true";

@@ -131,7 +131,8 @@ std::optional<ReplanRequest> makeTraceReplan(const TraceQuery &q,
 /**
  * Serialize one daemon response as a JSON line (no trailing newline):
  * id, label, admission verdict, fingerprint, plan hash, source,
- * found/period/wall_sec, and the error message when any.
+ * found/period/wall_sec, the replanned/stale/degraded/deadline_hit
+ * flags when set, and the error message when any.
  */
 std::string formatResponseLine(const std::string &id,
                                const ServiceLoop::Response &resp);

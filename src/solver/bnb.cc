@@ -344,6 +344,7 @@ struct BnbSolver::Impl
         } else if ((stats.nodes & 1023) == 0) {
             if (budget.expired()) {
                 stats.budgetExhausted = true;
+                stats.timedOut = true;
                 provenInfeasibleDisabled = true;
                 stop = true;
             } else if (opts.cancel.cancelled()) {

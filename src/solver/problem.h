@@ -73,7 +73,13 @@ struct SolveStats
 {
     uint64_t nodes = 0;
     double seconds = 0.0;
+    /** A node cap, the wall clock or (period core) a cancel stopped
+     *  the solve before it finished: the result is unproven. */
     bool budgetExhausted = false;
+    /** The wall clock (timeBudgetSec) stopped the solve. Only a clock
+     *  trip sets it, so a node-cap or cancel stop leaves it false: it
+     *  marks the one stop whose result depends on host speed. */
+    bool timedOut = false;
     bool cancelled = false; ///< a CancelToken stopped the solve
     uint64_t memoHits = 0;
     uint64_t boundPrunes = 0;
@@ -103,6 +109,7 @@ struct SolveStats
         nodes += other.nodes;
         seconds += other.seconds;
         budgetExhausted |= other.budgetExhausted;
+        timedOut |= other.timedOut;
         cancelled |= other.cancelled;
         memoHits += other.memoHits;
         boundPrunes += other.boundPrunes;

@@ -13,6 +13,14 @@ namespace tessel {
 
 namespace {
 
+/**
+ * Node cap per phase solve of a retimed seed. A seed's phases only need
+ * to be feasible, so adaptation stops well short of the search's cap;
+ * a work cap rather than a clock keeps seeds, and the stale answers
+ * built from them, independent of host speed.
+ */
+constexpr uint64_t kAdaptPhaseNodeLimit = 600'000;
+
 /** @return an AdaptOutcome that failed with @p reason. */
 AdaptOutcome
 fail(std::string reason)
@@ -253,10 +261,13 @@ adaptResultToQuery(const Placement &placement, const TesselOptions &options,
 
     // A seed's phases only need to be *feasible* — the seed is a virtual
     // incumbent, never the returned plan — so don't pay the search's full
-    // per-phase optimization budget here. If the clamped completion fails
-    // we merely fall back cold, losing the seed, not correctness.
+    // per-phase node cap here. If the capped completion fails we merely
+    // fall back cold, losing the seed, not correctness.
     TesselOptions adapt_opts = eff;
-    adapt_opts.phaseBudgetSec = std::min(eff.phaseBudgetSec, 0.5);
+    adapt_opts.phaseNodeLimit =
+        eff.phaseNodeLimit > 0
+            ? std::min(eff.phaseNodeLimit, kAdaptPhaseNodeLimit)
+            : kAdaptPhaseNodeLimit;
     std::optional<TesselPlan> plan =
         completeRepetendPlan(*solve_placement, assign, sched, adapt_opts,
                              out.breakdown, eff.cancel);

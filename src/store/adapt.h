@@ -21,11 +21,12 @@
  *  3. Fast path — reuse the neighbor's timing verbatim, re-deriving the
  *     period from the query's spans, and run the full store
  *     verification oracle. Identical-cost neighbors (e.g. same shape,
- *     different budget knob) adapt in microseconds.
+ *     different NR or node cap) adapt in microseconds.
  *  4. Retime path — when reused timing fails verification (spans
  *     actually moved), re-solve the repetend window and phases for the
- *     known-good assignment with the existing exact machinery. One
- *     candidate solve instead of a sweep over all of them.
+ *     known-good assignment with the existing exact machinery, each
+ *     phase solve under a fixed node cap. One candidate solve instead
+ *     of a sweep over all of them.
  *
  * Every outcome that reports ok passed verifyResultAgainstQuery, so the
  * adapted plan is a *feasible* answer by itself; the search then only

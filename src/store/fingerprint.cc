@@ -115,13 +115,12 @@ hashOptions(Hasher &h, const TesselOptions &options)
 
     h.addI32(options.maxRepetendMicrobatches);
     h.addBool(options.lazy);
-    h.addDouble(options.totalBudgetSec);
-    h.addDouble(options.repetendBudgetSec);
-    h.addDouble(options.phaseBudgetSec);
-    // numThreads, cancel, the warm-start seed, and the MCR mode (both
-    // inner solvers return bit-identical periods and starts) are
-    // plan-invariant by the search's contracts and deliberately not
-    // hashed.
+    h.addU64(options.phaseNodeLimit);
+    // numThreads, cancel, the warm-start seed, and the three wall
+    // budgets are plan-invariant by the search's contracts and
+    // deliberately not hashed: a search a deadline cut short is
+    // flagged and never stored, so every stored plan is the one the
+    // node cap alone determines.
 }
 
 /** The comm-aware predicate of core/search.cc. */
@@ -192,12 +191,11 @@ phaseOptionsDigest(const TesselOptions &options)
     Hasher h(kPhaseDomain);
     h.addU64(kFingerprintVersion);
 
-    // Budgets first: completeRepetendPlan runs each phase minimize
-    // under phaseBudgetSec and the whole search under totalBudgetSec; a
-    // truncated minimize returns its best-so-far, so either budget
-    // moving can move the phase schedules.
-    h.addDouble(options.totalBudgetSec);
-    h.addDouble(options.phaseBudgetSec);
+    // The node cap first: completeRepetendPlan runs each phase
+    // minimize under phaseNodeLimit, and a capped minimize returns its
+    // best-so-far, so moving the cap can move the phase schedules. The
+    // wall budgets cannot: a completion they cut is never stored.
+    h.addU64(options.phaseNodeLimit);
 
     // Memory shapes the phase instances themselves.
     h.addI64(options.memLimit);

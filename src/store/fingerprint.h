@@ -30,11 +30,15 @@
  *    (the search guarantees bit-identical plans for the two);
  *  - plan-invariant options: numThreads and the CancelToken are
  *    excluded (any thread count returns the same plan by construction),
- *    as is the placement's display name.
+ *    as is the placement's display name;
+ *  - serving deadlines: totalBudgetSec, repetendBudgetSec and
+ *    phaseBudgetSec are excluded. A search one of them cut short is
+ *    flagged (SearchBreakdown::budgetExhausted) and never stored, so
+ *    every stored plan is one no deadline touched.
  *
- * Budget fields ARE hashed: a budget-limited search may return a
- * different (still valid) plan, so results found under one budget are
- * never served for another.
+ * The work cap phaseNodeLimit IS hashed: a capped phase solve returns
+ * its best-so-far, which depends on the cap but not on host speed, so
+ * plans found under one cap are never served for another.
  */
 
 #ifndef TESSEL_STORE_FINGERPRINT_H
@@ -51,7 +55,7 @@ namespace tessel {
  * canonicalization rules change so stale store entries (keyed by file
  * name = fingerprint) can never alias a new-scheme query.
  */
-constexpr uint32_t kFingerprintVersion = 1;
+constexpr uint32_t kFingerprintVersion = 2;
 
 /** @return the canonical 128-bit fingerprint of (placement, options). */
 Hash128 fingerprintQuery(const Placement &placement,
@@ -73,7 +77,8 @@ struct SubFingerprints
     /** Cluster/comm model, canonicalized; fixed sentinel digest for
      * homogeneous instances (null or trivial model). */
     Hash128 cluster;
-    /** Plan-relevant TesselOptions fields (budgets included). */
+    /** Plan-relevant TesselOptions fields (the phase node cap
+     * included, the wall budgets not). */
     Hash128 options;
 
     bool
@@ -96,10 +101,11 @@ SubFingerprints subFingerprintsQuery(const Placement &placement,
 
 /**
  * Digest of every option that can influence the *phase completion*
- * output for a fixed phase instance: the phase and total budgets (a
- * truncated warmup/cooldown minimize returns its best-so-far, so the
- * budget is part of the answer), the memory limit / initial memory
- * (they shape the phase instance), and the lazy flag. Plan adaptation
+ * output for a fixed phase instance: the phase node cap (a capped
+ * warmup/cooldown minimize returns its best-so-far, so the cap is part
+ * of the answer), the memory limit / initial memory (they shape the
+ * phase instance), and the lazy flag. The wall budgets are not hashed:
+ * a completion they cut is never stored. Plan adaptation
  * (store/adapt.h) may mark a seed's phase schedules as exactly
  * reusable ONLY when the stored and querying instance agree on this
  * digest — otherwise the neighbor's completion could legitimately

@@ -72,17 +72,18 @@ TEST(NeighborMeta, PhaseOptionsDigestTracksCompletionInputsOnly)
     TesselOptions deeper = base;
     deeper.maxRepetendMicrobatches += 1;
     EXPECT_EQ(phaseOptionsDigest(deeper), digest);
-    TesselOptions repetend = base;
-    repetend.repetendBudgetSec *= 2.0;
-    EXPECT_EQ(phaseOptionsDigest(repetend), digest);
+    // The wall budgets are deadlines: a completion one of them cuts
+    // short is never stored, so they share the digest too.
+    TesselOptions budgets = base;
+    budgets.repetendBudgetSec *= 2.0;
+    budgets.phaseBudgetSec *= 2.0;
+    budgets.totalBudgetSec *= 2.0;
+    EXPECT_EQ(phaseOptionsDigest(budgets), digest);
 
-    // ...while budget and memory knobs that can do not.
-    TesselOptions phase_budget = base;
-    phase_budget.phaseBudgetSec *= 2.0;
-    EXPECT_NE(phaseOptionsDigest(phase_budget), digest);
-    TesselOptions total_budget = base;
-    total_budget.totalBudgetSec *= 2.0;
-    EXPECT_NE(phaseOptionsDigest(total_budget), digest);
+    // ...while the node cap and memory knobs, which can, do not.
+    TesselOptions node_cap = base;
+    node_cap.phaseNodeLimit /= 2;
+    EXPECT_NE(phaseOptionsDigest(node_cap), digest);
     TesselOptions capped = base;
     capped.memLimit = 4;
     EXPECT_NE(phaseOptionsDigest(capped), digest);
@@ -188,14 +189,14 @@ TEST(NeighborIndex, ExcludesExactMatchAndHonorsK)
 
 // ---------------------------------------------------------- adaptation
 
-TEST(NeighborAdapt, FastPathWhenOnlyBudgetsMoved)
+TEST(NeighborAdapt, FastPathWhenOnlyNodeCapMoved)
 {
     const Placement v = makeShapeByName("V", 4);
     const TesselOptions stored_opts = quickOptions();
     const TesselResult stored = solvedResult(v, stored_opts);
 
     TesselOptions query_opts = stored_opts;
-    query_opts.totalBudgetSec = 7.5; // Fingerprint moves, costs do not.
+    query_opts.phaseNodeLimit = 1'000'000; // Fingerprint moves, costs do not.
     ASSERT_NE(fingerprintQuery(v, query_opts),
               fingerprintQuery(v, stored_opts));
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the parallel candidate sweep: serial/parallel plan identity,
- * cooperative cancellation, and mergeable stats.
+ * cooperative cancellation, mergeable stats, and node-capped phase
+ * solves that give the same plan at any thread count and under load.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +15,10 @@
 
 #include "core/search.h"
 #include "placement/shapes.h"
+#include "service/service.h"
 #include "solver/bnb.h"
 #include "solver/from_ir.h"
+#include "store/serialize.h"
 #include "support/cancel.h"
 #include "support/threadpool.h"
 #include "support/timer.h"
@@ -140,6 +143,7 @@ TEST(ParallelSearch, SolveStatsMergeIsAssociative)
     b.boundPrunes = 4;
     b.seedPrunes = 2;
     b.budgetExhausted = true;
+    b.timedOut = true;
     c.nodes = 11;
     c.seconds = 1.25;
     c.seedPrunes = 5;
@@ -159,6 +163,8 @@ TEST(ParallelSearch, SolveStatsMergeIsAssociative)
     EXPECT_EQ(left.nodes, right.nodes);
     EXPECT_DOUBLE_EQ(left.seconds, right.seconds);
     EXPECT_EQ(left.budgetExhausted, right.budgetExhausted);
+    EXPECT_EQ(left.timedOut, right.timedOut);
+    EXPECT_TRUE(left.timedOut);
     EXPECT_EQ(left.cancelled, right.cancelled);
     EXPECT_EQ(left.memoHits, right.memoHits);
     EXPECT_EQ(left.boundPrunes, right.boundPrunes);
@@ -208,6 +214,70 @@ TEST(ParallelSearch, BreakdownMergeIsAssociative)
     EXPECT_EQ(left.seededNodesPruned, right.seededNodesPruned);
     EXPECT_EQ(left.seedMakespan, 40);
     EXPECT_EQ(left.seededNodesPruned, 21u);
+}
+
+TEST(ParallelSearch, SeedWorkNeverFlagsADeadline)
+{
+    // A seed only prunes, so a deadline that cut its adaptation short
+    // cannot change the plan: its counters fold in, its flag does not.
+    SearchBreakdown result, seed_work;
+    result.solverNodes = 10;
+    seed_work.solverNodes = 5;
+    seed_work.budgetExhausted = true;
+    result.mergeSeedWork(seed_work);
+    EXPECT_EQ(result.solverNodes, 15u);
+    EXPECT_FALSE(result.budgetExhausted);
+    result.budgetExhausted = true;
+    result.mergeSeedWork(SearchBreakdown{});
+    EXPECT_TRUE(result.budgetExhausted);
+}
+
+TEST(ParallelSearch, NodeCappedPhasesSamePlanAtAnyThreadCountAndLoad)
+{
+    // M/hetero's cooldown needs about 205k nodes to finish, so a 20k
+    // cap binds. With no deadline the cap alone decides where each
+    // phase solve stops: the plan cannot depend on threads or load.
+    const PlanQuery q = *referenceShapeQuery("M", "hetero", 4, 0.0);
+    TesselOptions capped = q.effectiveOptions();
+    capped.phaseNodeLimit = 20'000;
+    auto run = [&](const TesselOptions &base, int threads) {
+        TesselOptions o = base;
+        o.numThreads = threads;
+        const TesselResult r = tesselSearch(q.placement, o);
+        EXPECT_TRUE(r.found);
+        EXPECT_FALSE(r.breakdown.budgetExhausted);
+        return r;
+    };
+
+    const TesselResult serial = run(capped, 1);
+    const std::string digest = resultPlanDigest(serial).hex();
+    EXPECT_EQ(resultPlanDigest(run(capped, 4)).hex(), digest);
+
+    // Again beside four threads that spin on the cores.
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> hogs;
+    for (int i = 0; i < 4; ++i)
+        hogs.emplace_back([&stop] {
+            while (!stop.load(std::memory_order_relaxed)) {
+            }
+        });
+    const TesselResult loaded_serial = run(capped, 1);
+    const TesselResult loaded_parallel = run(capped, 4);
+    stop = true;
+    for (std::thread &t : hogs)
+        t.join();
+    EXPECT_EQ(resultPlanDigest(loaded_serial).hex(), digest);
+    EXPECT_EQ(resultPlanDigest(loaded_parallel).hex(), digest);
+
+    // One sweep thread spends exactly the same nodes every time, and
+    // the cap really bound: uncapped phase solves spend a different
+    // count.
+    EXPECT_EQ(loaded_serial.breakdown.solverNodes,
+              serial.breakdown.solverNodes);
+    TesselOptions uncapped = capped;
+    uncapped.phaseNodeLimit = 0;
+    EXPECT_NE(run(uncapped, 1).breakdown.solverNodes,
+              serial.breakdown.solverNodes);
 }
 
 TEST(ParallelSearch, SweepSpeedsUpOnRealMulticore)

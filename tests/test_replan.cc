@@ -29,14 +29,19 @@
 namespace tessel {
 namespace {
 
-/** Fast deterministic search options for test instances. */
+/**
+ * Fast deterministic search options for test instances: no deadlines,
+ * and a node cap that keeps NN's phase solves short. Every plan is then
+ * a function of the instance alone, whatever the host's speed or load.
+ */
 TesselOptions
 quickOptions()
 {
     TesselOptions opts;
-    opts.totalBudgetSec = 5.0;
-    opts.repetendBudgetSec = 1.0;
-    opts.phaseBudgetSec = 2.0;
+    opts.totalBudgetSec = 0.0;
+    opts.repetendBudgetSec = 0.0;
+    opts.phaseBudgetSec = 0.0;
+    opts.phaseNodeLimit = 200'000;
     opts.numThreads = 1;
     return opts;
 }

@@ -48,12 +48,17 @@
 namespace tessel {
 namespace {
 
-/** Small homogeneous batch (fast; hetero variants covered separately). */
+/**
+ * Small homogeneous batch (fast; hetero variants covered separately).
+ * No deadline: the node cap bounds the work, so which plan a query gets
+ * and whether it is stored never depend on how fast the suite runs
+ * (sanitizer builds included).
+ */
 std::vector<PlanQuery>
 smallBatch()
 {
     return referenceShapeQueries(4, /*include_hetero=*/false,
-                                 /*budget_sec=*/5.0);
+                                 /*budget_sec=*/0.0);
 }
 
 ServiceOptions
@@ -191,18 +196,10 @@ TEST(PlanningService, ParallelFanOutMatchesSerial)
     std::string serial_dir, parallel_dir;
     ASSERT_TRUE(makeTempDir("tessel-svc-serial-", &serial_dir));
     ASSERT_TRUE(makeTempDir("tessel-svc-parallel-", &parallel_dir));
-    // Identical-plans-under-fan-out is only promised for searches that
-    // *complete*: a wall budget expiring mid-sweep truncates to a
-    // best-so-far that depends on how much CPU the contended pool gave
-    // this query. Debug builds push the heavyweight shapes close to the
-    // batch's 5 s budget, so give every budget enough headroom that no
-    // solve truncates even with four searches timesharing the cores.
-    std::vector<PlanQuery> batch = smallBatch();
-    for (PlanQuery &q : batch) {
-        q.options.totalBudgetSec = 60.0;
-        q.options.repetendBudgetSec = 60.0;
-        q.options.phaseBudgetSec = 60.0;
-    }
+    // Identical-plans-under-fan-out is only promised for searches no
+    // deadline cut: smallBatch() sets none, so however the contended
+    // pool shares the cores, every search stops where its node cap says.
+    const std::vector<PlanQuery> batch = smallBatch();
 
     PlanningService serial(optionsFor(serial_dir));
     ServiceOptions par_opts = optionsFor(parallel_dir);
@@ -216,7 +213,7 @@ TEST(PlanningService, ParallelFanOutMatchesSerial)
     EXPECT_EQ(b.searches, b.uniqueInstances);
 }
 
-TEST(PlanningService, PerQueryBudgetOverrideChangesIdentity)
+TEST(PlanningService, PerQueryBudgetOverrideKeepsIdentity)
 {
     std::string dir;
     ASSERT_TRUE(makeTempDir("tessel-svc-budget-", &dir));
@@ -229,16 +226,73 @@ TEST(PlanningService, PerQueryBudgetOverrideChangesIdentity)
     QueryReport base;
     service.runOne(q, &base);
 
-    // A service-level budget override is part of the effective options,
-    // hence of the fingerprint: the same query under a different budget
-    // is a different instance and must not reuse the cache entry.
+    // A service-level budget override is a deadline, not a plan input:
+    // the stored plan is the one no deadline touched, so the same query
+    // under a different budget is the same instance and reuses it.
     ServiceOptions tighter = optionsFor(dir);
     tighter.perQueryBudgetSec = 4.0;
     PlanningService tight_service(tighter);
     QueryReport tight;
     tight_service.runOne(q, &tight);
-    EXPECT_NE(tight.fingerprint, base.fingerprint);
-    EXPECT_STREQ(tight.source, "search");
+    EXPECT_EQ(tight.fingerprint, base.fingerprint);
+    EXPECT_STREQ(tight.source, "disk");
+    EXPECT_EQ(tight.planHash, base.planHash);
+}
+
+TEST(PlanningService, DeadlineCutAnswerServedFlaggedNeverStored)
+{
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-svc-deadline-", &dir));
+    PlanningService service(optionsFor(dir));
+
+    // A repetend deadline this short trips at the solver's first clock
+    // poll: the answer is served, flagged, and not stored, so a repeat
+    // searches again instead of replaying a host-speed-dependent plan.
+    PlanQuery cut = *referenceShapeQuery("V", "homogeneous", 4, 0.0);
+    cut.options.repetendBudgetSec = 1e-9;
+    for (int round = 0; round < 2; ++round) {
+        QueryReport report;
+        service.runOne(cut, &report);
+        EXPECT_TRUE(report.deadlineHit) << round;
+        EXPECT_STREQ(report.source, "search") << round;
+        ServiceLoop::Response resp;
+        resp.report = report;
+        EXPECT_NE(formatResponseLine("q", resp).find("\"deadline_hit\": true"),
+                  std::string::npos);
+    }
+
+    // The same instance without deadlines: the same fingerprint, stored,
+    // and its repeat is a memory hit.
+    PlanQuery free_run = cut;
+    free_run.options.repetendBudgetSec = 0.0;
+    QueryReport first, repeat;
+    service.runOne(free_run, &first);
+    EXPECT_EQ(first.fingerprint, service.fingerprint(cut).hex());
+    EXPECT_FALSE(first.deadlineHit);
+    EXPECT_STREQ(first.source, "search");
+    service.runOne(free_run, &repeat);
+    EXPECT_STREQ(repeat.source, "memory");
+    EXPECT_EQ(repeat.planHash, first.planHash);
+    ServiceLoop::Response resp;
+    resp.report = repeat;
+    EXPECT_EQ(formatResponseLine("q", resp).find("deadline_hit"),
+              std::string::npos);
+}
+
+TEST(PlanningService, ZeroBudgetMeansNoDeadline)
+{
+    // budget_sec <= 0 sets no deadline at all; the node cap bounds the
+    // work. Deadlines are not plan inputs, so the fingerprint is the
+    // one any budget gives.
+    const PlanQuery q = *referenceShapeQuery("NN", "hetero", 4, 0.0);
+    EXPECT_EQ(q.options.totalBudgetSec, 0.0);
+    EXPECT_EQ(q.options.repetendBudgetSec, 0.0);
+    EXPECT_EQ(q.options.phaseBudgetSec, 0.0);
+    const PlanQuery budgeted = *referenceShapeQuery("NN", "hetero", 4, 10.0);
+    EXPECT_GT(budgeted.options.phaseBudgetSec, 0.0);
+    EXPECT_EQ(fingerprintQuery(q.placement, q.effectiveOptions()),
+              fingerprintQuery(budgeted.placement,
+                               budgeted.effectiveOptions()));
 }
 
 TEST(PlanningService, HeteroQueriesServedAndVerifiedCommAware)
@@ -284,7 +338,8 @@ loopOptionsFor(const std::string &dir, int workers = 2)
 PlanQuery
 refQuery(const std::string &shape, const std::string &variant = "homogeneous")
 {
-    auto q = referenceShapeQuery(shape, variant, 4, /*budget_sec=*/5.0);
+    // No deadline, like smallBatch(): cache hits never hinge on speed.
+    auto q = referenceShapeQuery(shape, variant, 4, /*budget_sec=*/0.0);
     EXPECT_TRUE(q.has_value()) << shape << "/" << variant;
     return *q;
 }

@@ -110,11 +110,19 @@ TEST(Fingerprint, DeterministicAndSensitive)
     changed.lazy = !changed.lazy;
     EXPECT_NE(fp, fingerprintQuery(p, changed));
     changed = opts;
-    changed.totalBudgetSec += 1.0;
+    changed.phaseNodeLimit += 1;
     EXPECT_NE(fp, fingerprintQuery(p, changed));
     changed = opts;
     changed.initialMem = {1, 0, 0, 0};
     EXPECT_NE(fp, fingerprintQuery(p, changed));
+
+    // The wall budgets are serving deadlines, not plan inputs: a search
+    // one of them cuts short is never stored, so they leave it alone.
+    changed = opts;
+    changed.totalBudgetSec += 1.0;
+    changed.repetendBudgetSec = 0.0;
+    changed.phaseBudgetSec *= 3.0;
+    EXPECT_EQ(fp, fingerprintQuery(p, changed));
 
     // A different placement structure moves it too.
     EXPECT_NE(fp, fingerprintQuery(makeShapeByName("X", 4), opts));

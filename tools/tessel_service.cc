@@ -85,7 +85,9 @@ usage()
            "(default: tessel-plan-cache)\n"
            "  --devices N        devices per reference shape (default 4)\n"
            "  --threads N        miss fan-out workers (0 = hardware)\n"
-           "  --budget-sec S     per-query search budget (default 10)\n"
+           "  --budget-sec S     per-query wall deadline; answers it cuts "
+           "short are served\n"
+           "                     but not cached (<= 0: none; default 10)\n"
            "  --no-hetero        skip the heterogeneous comm-aware "
            "variants\n"
            "  --json PATH        write batch stats as JSON\n"
@@ -300,7 +302,7 @@ writeStatsJson(const std::string &path, const BatchReport &report)
             << ", \"seed_nodes_pruned\": " << q.seedNodesPruned
             << ", \"value_sweeps\": " << q.valueSweeps
             << ", \"policy_improvements\": " << q.policyImprovements
-            << "}"
+            << (q.deadlineHit ? ", \"deadline_hit\": true" : "") << "}"
             << (i + 1 < report.queries.size() ? "," : "") << "\n";
     }
     const StoreStats &cs = report.cacheStats;
