@@ -151,7 +151,7 @@ struct SearchBreakdown
      * solves. */
     uint64_t policyImprovements = 0;
     /** Always 0: every BnB solve starts from an empty dominance memo.
-     *  Kept (and still serialized) only because bench/e2e reads it. */
+     *  Kept only because bench/e2e reads it. */
     uint64_t memoReused = 0;
     int threadsUsed = 1;          ///< sweep worker count actually used
     bool earlyExit = false;       ///< lower bound reached (Algorithm 1 L19)

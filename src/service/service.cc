@@ -76,7 +76,7 @@ constexpr size_t kSeedNeighbors = 4;
 struct UniqueInstance
 {
     Hash128 fingerprint;
-    TesselOptions effective; ///< budget/cancel/threads applied
+    TesselOptions effective; ///< service cancellation linked in
     int firstQuery = 0;      ///< index of the first query mapping here
     /** Answering tier; Miss means the instance was searched. */
     PlanCache::Source source = PlanCache::Source::Miss;
@@ -153,24 +153,29 @@ sourceName(PlanCache::Source source)
 /**
  * Tag @p span with the solver effort behind @p plan, so a Perfetto
  * timeline shows what each query cost and not just how long it took,
- * and fill @p report's answer fields. The plan hash is the digest the
- * plan carries, never a re-serialization.
+ * and fill @p report's answer fields. Effort is reported only when
+ * this call @p searched: a cache hit spent none, even when the resident
+ * still carries the counts of the search that produced it. The plan
+ * hash is the digest the plan carries, never a re-serialization.
  */
 void
-recordAnswer(const SharedPlan &plan, TraceSpan &span, QueryReport *report)
+recordAnswer(const SharedPlan &plan, bool searched, TraceSpan &span,
+             QueryReport *report)
 {
     const TesselResult &result = *plan.result;
-    span.setArg("value_sweeps", result.breakdown.valueSweeps);
-    span.setArg("policy_improvements", result.breakdown.policyImprovements);
-    span.setArg("seed_nodes_pruned", result.breakdown.seededNodesPruned);
+    const SearchBreakdown none;
+    const SearchBreakdown &effort = searched ? result.breakdown : none;
+    span.setArg("value_sweeps", effort.valueSweeps);
+    span.setArg("policy_improvements", effort.policyImprovements);
+    span.setArg("seed_nodes_pruned", effort.seededNodesPruned);
     if (!report)
         return;
     report->planHash = plan.digest.hex();
     report->found = result.found;
     report->deadlineHit = result.breakdown.budgetExhausted;
     report->period = result.period;
-    report->valueSweeps = result.breakdown.valueSweeps;
-    report->policyImprovements = result.breakdown.policyImprovements;
+    report->valueSweeps = effort.valueSweeps;
+    report->policyImprovements = effort.policyImprovements;
 }
 
 } // namespace
@@ -200,8 +205,6 @@ TesselOptions
 PlanningService::resolveOptions(const PlanQuery &query) const
 {
     TesselOptions eff = query.effectiveOptions();
-    if (options_.perQueryBudgetSec > 0.0)
-        eff.totalBudgetSec = options_.perQueryBudgetSec;
     eff.cancel = eff.cancel.linked(options_.cancel);
     return eff;
 }
@@ -261,7 +264,7 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
             return;
         }
         inst.report.source = sourceName(inst.source);
-        recordAnswer(inst.plan, span, &inst.report);
+        recordAnswer(inst.plan, /*searched=*/false, span, &inst.report);
     };
     if (parallel_batch && unique.size() > 1) {
         ThreadPool &p = pool();
@@ -295,7 +298,7 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
         inst.plan = searchMiss(query, inst.effective, inst.fingerprint,
                                pooled, &inst.report);
         inst.report.wallSec = watch.seconds();
-        recordAnswer(inst.plan, span, &inst.report);
+        recordAnswer(inst.plan, /*searched=*/true, span, &inst.report);
     };
     if (parallel_batch && missing.size() > 1) {
         ThreadPool &p = pool();
@@ -308,13 +311,15 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
     }
 
     // Phase 4: per-query rows (deduplicated queries share the unique
-    // instance's answer and timing).
+    // instance's answer and timing, which `service.answer_ms` records
+    // once).
     for (size_t q = 0; q < queries.size(); ++q) {
         QueryReport &row = report.queries[q];
         row = unique[query_slot[q]].report;
         row.label = queries[q].label;
     }
     for (const UniqueInstance &inst : unique) {
+        observeAnswer(inst.report);
         if (inst.source == PlanCache::Source::Memory)
             ++report.memoryHits;
         else if (inst.source == PlanCache::Source::Disk)
@@ -387,7 +392,7 @@ PlanningService::answerResident(const PlanQuery &query, const Hash128 &fp,
         span.discard();
         return {};
     }
-    recordAnswer(plan, span, report);
+    recordAnswer(plan, /*searched=*/false, span, report);
     if (report) {
         report->label = query.label;
         report->fingerprint = fp.hex();
@@ -418,13 +423,14 @@ PlanningService::answer(const PlanQuery &query, QueryReport *report)
     }
     PlanCache::Source source = PlanCache::Source::Miss;
     SharedPlan plan = cache_.getShared(fp, query.placement, eff, &source);
+    const bool searched = !plan;
     if (plan) {
         if (report)
             report->source = sourceName(source);
     } else {
         plan = searchMiss(query, eff, fp, /*serial=*/false, report);
     }
-    recordAnswer(plan, span, report);
+    recordAnswer(plan, searched, span, report);
     if (report) {
         report->wallSec = watch.seconds();
         observeAnswer(*report);
@@ -500,10 +506,10 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
         report->replanned = true;
         report->degraded = removal;
     }
-    auto finish = [&](SharedPlan plan) {
+    auto finish = [&](SharedPlan plan, bool searched) {
         if (removal)
             degradedServed_.fetch_add(1, std::memory_order_relaxed);
-        recordAnswer(plan, span, report);
+        recordAnswer(plan, searched, span, report);
         if (report) {
             report->wallSec = watch.seconds();
             observeAnswer(*report);
@@ -519,7 +525,7 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
             cache_.getShared(fp, drifted.placement, eff, &source)) {
         if (report)
             report->source = sourceName(source);
-        return finish(std::move(cached));
+        return finish(std::move(cached), /*searched=*/false);
     }
 
     // Fetch the plan currently served for the base instance. A removal
@@ -546,7 +552,8 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
             report->seededFrom = base_fp.hex();
     }
     if (!served || !served->found)
-        return finish(searchMiss(drifted, eff, fp, /*serial=*/false, report));
+        return finish(searchMiss(drifted, eff, fp, /*serial=*/false, report),
+                      /*searched=*/true);
 
     // Retime the served plan under the drifted costs in the foreground:
     // the retimed plan is both the search's opening incumbent and the
@@ -558,7 +565,8 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
     task->seed = prepareReplanSeed(drifted.placement, task->effective,
                                    *served, &request.delta, phases_ok);
     if (!task->seed.ok)
-        return finish(searchMiss(drifted, eff, fp, /*serial=*/false, report));
+        return finish(searchMiss(drifted, eff, fp, /*serial=*/false, report),
+                      /*searched=*/true);
     if (report)
         report->seedMakespan = task->seed.seed.makespan;
 
@@ -601,7 +609,7 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
         worker.join();
         if (report)
             report->source = "search";
-        return finish(future.get());
+        return finish(future.get(), /*searched=*/true);
     }
 
     // Budget missed: hand the search to the background (it publishes to
@@ -618,7 +626,8 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
         report->stale = true;
         report->source = "stale";
     }
-    return finish(makeSharedPlan(task->seed.retimedResult));
+    return finish(makeSharedPlan(task->seed.retimedResult),
+                  /*searched=*/false);
 }
 
 TesselResult

@@ -87,8 +87,10 @@ struct QueryReport
      * search accepted its first own candidate — the nodes a cold run
      * would have had to expand or bound some other way. */
     uint64_t seedNodesPruned = 0;
-    /** Period-kernel effort behind this answer (zero for cache hits;
-     * see SolveStats for semantics). */
+    /** Period-kernel effort this call spent on the answer (see
+     * SolveStats for semantics): the search's counts when the call ran
+     * one, zero for every memory or disk hit and stale answer, even
+     * when this process searched the resident plan earlier. */
     uint64_t valueSweeps = 0;
     uint64_t policyImprovements = 0;
     /** Answered through PlanningService::replan (drift or failure). */
@@ -187,9 +189,6 @@ struct ServiceOptions
      * way by the search's determinism contract.
      */
     int numThreads = 0;
-    /** > 0 overrides every query's totalBudgetSec (a deadline, so the
-     * fingerprint does not change). */
-    double perQueryBudgetSec = 0.0;
     /**
      * On a store miss, consult the neighbor index and warm-start the
      * search from an adapted nearby plan (store/adapt.h). Never changes
@@ -280,7 +279,7 @@ class PlanningService
     TesselResult runOne(const PlanQuery &query, QueryReport *report = nullptr);
 
     /** The fingerprint answer() looks @p query up under (the query's
-     * options with the service-level budget and cancellation applied). */
+     * options with the service's cancellation linked in). */
     Hash128 fingerprint(const PlanQuery &query) const;
 
     /**
@@ -333,7 +332,7 @@ class PlanningService
     ServiceStats stats() const;
 
   private:
-    /** Query options with service-level budget/cancel/threading applied. */
+    /** Query options with the service's cancellation linked in. */
     TesselOptions resolveOptions(const PlanQuery &query) const;
 
     /** Whether misses fan out over a pool (forces serial searches). */
@@ -354,7 +353,8 @@ class PlanningService
     /** Join background replans whose search already finished. */
     void reapBackgroundReplans();
 
-    /** Record one answered query into `service.answer_ms{source=...}`. */
+    /** Record one answered query into `service.answer_ms{source=...}`
+     * (runBatch: once per unique instance). */
     void observeAnswer(const QueryReport &report) const;
 
     ServiceOptions options_;

@@ -74,7 +74,7 @@ struct AdaptOutcome
  *
  * @param exactPhasesAllowed caller's attestation that the stored and
  *   querying instances share a phaseOptionsDigest (the service compares
- *   the indexed meta sidecars). Only then may the fast path mark its
+ *   the indexed instance metas). Only then may the fast path mark its
  *   seed phasesExact — and it still independently requires the stored
  *   solve placement to equal the query's span-for-span and the memory
  *   model to agree, so a stale or wrong attestation can widen reuse

@@ -11,7 +11,7 @@ namespace tessel {
 
 namespace {
 
-/** Checksum domain for .meta sidecars (distinct from plan payloads). */
+/** Checksum domain for meta frames (distinct from plan payloads). */
 constexpr uint64_t kMetaChecksumDomain = 0x5445535345'4c4d43ull; // "TESSELMC"
 
 /** Relative difference in [0, 1): |a-b| scaled by magnitude so a span

@@ -1,8 +1,8 @@
 /**
  * @file
  * Similarity layer over the plan store: per-instance metadata (component
- * sub-fingerprints plus a cheap numeric feature vector) persisted as a
- * `<fingerprint>.meta` sidecar next to each `.plan` entry, and an
+ * sub-fingerprints plus a cheap numeric feature vector) persisted as the
+ * meta frame that ends each store entry (store/store.h), and an
  * in-memory NeighborIndex answering "which stored instances most
  * resemble this missed query?".
  *
@@ -34,10 +34,10 @@
 
 namespace tessel {
 
-/** Meta sidecar format version (bump on any layout change). */
+/** Meta frame format version (bump on any layout change). */
 constexpr uint32_t kMetaFormatVersion = 1;
 
-/** Magic prefix of every .meta sidecar. */
+/** Magic prefix of every meta frame. */
 constexpr char kMetaMagic[8] = {'T', 'E', 'S', 'S', 'E', 'L', 'N', 'M'};
 
 /** Number of scalar features per instance. */
@@ -63,6 +63,15 @@ enum InstanceFeature : size_t {
     kFeatEdgeVolume,     ///< total MB over edges the placement has
 };
 
+/**
+ * Byte size of every meta frame: magic, version, checksum, the five
+ * digests of an InstanceMeta, the feature count and the features.
+ * kFeatureCount fixes it, so a store entry needs no length field to
+ * find the meta frame that ends it.
+ */
+constexpr size_t kMetaFrameBytes =
+    sizeof(kMetaMagic) + 4 + 16 + 5 * 16 + 4 + 8 * kFeatureCount;
+
 /** Clamp applied to the memLimit feature so kUnlimitedMem stays finite
  * and cannot dominate every distance. */
 constexpr double kMemLimitFeatureCap = 1 << 20;
@@ -86,10 +95,11 @@ struct InstanceMeta
 InstanceMeta computeInstanceMeta(const Placement &placement,
                                  const TesselOptions &options);
 
-/** Serialize @p meta to sidecar bytes (versioned, checksummed). */
+/** Serialize @p meta to a meta frame (versioned, checksummed,
+ * kMetaFrameBytes long). */
 std::string serializeMeta(const InstanceMeta &meta);
 
-/** Decode sidecar bytes; @return false on any malformed input. */
+/** Decode a meta frame; @return false on any malformed input. */
 bool deserializeMeta(const std::string &bytes, InstanceMeta *meta);
 
 /**

@@ -100,41 +100,21 @@ writePlan(ByteWriter &w, const TesselPlan &plan)
         w.i64(m);
 }
 
-void
-writeExpansion(ByteWriter &w, const CommExpansion &e)
+/** The plan-frame payload: every plan-semantic field of @p result. */
+ByteWriter
+writePayload(const TesselResult &result)
 {
-    writePlacement(w, e.placement);
-    w.i32(e.numRealDevices);
-    w.i32(e.numLinks);
-    w.u32(static_cast<uint32_t>(e.origSpec.size()));
-    for (int s : e.origSpec)
-        w.i32(s);
-    w.u32(static_cast<uint32_t>(e.indexSpec.size()));
-    for (int s : e.indexSpec)
-        w.i32(s);
-    w.u32(static_cast<uint32_t>(e.linkEndpoints.size()));
-    for (const auto &[a, b] : e.linkEndpoints) {
-        w.i32(a);
-        w.i32(b);
-    }
-}
-
-void
-writeBreakdown(ByteWriter &w, const SearchBreakdown &b)
-{
-    w.f64(b.repetendSeconds);
-    w.f64(b.warmupSeconds);
-    w.f64(b.cooldownSeconds);
-    w.u64(b.candidatesEnumerated);
-    w.u64(b.candidatesSolved);
-    w.u64(b.candidatesCancelled);
-    w.u64(b.satChecks);
-    w.u64(b.solverNodes);
-    w.u64(0); // Retired binary-search probe counter; keeps the bytes.
-    w.u64(b.memoReused);
-    w.i32(b.threadsUsed);
-    w.boolean(b.earlyExit);
-    w.boolean(b.budgetExhausted);
+    ByteWriter payload;
+    payload.boolean(result.found);
+    payload.boolean(result.commAware);
+    payload.i64(result.period);
+    payload.i64(result.lowerBound);
+    payload.i32(result.nrUsed);
+    const bool has_plan = result.plan.placement().numBlocks() > 0;
+    payload.boolean(has_plan);
+    if (has_plan)
+        writePlan(payload, result.plan);
+    return payload;
 }
 
 // ------------------------------------------------------------- reading
@@ -403,96 +383,16 @@ readPlan(ByteReader &r, TesselPlan *out, std::string *err)
     return true;
 }
 
-bool
-readExpansion(ByteReader &r, CommExpansion *out, std::string *err)
-{
-    CommExpansion e;
-    if (!readPlacement(r, &e.placement, err))
-        return false;
-    if (!r.i32(&e.numRealDevices) || !r.i32(&e.numLinks)) {
-        *err = "expansion header truncated";
-        return false;
-    }
-    if (e.numRealDevices < 0 || e.numLinks < 0 ||
-        e.numRealDevices + e.numLinks != e.placement.numDevices()) {
-        *err = "expansion device split inconsistent";
-        return false;
-    }
-    const int kb = e.placement.numBlocks();
-    auto read_spec_vec = [&](std::vector<int> *vec, int min_value) {
-        uint32_t n;
-        if (!r.count(&n, 4) || n != static_cast<uint32_t>(kb))
-            return false;
-        vec->reserve(n);
-        for (uint32_t i = 0; i < n; ++i) {
-            int32_t v;
-            if (!r.i32(&v) || v < min_value || v >= kb)
-                return false;
-            vec->push_back(v);
-        }
-        return true;
-    };
-    if (!read_spec_vec(&e.origSpec, -1) ||
-        !read_spec_vec(&e.indexSpec, 0)) {
-        *err = "expansion spec maps malformed";
-        return false;
-    }
-    uint32_t num_links;
-    if (!r.count(&num_links, 8) ||
-        num_links != static_cast<uint32_t>(e.numLinks)) {
-        *err = "expansion link list malformed";
-        return false;
-    }
-    e.linkEndpoints.reserve(num_links);
-    for (uint32_t i = 0; i < num_links; ++i) {
-        int32_t a, b;
-        if (!r.i32(&a) || !r.i32(&b) || a < 0 || b < a ||
-            b >= e.numRealDevices) {
-            *err = "expansion link endpoints malformed";
-            return false;
-        }
-        e.linkEndpoints.emplace_back(a, b);
-    }
-    *out = std::move(e);
-    return true;
-}
+} // namespace
 
-bool
-readBreakdown(ByteReader &r, SearchBreakdown *b)
-{
-    uint64_t retired = 0; // Retired probe counter slot; value ignored.
-    return r.f64(&b->repetendSeconds) && r.f64(&b->warmupSeconds) &&
-           r.f64(&b->cooldownSeconds) && r.u64(&b->candidatesEnumerated) &&
-           r.u64(&b->candidatesSolved) && r.u64(&b->candidatesCancelled) &&
-           r.u64(&b->satChecks) && r.u64(&b->solverNodes) &&
-           r.u64(&retired) && r.u64(&b->memoReused) &&
-           r.i32(&b->threadsUsed) && r.boolean(&b->earlyExit) &&
-           r.boolean(&b->budgetExhausted);
-}
-
-/** serializeResult with @p breakdown written in place of the result's
- * own, so the plan digest needs no copy of the plan to zero it. */
 std::string
-serializeWithBreakdown(const TesselResult &result,
-                       const SearchBreakdown &breakdown,
-                       const Hash128 &fingerprint)
+serializeResult(const TesselResult &result, const Hash128 &fingerprint,
+                Hash128 *digest)
 {
-    ByteWriter payload;
-    payload.boolean(result.found);
-    payload.boolean(result.commAware);
-    payload.i64(result.period);
-    payload.i64(result.lowerBound);
-    payload.i32(result.nrUsed);
-    writeBreakdown(payload, breakdown);
-
-    const bool has_plan = result.plan.placement().numBlocks() > 0;
-    payload.boolean(has_plan);
-    if (has_plan)
-        writePlan(payload, result.plan);
-
-    payload.boolean(result.expansion.has_value());
-    if (result.expansion)
-        writeExpansion(payload, *result.expansion);
+    const ByteWriter payload = writePayload(result);
+    const Hash128 hash = hashBytes(payload.data());
+    if (digest)
+        *digest = hash;
 
     ByteWriter out;
     out.raw(kPlanMagic, sizeof(kPlanMagic));
@@ -501,23 +401,14 @@ serializeWithBreakdown(const TesselResult &result,
     out.u64(fingerprint.hi);
     out.u64(payload.size());
     out.raw(payload.data().data(), payload.size());
-    out.u64(hashBytes(payload.data()).lo);
+    out.u64(hash.lo);
     return out.data();
-}
-
-} // namespace
-
-std::string
-serializeResult(const TesselResult &result, const Hash128 &fingerprint)
-{
-    return serializeWithBreakdown(result, result.breakdown, fingerprint);
 }
 
 Hash128
 resultPlanDigest(const TesselResult &result)
 {
-    return hashBytes(
-        serializeWithBreakdown(result, SearchBreakdown{}, Hash128{}));
+    return hashBytes(writePayload(result).data());
 }
 
 LoadedResult
@@ -560,7 +451,8 @@ deserializeResult(const std::string &bytes)
     ByteReader tail(bytes.data() + payload_off + payload_len, 8);
     uint64_t checksum;
     tail.u64(&checksum);
-    if (checksum != hashBytes(payload).lo) {
+    loaded.digest = hashBytes(payload);
+    if (checksum != loaded.digest.lo) {
         loaded.error = "payload checksum mismatch (corrupted entry)";
         return loaded;
     }
@@ -569,7 +461,7 @@ deserializeResult(const std::string &bytes)
     TesselResult &res = loaded.result;
     if (!p.boolean(&res.found) || !p.boolean(&res.commAware) ||
         !p.i64(&res.period) || !p.i64(&res.lowerBound) ||
-        !p.i32(&res.nrUsed) || !readBreakdown(p, &res.breakdown)) {
+        !p.i32(&res.nrUsed)) {
         loaded.error = "result header malformed";
         return loaded;
     }
@@ -585,21 +477,6 @@ deserializeResult(const std::string &bytes)
             loaded.error = "plan malformed: " + err;
             return loaded;
         }
-    }
-
-    bool has_expansion;
-    if (!p.boolean(&has_expansion)) {
-        loaded.error = "expansion flag malformed";
-        return loaded;
-    }
-    if (has_expansion) {
-        std::string err;
-        CommExpansion e;
-        if (!readExpansion(p, &e, &err)) {
-            loaded.error = "expansion malformed: " + err;
-            return loaded;
-        }
-        res.expansion = std::move(e);
     }
 
     if (!p.atEnd()) {

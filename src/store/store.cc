@@ -17,12 +17,68 @@ namespace tessel {
 
 namespace {
 
-/** Shared tail of both verification entry points: instantiate at
- * NR + 1 and run the oracle's full constraint check. */
+/**
+ * Decode the meta frame that ends entry @p bytes into @p meta and strip
+ * it, leaving the plan frame. False when the frame is missing or
+ * corrupt, or names another fingerprint than @p fp.
+ */
+bool
+takeEntryMeta(std::string *bytes, const Hash128 &fp, InstanceMeta *meta)
+{
+    if (bytes->size() < kMetaFrameBytes ||
+        !deserializeMeta(bytes->substr(bytes->size() - kMetaFrameBytes),
+                         meta) ||
+        meta->fingerprint != fp)
+        return false;
+    bytes->resize(bytes->size() - kMetaFrameBytes);
+    return true;
+}
+
+/** Decode the entry @p bytes read for @p fp; !ok says why it is
+ * corrupt. */
+LoadedResult
+loadEntry(std::string bytes, const Hash128 &fp)
+{
+    InstanceMeta meta;
+    if (!takeEntryMeta(&bytes, fp, &meta)) {
+        LoadedResult corrupt;
+        corrupt.error = "meta frame missing, corrupt or for another "
+                        "fingerprint";
+        return corrupt;
+    }
+    LoadedResult loaded = deserializeResult(bytes);
+    if (loaded.ok && loaded.fingerprint != fp) {
+        loaded.ok = false;
+        loaded.error = "entry fingerprint does not match its file name";
+    }
+    return loaded;
+}
+
+} // namespace
+
+SharedPlan
+makeSharedPlan(TesselResult result)
+{
+    SharedPlan plan;
+    plan.digest = resultPlanDigest(result);
+    plan.result = std::make_shared<const TesselResult>(std::move(result));
+    return plan;
+}
+
 VerifyOutcome
-verifyPlanSchedule(const TesselResult &result)
+verifyResultSelfConsistent(const TesselResult &result)
 {
     VerifyOutcome out;
+    // A stored "no plan found" is a legitimate answer: the service
+    // stores one only when no deadline cut its search short. There is
+    // nothing to schedule.
+    if (!result.found) {
+        if (result.plan.placement().numBlocks() != 0)
+            out.reason = "not-found result carries a plan";
+        else
+            out.ok = true;
+        return out;
+    }
     if (result.period != result.plan.period()) {
         out.reason = "result period != plan period";
         return out;
@@ -58,40 +114,17 @@ verifyPlanSchedule(const TesselResult &result)
     return out;
 }
 
-} // namespace
-
-SharedPlan
-makeSharedPlan(TesselResult result)
-{
-    SharedPlan plan;
-    plan.digest = resultPlanDigest(result);
-    plan.result = std::make_shared<const TesselResult>(std::move(result));
-    return plan;
-}
-
 VerifyOutcome
 verifyResultAgainstQuery(const Placement &placement,
                          const TesselOptions &options,
                          const TesselResult &result)
 {
-    VerifyOutcome out;
-
-    // A cached "no plan found" is a legitimate answer (the fingerprint
-    // covers the budgets that produced it); there is nothing to check.
-    if (!result.found) {
-        if (result.plan.placement().numBlocks() != 0) {
-            out.reason = "not-found result carries a plan";
-            return out;
-        }
-        out.ok = true;
-        return out;
-    }
-
     // The stored plan must schedule exactly the placement this query
     // would search: the comm-expanded placement when the query is
-    // comm-aware, the original otherwise. Recomputing the expansion
-    // here is what ties a comm-aware entry to the cluster model of the
+    // comm-aware, the original otherwise. Lowering the query here is
+    // what ties a comm-aware entry to the cluster model of the
     // *current* query rather than whatever produced the file.
+    VerifyOutcome out;
     const bool comm_aware =
         options.cluster &&
         !options.cluster->isTrivial(placement.numDevices());
@@ -99,59 +132,25 @@ verifyResultAgainstQuery(const Placement &placement,
         out.reason = "comm-awareness mismatch between query and entry";
         return out;
     }
+    if (comm_aware)
+        out.expansion = expandWithComm(placement, *options.cluster,
+                                       options.edgeMB, options.comm);
     // Placements compare *structurally* (display names ignored): the
     // fingerprint excludes names, so a query differing only in names
     // maps to this entry and must be served by it, not rejected.
-    if (comm_aware) {
-        const CommExpansion expected = expandWithComm(
-            placement, *options.cluster, options.edgeMB, options.comm);
-        if (!result.plan.placement().structurallyEquals(
-                expected.placement)) {
-            out.reason = "stored plan placement != comm-expanded query "
-                         "placement";
-            return out;
-        }
-        // The projection maps come from disk too; consumers use them to
-        // map the comm-aware schedule back onto the caller's blocks, so
-        // they must equal the recomputed expansion exactly.
-        if (!result.expansion ||
-            !result.expansion->placement.structurallyEquals(
-                expected.placement) ||
-            result.expansion->numRealDevices != expected.numRealDevices ||
-            result.expansion->numLinks != expected.numLinks ||
-            result.expansion->origSpec != expected.origSpec ||
-            result.expansion->indexSpec != expected.indexSpec ||
-            result.expansion->linkEndpoints != expected.linkEndpoints) {
-            out.reason = "stored expansion inconsistent with query";
-            return out;
-        }
-    } else if (!result.plan.placement().structurallyEquals(placement)) {
-        out.reason = "stored plan placement != query placement";
+    const Placement &expected =
+        comm_aware ? out.expansion->placement : placement;
+    if (result.found &&
+        !result.plan.placement().structurallyEquals(expected)) {
+        out.reason = comm_aware ? "stored plan placement != comm-expanded "
+                                  "query placement"
+                                : "stored plan placement != query placement";
         return out;
     }
 
-    return verifyPlanSchedule(result);
-}
-
-VerifyOutcome
-verifyResultSelfConsistent(const TesselResult &result)
-{
-    VerifyOutcome out;
-    if (!result.found) {
-        if (result.plan.placement().numBlocks() != 0) {
-            out.reason = "not-found result carries a plan";
-            return out;
-        }
-        out.ok = true;
-        return out;
-    }
-    // No query context: the plan is checked against its own placement.
-    // A comm-aware entry must at least carry its expansion maps.
-    if (result.commAware && !result.expansion) {
-        out.reason = "comm-aware result without expansion";
-        return out;
-    }
-    return verifyPlanSchedule(result);
+    VerifyOutcome schedule = verifyResultSelfConsistent(result);
+    schedule.expansion = std::move(out.expansion);
+    return schedule;
 }
 
 // ----------------------------------------------------------- PlanStore
@@ -168,12 +167,6 @@ PlanStore::pathFor(const Hash128 &fp) const
     return shardDirFor(fp) + "/" + fp.hex() + ".plan";
 }
 
-std::string
-PlanStore::metaPathFor(const Hash128 &fp) const
-{
-    return shardDirFor(fp) + "/" + fp.hex() + ".meta";
-}
-
 bool
 PlanStore::put(const Hash128 &fp, const std::string &bytes)
 {
@@ -183,21 +176,6 @@ PlanStore::put(const Hash128 &fp, const std::string &bytes)
         return false;
     }
     if (!writeFileAtomic(pathFor(fp), bytes, &err)) {
-        warn("plan store: ", err);
-        return false;
-    }
-    return true;
-}
-
-bool
-PlanStore::putMeta(const Hash128 &fp, const std::string &bytes)
-{
-    std::string err;
-    if (!ensureDir(shardDirFor(fp), &err)) {
-        warn("plan store: ", err);
-        return false;
-    }
-    if (!writeFileAtomic(metaPathFor(fp), bytes, &err)) {
         warn("plan store: ", err);
         return false;
     }
@@ -219,41 +197,13 @@ PlanStore::get(const Hash128 &fp, std::string *bytes) const
 }
 
 bool
-PlanStore::has(const Hash128 &fp) const
-{
-    return fileExists(pathFor(fp));
-}
-
-bool
-PlanStore::getMeta(const Hash128 &fp, std::string *bytes) const
-{
-    const std::string path = metaPathFor(fp);
-    if (!fileExists(path))
-        return false;
-    std::string err;
-    if (!readFile(path, bytes, &err)) {
-        warn("plan store: ", err);
-        return false;
-    }
-    return true;
-}
-
-bool
 PlanStore::remove(const Hash128 &fp)
 {
-    const bool removed = removeFile(pathFor(fp));
-    removeMeta(fp);
-    return removed;
-}
-
-bool
-PlanStore::removeMeta(const Hash128 &fp)
-{
-    return removeFile(metaPathFor(fp));
+    return removeFile(pathFor(fp));
 }
 
 std::vector<Hash128>
-PlanStore::listSuffix(const std::string &suffix) const
+PlanStore::list() const
 {
     std::vector<Hash128> out;
     for (const std::string &shard : listDirSubdirs(dir_)) {
@@ -263,25 +213,13 @@ PlanStore::listSuffix(const std::string &suffix) const
             !std::isxdigit(static_cast<unsigned char>(shard[1])))
             continue;
         for (const std::string &name :
-             listDirFiles(dir_ + "/" + shard, suffix)) {
+             listDirFiles(dir_ + "/" + shard, ".plan")) {
             Hash128 fp;
             if (Hash128::fromHex(name.substr(0, name.size() - 5), &fp))
                 out.push_back(fp);
         }
     }
     return out;
-}
-
-std::vector<Hash128>
-PlanStore::list() const
-{
-    return listSuffix(".plan");
-}
-
-std::vector<Hash128>
-PlanStore::listMetas() const
-{
-    return listSuffix(".meta");
 }
 
 // ----------------------------------------------------------- PlanCache
@@ -304,24 +242,15 @@ PlanCache::PlanCache(std::string dir, PlanCacheOptions options)
         shards_.push_back(std::move(shard));
     }
 
-    // Rebuild the neighbor index from the sidecars already on disk so a
-    // reopened store seeds searches immediately. A sidecar that fails
-    // to decode, or whose recorded fingerprint disagrees with its file
-    // name, is skipped; a sidecar whose .plan entry is gone is an
-    // orphan — its neighbor candidates could never be fetched — so it
-    // is deleted here rather than indexed.
-    for (const Hash128 &fp : store_.listMetas()) {
-        if (!store_.has(fp)) {
-            store_.removeMeta(fp);
-            gcRemoved_.fetch_add(1, std::memory_order_relaxed);
-            continue;
-        }
+    // Rebuild the neighbor index from the entries already on disk so a
+    // reopened store seeds searches immediately. Only each entry's meta
+    // frame is decoded here; a corrupt one is skipped, and the first
+    // get() or revalidation sweep that reads the entry removes it.
+    for (const Hash128 &fp : store_.list()) {
         std::string bytes;
         InstanceMeta meta;
-        if (store_.getMeta(fp, &bytes) && deserializeMeta(bytes, &meta) &&
-            meta.fingerprint == fp) {
+        if (store_.get(fp, &bytes) && takeEntryMeta(&bytes, fp, &meta))
             neighborIndex_.add(meta);
-        }
     }
 
     metricsSource_ = MetricsRegistry::instance().addSource(
@@ -424,15 +353,11 @@ PlanCache::getShared(const Hash128 &fp, const Placement &placement,
         span.setArg("bytes", bytes.size());
     }
 
-    LoadedResult loaded = deserializeResult(bytes);
-    if (loaded.ok && loaded.fingerprint != fp) {
-        loaded.ok = false;
-        loaded.error = "entry fingerprint does not match its file name";
-    }
+    LoadedResult loaded = loadEntry(std::move(bytes), fp);
+    VerifyOutcome verdict;
     if (loaded.ok) {
         TraceSpan span("verify");
-        const VerifyOutcome verdict =
-            verifyResultAgainstQuery(placement, options, loaded.result);
+        verdict = verifyResultAgainstQuery(placement, options, loaded.result);
         if (!verdict.ok) {
             loaded.ok = false;
             loaded.error = verdict.reason;
@@ -442,8 +367,8 @@ PlanCache::getShared(const Hash128 &fp, const Placement &placement,
         warn("plan store: rejecting entry ", fp.hex(), ": ", loaded.error);
         shard.verifyFailures.fetch_add(1, std::memory_order_relaxed);
         // The entry can never serve this fingerprint again; leaving it
-        // (or its sidecar) behind would re-reject on every lookup and
-        // dangle neighbor candidates whose fetch cannot succeed.
+        // behind would re-reject on every lookup and dangle neighbor
+        // candidates whose fetch cannot succeed.
         removeRejectedEntry(fp);
         return {};
     }
@@ -451,7 +376,10 @@ PlanCache::getShared(const Hash128 &fp, const Placement &placement,
     shard.diskHits.fetch_add(1, std::memory_order_relaxed);
     if (source)
         *source = Source::Disk;
-    return insertMemory(shard, fp, std::move(loaded.result));
+    // The entry stores no expansion; the one verification lowered makes
+    // the admitted result equal to what the search returned.
+    loaded.result.expansion = std::move(verdict.expansion);
+    return insertMemory(shard, fp, std::move(loaded.result), loaded.digest);
 }
 
 std::optional<TesselResult>
@@ -468,36 +396,31 @@ SharedPlan
 PlanCache::put(const Hash128 &fp, const Placement &placement,
                const TesselOptions &options, TesselResult result)
 {
-    // Sidecar first, in-memory index last: once the instance is
-    // discoverable through the index its plan bytes are already
-    // published, so a neighbor lookup can always peek() what it found.
-    // A crash between the writes leaves at worst an orphan sidecar,
-    // which the next open garbage-collects.
     const InstanceMeta meta = computeInstanceMeta(placement, options);
-    store_.putMeta(fp, serializeMeta(meta));
-    SharedPlan plan = put(fp, std::move(result));
-    neighborIndex_.add(meta);
-    return plan;
-}
-
-SharedPlan
-PlanCache::put(const Hash128 &fp, TesselResult result)
-{
+    panic_if(meta.fingerprint != fp,
+             "plan cache: put() query does not fingerprint to ", fp.hex());
     // Serialize and write outside the writer lock; publish the memory
-    // snapshot under it.
+    // snapshot under it. The serialization yields the plan digest too.
+    Hash128 digest;
     std::string bytes;
     {
         TraceSpan span("serialize");
-        bytes = serializeResult(result, fp);
+        bytes = serializeResult(result, fp, &digest) + serializeMeta(meta);
         span.setArg("bytes", bytes.size());
     }
+    bool published;
     {
         TraceSpan span("disk-io");
-        store_.put(fp, bytes);
+        published = store_.put(fp, bytes);
     }
     Shard &shard = shardFor(fp);
     shard.stores.fetch_add(1, std::memory_order_relaxed);
-    return insertMemory(shard, fp, std::move(result));
+    SharedPlan plan = insertMemory(shard, fp, std::move(result), digest);
+    // Indexed only once published, so a neighbor lookup can always
+    // peek() the entry it found.
+    if (published)
+        neighborIndex_.add(meta);
+    return plan;
 }
 
 std::shared_ptr<const TesselResult>
@@ -518,8 +441,8 @@ PlanCache::peekShared(const Hash128 &fp)
     std::string bytes;
     if (!store_.get(fp, &bytes))
         return nullptr;
-    LoadedResult loaded = deserializeResult(bytes);
-    if (!loaded.ok || loaded.fingerprint != fp)
+    LoadedResult loaded = loadEntry(std::move(bytes), fp);
+    if (!loaded.ok)
         return nullptr;
     // Deliberately unverified and not admitted to the memory tier: the
     // caller (store/adapt.cc) oracle-checks whatever it derives, and
@@ -548,9 +471,9 @@ PlanCache::remove(const Hash128 &fp)
 void
 PlanCache::removeRejectedEntry(const Hash128 &fp)
 {
-    // The memory tier cannot hold a rejected entry (it only admits
-    // verified ones), but purge defensively in case a concurrent put
-    // raced the rejection.
+    // remove() purges the memory tier too: a rejection on load finds
+    // nothing there unless a concurrent put raced it, but revalidation
+    // may drop a file that rotted after its result was admitted.
     remove(fp);
     gcRemoved_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -575,11 +498,13 @@ PlanCache::indexedInstances() const
 
 SharedPlan
 PlanCache::insertMemory(Shard &shard, const Hash128 &fp,
-                        TesselResult result)
+                        TesselResult result, const Hash128 &digest)
 {
-    // The one digest this resident ever pays: every later hit reports
-    // it instead of re-serializing the plan.
-    SharedPlan plan = makeSharedPlan(std::move(result));
+    // Every later hit reports this digest instead of re-serializing the
+    // plan.
+    SharedPlan plan;
+    plan.result = std::make_shared<const TesselResult>(std::move(result));
+    plan.digest = digest;
     auto lock = lockWriter(shard);
     const std::shared_ptr<const Snapshot> old = loadSnapshot(shard);
     auto next = std::make_shared<Snapshot>(*old);
@@ -633,38 +558,22 @@ PlanCache::eraseMemory(Shard &shard, const Hash128 &fp)
 size_t
 PlanCache::revalidateOnce()
 {
+    // Every entry must still decode to its own fingerprint and pass the
+    // oracle's self-check. The reads and verification run without any
+    // cache lock; only an actual removal briefly takes the owning
+    // shard's writer lock.
     size_t removed = 0;
-
-    // Pass 1: every plan entry must still decode to its own fingerprint
-    // and pass the oracle's self-check. The reads and verification run
-    // without any cache lock; only an actual removal briefly takes the
-    // owning shard's writer lock.
     for (const Hash128 &fp : store_.list()) {
         std::string bytes;
         if (!store_.get(fp, &bytes))
             continue; // concurrently removed; nothing to do
-        LoadedResult loaded = deserializeResult(bytes);
-        const bool ok = loaded.ok && loaded.fingerprint == fp &&
-                        verifyResultSelfConsistent(loaded.result).ok;
-        if (ok) {
+        const LoadedResult loaded = loadEntry(std::move(bytes), fp);
+        if (loaded.ok && verifyResultSelfConsistent(loaded.result).ok) {
             revalidated_.fetch_add(1, std::memory_order_relaxed);
             continue;
         }
         warn("plan store: revalidation dropping entry ", fp.hex());
-        remove(fp);
-        gcRemoved_.fetch_add(1, std::memory_order_relaxed);
-        ++removed;
-    }
-
-    // Pass 2: meta sidecars without a plan entry are orphans — their
-    // neighbor candidates could never be fetched — so drop both the
-    // file and any index entry.
-    for (const Hash128 &fp : store_.listMetas()) {
-        if (store_.has(fp))
-            continue;
-        store_.removeMeta(fp);
-        neighborIndex_.remove(fp);
-        gcRemoved_.fetch_add(1, std::memory_order_relaxed);
+        removeRejectedEntry(fp);
         ++removed;
     }
     return removed;

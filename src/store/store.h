@@ -4,16 +4,19 @@
  * store of serialized TesselResults, keyed by canonical instance
  * fingerprints (store/fingerprint.h).
  *
- * Disk layout: sharded by fingerprint prefix. An entry lives at
- * `<dir>/<2-hex>/<32-hex-digits>.plan`, where `<2-hex>` is the first
- * byte of the fingerprint in hex, published atomically (temp file +
- * rename), so any number of concurrent readers — including other
- * processes and machines sharing the directory — only ever observe
- * complete entries. Entries admitted with their query context
- * additionally publish a `<32-hex-digits>.meta` sidecar
- * (sub-fingerprints + feature vector, store/neighbor.h) next to the
- * `.plan` that feeds the neighbor index; a store without sidecars still
- * serves exact hits.
+ * Disk layout: one file per entry, sharded by fingerprint prefix. An
+ * entry lives at `<dir>/<2-hex>/<32-hex-digits>.plan`, where `<2-hex>`
+ * is the first byte of the fingerprint in hex. It holds two frames,
+ * each with its own magic, version and checksum: the plan frame
+ * (store/serialize.h) and then the meta frame (store/neighbor.h:
+ * sub-fingerprints and feature vector), which always takes the entry's
+ * last kMetaFrameBytes. A put publishes the whole entry with one atomic
+ * write (temp file + rename), so any number of concurrent readers —
+ * including other processes and machines sharing the directory — only
+ * ever observe complete entries. An entry is corrupt when its meta
+ * frame does not decode or either frame names another fingerprint than
+ * its file: opening the store skips it, get() rejects it, and
+ * revalidation drops it.
  *
  * Verification-on-load invariant: a disk entry is never trusted. Before
  * a deserialized result is returned or admitted to the memory tier, the
@@ -24,11 +27,13 @@
  * solver oracle's full constraint check (solver/oracle.h — dependency
  * order, device and link exclusivity, release times, peak memory).
  * Entries that fail any step count as verifyFailures and behave as
- * misses — and are garbage-collected on the spot (plan file, meta
- * sidecar, and neighbor-index entry removed together) so a corrupted
- * entry is rejected once, not on every future lookup. A corrupted or
- * version-bumped store therefore degrades to a fresh search, never to
- * a wrong plan. Memory-tier entries were either produced by this
+ * misses — and are garbage-collected on the spot (entry file and
+ * neighbor-index entry removed together) so a corrupted entry is
+ * rejected once, not on every future lookup. Entries store no comm
+ * expansion: a verified disk hit carries the one verification lowered
+ * from the query, so it equals the result the search returned. A
+ * corrupted or version-bumped store therefore degrades to a fresh
+ * search, never to a wrong plan. Memory-tier entries were either produced by this
  * process's search or already verified on load, and are returned
  * as-is. The one exception is peek(), which fetches a *neighbor's*
  * entry raw — it cannot be verified against the caller's query (it
@@ -37,8 +42,9 @@
  * before anything downstream may use it.
  *
  * Shared residents: a memory-tier entry is a SharedPlan — one immutable
- * result plus its plan digest, computed once when the entry is admitted
- * (put() or a verified disk load). getMemory() — the memory-only lookup
+ * result plus its plan digest, taken once when the entry is admitted
+ * from the serialization (put()) or the checksum check (a verified disk
+ * load) that admission runs anyway. getMemory() — the memory-only lookup
  * getShared() itself starts with — hands every hit the same resident,
  * so a hit costs a reference-count increment, not a deep copy of the
  * plan and a re-serialization to digest it. get() and peek() are
@@ -62,12 +68,11 @@
  * lock-free-hit regression signal.
  *
  * Background revalidation: startRevalidation() spawns one maintenance
- * thread that periodically re-reads every disk entry, drops entries
- * that no longer decode or whose plans fail the oracle's self-check,
- * and garbage-collects orphaned meta sidecars. It runs entirely off
- * the serving path (raw disk reads plus brief writer-side purges), so
- * serving latency is unaffected while the shared namespace converges
- * on verified entries.
+ * thread that periodically re-reads every disk entry and drops entries
+ * that no longer decode or whose plans fail the oracle's self-check.
+ * It runs entirely off the serving path (raw disk reads plus brief
+ * writer-side purges), so serving latency is unaffected while the
+ * shared namespace converges on verified entries.
  *
  * Metrics: StoreStats is the only home of the `store.*` counters. Each
  * PlanCache registers a metrics-registry source (support/metrics.h)
@@ -126,8 +131,8 @@ struct StoreStats
     uint64_t neighborFetches = 0;
     /** Disk entries re-verified intact by background revalidation. */
     uint64_t revalidated = 0;
-    /** Stale artifacts garbage-collected: corrupt/unverifiable plan
-     * entries and orphaned meta sidecars (revalidation or load-time). */
+    /** Corrupt or unverifiable entries garbage-collected, on load or
+     * by revalidation. */
     uint64_t gcRemoved = 0;
 
     uint64_t
@@ -162,7 +167,7 @@ struct StoreStats
 
 /**
  * One memory-tier resident: an immutable result plus its plan digest
- * (resultPlanDigest), computed once when the entry is admitted. Every
+ * (resultPlanDigest), taken once when the entry is admitted. Every
  * hit shares the same result; nobody may modify it. Empty (null
  * result) on a miss.
  */
@@ -182,26 +187,31 @@ struct VerifyOutcome
 {
     bool ok = false;
     std::string reason;
+    /** The query's comm expansion when it is comm-aware: lowered to
+     * check the plan, and attached to a disk hit, whose entry stores
+     * none. */
+    std::optional<CommExpansion> expansion;
 };
 
 /**
- * Re-verify @p result against the instance (@p placement, @p options)
- * via the solver oracle. Cheap relative to a search: one instantiation
- * at N = NR + 1 — the extra micro-batch forces a second repetend
- * window at stride P, so the period itself is exercised (at N = NR the
- * period is unused and a tampered one would pass) — plus a linear
- * constraint sweep. Pure function, safe to call concurrently.
+ * Re-verify @p result against the instance (@p placement, @p options):
+ * its plan must schedule the placement the query would search (lowered
+ * onto the cluster model when comm-aware; the outcome carries that
+ * expansion) and pass verifyResultSelfConsistent(). Cheap relative to
+ * a search. Pure function, safe to call concurrently.
  */
 VerifyOutcome verifyResultAgainstQuery(const Placement &placement,
                                        const TesselOptions &options,
                                        const TesselResult &result);
 
 /**
- * Query-free self-check used by background revalidation: instantiate
- * the stored plan against its *own* placement at NR + 1 and run the
- * solver oracle. Catches rotted entries (plans that no longer satisfy
- * their own constraints) without needing the original query context;
- * the full query match still happens on every get().
+ * Query-free self-check, used alone by background revalidation:
+ * instantiate the stored plan against its *own* placement at N = NR + 1
+ * — the extra micro-batch forces a second repetend window at stride P,
+ * so the period itself is exercised (at N = NR the period is unused and
+ * a tampered one would pass) — and run the solver oracle's linear
+ * constraint sweep. Catches rotted entries without the original query
+ * context; the full query match still happens on every get().
  */
 VerifyOutcome verifyResultSelfConsistent(const TesselResult &result);
 
@@ -218,41 +228,22 @@ class PlanStore
     /** @return the sharded entry path for @p fp (exists or not). */
     std::string pathFor(const Hash128 &fp) const;
 
-    /** @return the sharded meta-sidecar path for @p fp. */
-    std::string metaPathFor(const Hash128 &fp) const;
-
-    /** Publish serialized bytes for @p fp; false + warn on I/O errors. */
+    /** Publish entry bytes for @p fp atomically; false + warn on I/O
+     * errors. */
     bool put(const Hash128 &fp, const std::string &bytes);
-
-    /** Publish the meta sidecar for @p fp; false + warn on errors. */
-    bool putMeta(const Hash128 &fp, const std::string &bytes);
 
     /** Read raw entry bytes; false when absent or unreadable. */
     bool get(const Hash128 &fp, std::string *bytes) const;
 
-    /** @return whether an entry exists for @p fp. */
-    bool has(const Hash128 &fp) const;
-
-    /** Read raw sidecar bytes; false when absent or unreadable. */
-    bool getMeta(const Hash128 &fp, std::string *bytes) const;
-
-    /** Remove the entry (and sidecar) for @p fp (idempotent). */
+    /** Remove the entry for @p fp (idempotent). */
     bool remove(const Hash128 &fp);
-
-    /** Remove only the meta sidecar for @p fp. */
-    bool removeMeta(const Hash128 &fp);
 
     /** @return fingerprints of all entries currently on disk. */
     std::vector<Hash128> list() const;
 
-    /** @return fingerprints of all meta sidecars currently on disk. */
-    std::vector<Hash128> listMetas() const;
-
   private:
     /** `<dir>/<2-hex>` prefix shard directory for @p fp. */
     std::string shardDirFor(const Hash128 &fp) const;
-
-    std::vector<Hash128> listSuffix(const std::string &suffix) const;
 
     std::string dir_;
 };
@@ -272,8 +263,8 @@ struct PlanCacheOptions
 
 /**
  * Two-tier cache: sharded snapshot memory tier over a PlanStore disk
- * tier, plus a neighbor index over the meta sidecars for near-miss
- * lookups. All public methods are safe to call from any number of
+ * tier, plus a neighbor index over the entries' meta frames for
+ * near-miss lookups. All public methods are safe to call from any number of
  * threads; the hit path never takes a writer lock (see file comment),
  * and disk I/O
  * and verification run outside any lock, so concurrent readers never
@@ -306,10 +297,11 @@ class PlanCache
     /**
      * Look up @p fp: getMemory() first, then the disk tier. Disk
      * answers are deserialized and verified against (@p placement,
-     * @p options) per the verification-on-load invariant, then admitted
-     * to the memory tier (digested once there) and shared the same way.
-     * A disk entry that fails verification is removed (plan + sidecar +
-     * index entry).
+     * @p options) per the verification-on-load invariant, given the
+     * query's comm expansion, then admitted to the memory tier (with the
+     * digest the checksum check produced) and shared the same way. A
+     * disk entry that is corrupt or fails verification is removed
+     * (entry file + index entry).
      * @return an empty SharedPlan on miss or verification failure
      * (@p source tells which tier answered).
      */
@@ -324,24 +316,20 @@ class PlanCache
                                     Source *source = nullptr);
 
     /**
-     * Admit a freshly searched result to both tiers, publish its meta
-     * sidecar, and index it for neighbor lookups. (@p placement,
-     * @p options) must be the query that produced @p fp.
+     * Admit a freshly searched result to both tiers: publish its entry
+     * (plan frame, then the query's meta frame) with one atomic write,
+     * and index it for neighbor lookups once that write succeeded.
+     * (@p placement, @p options) must be the query that produced @p fp
+     * (panics otherwise: the entry would name the wrong fingerprint).
      * @return the memory-tier resident now serving @p fp.
      */
     SharedPlan put(const Hash128 &fp, const Placement &placement,
                    const TesselOptions &options, TesselResult result);
 
     /**
-     * Admit a result without query context: both cache tiers are
-     * updated but no meta sidecar is written, so the entry serves exact
-     * hits only and never appears as a neighbor.
-     */
-    SharedPlan put(const Hash128 &fp, TesselResult result);
-
-    /**
      * Raw fetch of a (neighbor) entry: memory tier first (shared), then
-     * disk decode with a fingerprint check — but NO oracle verification
+     * disk decode with a fingerprint check (a disk result carries no
+     * comm expansion) — but NO oracle verification
      * and NO memory-tier admission. Only store/adapt.cc should consume
      * the result, and it must re-verify whatever it derives. Counts as
      * a neighborFetch, never as a hit or miss. Null when absent.
@@ -352,8 +340,8 @@ class PlanCache
     std::optional<TesselResult> peek(const Hash128 &fp);
 
     /**
-     * Drop @p fp everywhere: memory tier, disk entry + sidecar, and
-     * neighbor index. Idempotent; used by revalidation and tests.
+     * Drop @p fp everywhere: memory tier, disk entry, and neighbor
+     * index. Idempotent; used by revalidation and tests.
      */
     void remove(const Hash128 &fp);
 
@@ -374,9 +362,9 @@ class PlanCache
     /**
      * One synchronous revalidation sweep (the background thread calls
      * this on its interval; tests call it directly): re-read every disk
-     * entry, drop the ones that fail to decode or whose plans fail the
-     * oracle self-check, and delete orphaned meta sidecars.
-     * @return number of artifacts garbage-collected by this sweep.
+     * entry and drop the ones that are corrupt or whose plans fail the
+     * oracle self-check.
+     * @return number of entries garbage-collected by this sweep.
      */
     size_t revalidateOnce();
 
@@ -441,18 +429,17 @@ class PlanCache
      * uncontended try-lock fails. Readers never take this. */
     std::unique_lock<std::mutex> lockWriter(Shard &shard);
 
-    /** Digest @p result (outside the writer lock), then publish a
-     * snapshot with it resident under @p fp, evicting the
-     * least-recently-stamped entries beyond the shard capacity.
-     * @return the new resident. */
+    /** Publish a snapshot with @p result resident under @p fp, carrying
+     * its plan @p digest, evicting the least-recently-stamped entries
+     * beyond the shard capacity. @return the new resident. */
     SharedPlan insertMemory(Shard &shard, const Hash128 &fp,
-                            TesselResult result);
+                            TesselResult result, const Hash128 &digest);
 
     /** Publish a snapshot with @p fp removed (no-op when absent). */
     void eraseMemory(Shard &shard, const Hash128 &fp);
 
-    /** Drop a disk entry that failed load-time verification: plan
-     * file, meta sidecar, and neighbor-index entry together. */
+    /** Drop a corrupt or unverifiable disk entry (entry file and
+     * neighbor-index entry together) and count it in gcRemoved. */
     void removeRejectedEntry(const Hash128 &fp);
 
     PlanStore store_;

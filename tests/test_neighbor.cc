@@ -316,7 +316,7 @@ TEST(PlanCacheNeighbors, PutIndexesAndPeekFetchesRaw)
     }
 
     // A fresh cache on the same directory rebuilds the index from the
-    // meta sidecars alone.
+    // entries' meta frames alone, without decoding a plan.
     PlanCache reopened(dir);
     EXPECT_EQ(reopened.indexedInstances(), 1u);
     TesselOptions query = opts;

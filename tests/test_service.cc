@@ -3,9 +3,11 @@
  * Planning-service tests: batch deduplication, the memory/disk/search
  * answer paths with bit-identical plans across service instances,
  * corrupted and version-bumped store entries falling back to a fresh
- * search, concurrent fan-out determinism, per-query budgets, one
- * `query` root span per unique batch instance, and identical answers
- * from runOne, runBatch and the daemon loop on every tier — plus the
+ * search, concurrent fan-out determinism, per-query deadlines, one
+ * `query` root span and one `service.answer_ms` sample per unique batch
+ * instance, and identical answers from runOne, runBatch and the daemon
+ * loop on every tier, with search effort reported only by searches —
+ * plus the
  * daemon loop: streaming answers while a worker is busy, clean
  * queue-full and per-tenant throttling rejections, graceful and
  * cancelling shutdown (cancelled answers flagged and never cached),
@@ -213,32 +215,6 @@ TEST(PlanningService, ParallelFanOutMatchesSerial)
     EXPECT_EQ(b.searches, b.uniqueInstances);
 }
 
-TEST(PlanningService, PerQueryBudgetOverrideKeepsIdentity)
-{
-    std::string dir;
-    ASSERT_TRUE(makeTempDir("tessel-svc-budget-", &dir));
-    PlanQuery q;
-    q.label = "M";
-    q.placement = makeShapeByName("M", 4);
-    q.options.totalBudgetSec = 5.0;
-
-    PlanningService service(optionsFor(dir));
-    QueryReport base;
-    service.runOne(q, &base);
-
-    // A service-level budget override is a deadline, not a plan input:
-    // the stored plan is the one no deadline touched, so the same query
-    // under a different budget is the same instance and reuses it.
-    ServiceOptions tighter = optionsFor(dir);
-    tighter.perQueryBudgetSec = 4.0;
-    PlanningService tight_service(tighter);
-    QueryReport tight;
-    tight_service.runOne(q, &tight);
-    EXPECT_EQ(tight.fingerprint, base.fingerprint);
-    EXPECT_STREQ(tight.source, "disk");
-    EXPECT_EQ(tight.planHash, base.planHash);
-}
-
 TEST(PlanningService, DeadlineCutAnswerServedFlaggedNeverStored)
 {
     std::string dir;
@@ -405,6 +381,42 @@ TEST(PlanningService, BatchOpensOneQuerySpanPerUniqueInstance)
     }
 }
 
+/** Samples in `service.answer_ms{source=@p source}` so far. */
+uint64_t
+answerSamples(const std::string &source)
+{
+    for (const MetricSample &s :
+         MetricsRegistry::instance().snapshot().samples)
+        if (s.name == "service.answer_ms" && s.labelValue == source)
+            return s.count;
+    return 0;
+}
+
+TEST(PlanningService, BatchRecordsOneAnswerSamplePerUniqueInstance)
+{
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-svc-answer-ms-", &dir));
+    const bool was_enabled = MetricsRegistry::enabled();
+    MetricsRegistry::setEnabled(true);
+    PlanningService service(optionsFor(dir));
+    PlanQuery copy = refQuery("V");
+    copy.label = "V/copy";
+    const std::vector<PlanQuery> batch = {refQuery("V"), copy,
+                                          refQuery("K")};
+
+    // Two unique instances per batch: two searches, then two memory
+    // hits; the renamed copy shares its instance's sample.
+    const uint64_t search = answerSamples("search");
+    const uint64_t memory = answerSamples("memory");
+    service.runBatch(batch);
+    EXPECT_EQ(answerSamples("search") - search, 2u);
+    EXPECT_EQ(answerSamples("memory") - memory, 0u);
+    service.runBatch(batch);
+    EXPECT_EQ(answerSamples("search") - search, 2u);
+    EXPECT_EQ(answerSamples("memory") - memory, 2u);
+    MetricsRegistry::setEnabled(was_enabled);
+}
+
 /** The answer fields every front-end must agree on. */
 std::string
 answerKey(const QueryReport &r)
@@ -413,23 +425,23 @@ answerKey(const QueryReport &r)
            (r.found ? "found" : "none") + " " + std::to_string(r.period);
 }
 
-/** Answer @p queries through one front-end; one key per query. */
-using FrontEnd = std::function<std::vector<std::string>(
+/** Answer @p queries through one front-end; one report per query. */
+using FrontEnd = std::function<std::vector<QueryReport>(
     const std::vector<PlanQuery> &)>;
 
 FrontEnd
 viaRunOne(PlanningService &service)
 {
     return [&service](const std::vector<PlanQuery> &queries) {
-        std::vector<std::string> keys;
+        std::vector<QueryReport> reports;
         for (const PlanQuery &q : queries) {
             QueryReport report;
             const TesselResult result = service.runOne(q, &report);
             EXPECT_EQ(report.planHash, resultPlanDigest(result).hex())
                 << q.label;
-            keys.push_back(answerKey(report));
+            reports.push_back(report);
         }
-        return keys;
+        return reports;
     };
 }
 
@@ -437,10 +449,7 @@ FrontEnd
 viaRunBatch(PlanningService &service)
 {
     return [&service](const std::vector<PlanQuery> &queries) {
-        std::vector<std::string> keys;
-        for (const QueryReport &report : service.runBatch(queries).queries)
-            keys.push_back(answerKey(report));
-        return keys;
+        return service.runBatch(queries).queries;
     };
 }
 
@@ -448,16 +457,16 @@ FrontEnd
 viaLoop(ServiceLoop &loop)
 {
     return [&loop](const std::vector<PlanQuery> &queries) {
-        std::vector<std::string> keys(queries.size());
+        std::vector<QueryReport> reports(queries.size());
         std::mutex mu;
         for (size_t i = 0; i < queries.size(); ++i)
             loop.submit(queries[i], "t",
-                        [&keys, &mu, i](const ServiceLoop::Response &resp) {
+                        [&reports, &mu, i](const ServiceLoop::Response &resp) {
                             std::lock_guard<std::mutex> lock(mu);
-                            keys[i] = answerKey(resp.report);
+                            reports[i] = resp.report;
                         });
         loop.drain();
-        return keys;
+        return reports;
     };
 }
 
@@ -468,7 +477,7 @@ TEST(PlanningService, FrontEndsReportIdenticalAnswersFromEveryTier)
     // verified disk hits in a fresh one. Source, plan hash, found and
     // period must agree across runOne, runBatch and the ServiceLoop.
     const std::vector<PlanQuery> queries = {refQuery("V"), refQuery("M")};
-    std::vector<std::vector<std::string>> answers[3];
+    std::vector<std::vector<QueryReport>> answers[3];
 
     for (int front = 0; front < 3; ++front) {
         std::string dir;
@@ -499,13 +508,32 @@ TEST(PlanningService, FrontEndsReportIdenticalAnswersFromEveryTier)
     const char *sources[] = {"search", "memory", "disk"};
     for (size_t pass = 0; pass < 3; ++pass) {
         for (size_t i = 0; i < queries.size(); ++i) {
-            const std::string &key = answers[0][pass][i];
+            const std::string key = answerKey(answers[0][pass][i]);
             const std::string source = std::string(sources[pass]) + " ";
             ASSERT_EQ(key.rfind(source, 0), 0u) << key;
             EXPECT_EQ(key.substr(source.size()),
-                      answers[0][0][i].substr(std::strlen("search ")));
-            EXPECT_EQ(answers[1][pass][i], key) << queries[i].label;
-            EXPECT_EQ(answers[2][pass][i], key) << queries[i].label;
+                      answerKey(answers[0][0][i])
+                          .substr(std::strlen("search ")));
+            EXPECT_EQ(answerKey(answers[1][pass][i]), key)
+                << queries[i].label;
+            EXPECT_EQ(answerKey(answers[2][pass][i]), key)
+                << queries[i].label;
+        }
+    }
+
+    // Only the search pass spent effort; a hit reports none, even in
+    // the process whose search left its counts in the resident.
+    for (const auto &front : answers) {
+        for (size_t pass = 0; pass < 3; ++pass) {
+            for (const QueryReport &r : front[pass]) {
+                if (pass == 0) {
+                    EXPECT_GT(r.valueSweeps, 0u) << r.label;
+                } else {
+                    EXPECT_EQ(r.valueSweeps, 0u) << r.source << r.label;
+                    EXPECT_EQ(r.policyImprovements, 0u)
+                        << r.source << r.label;
+                }
+            }
         }
     }
 
@@ -516,15 +544,18 @@ TEST(PlanningService, FrontEndsReportIdenticalAnswersFromEveryTier)
     PlanningService service(optionsFor(dir));
     PlanQuery copy = queries[0];
     copy.label = "copy";
-    const std::vector<std::string> batch =
-        viaRunBatch(service)({queries[0], copy, queries[1], queries[0]});
-    const std::vector<std::string> one = viaRunOne(service)(queries);
-    EXPECT_EQ(batch[0], answers[0][0][0]);
+    std::vector<std::string> batch, one;
+    for (const QueryReport &r : viaRunBatch(service)(
+             {queries[0], copy, queries[1], queries[0]}))
+        batch.push_back(answerKey(r));
+    for (const QueryReport &r : viaRunOne(service)(queries))
+        one.push_back(answerKey(r));
+    EXPECT_EQ(batch[0], answerKey(answers[0][0][0]));
     EXPECT_EQ(batch[1], batch[0]);
     EXPECT_EQ(batch[3], batch[0]);
-    EXPECT_EQ(batch[2], answers[0][0][1]);
-    EXPECT_EQ(one[0], answers[0][1][0]);
-    EXPECT_EQ(one[1], answers[0][1][1]);
+    EXPECT_EQ(batch[2], answerKey(answers[0][0][1]));
+    EXPECT_EQ(one[0], answerKey(answers[0][1][0]));
+    EXPECT_EQ(one[1], answerKey(answers[0][1][1]));
 }
 
 TEST(ServiceLoop, StreamAnsweredWhileOneWorkerBusy)

@@ -3,7 +3,9 @@
  * Plan store tests: canonical fingerprint invariances, versioned
  * serialization round-trip exactness (property-tested over random
  * instances, including a >64-resource comm-aware one), corruption and
- * version-bump rejection, the verification-on-load invariant, and
+ * version-bump rejection, the verification-on-load invariant, the
+ * one-file entry (plan frame + meta frame) and its corrupt-entry
+ * handling, comm-aware disk hits carrying the searched expansion, and
  * the exported `store.*` series summing the live caches' StoreStats.
  */
 
@@ -312,18 +314,7 @@ expectRoundTrip(const Placement &placement, const TesselOptions &options)
     EXPECT_EQ(loaded.result.nrUsed, result.nrUsed);
     EXPECT_EQ(loaded.result.commAware, result.commAware);
     EXPECT_TRUE(loaded.result.plan == result.plan);
-    EXPECT_EQ(loaded.result.expansion.has_value(),
-              result.expansion.has_value());
-    if (result.expansion && loaded.result.expansion) {
-        EXPECT_TRUE(loaded.result.expansion->placement ==
-                    result.expansion->placement);
-        EXPECT_EQ(loaded.result.expansion->origSpec,
-                  result.expansion->origSpec);
-        EXPECT_EQ(loaded.result.expansion->indexSpec,
-                  result.expansion->indexSpec);
-        EXPECT_EQ(loaded.result.expansion->linkEndpoints,
-                  result.expansion->linkEndpoints);
-    }
+    EXPECT_EQ(loaded.digest, resultPlanDigest(result));
 
     // Byte-exact re-serialization: the strongest round-trip statement.
     EXPECT_EQ(serializeResult(loaded.result, loaded.fingerprint), bytes);
@@ -444,16 +435,17 @@ TEST(Serialize, NotFoundResultRoundTrips)
 
 TEST(Serialize, ReferencePlanDigestsPinned)
 {
-    // plan_hash (resultPlanDigest) hashes the serialized bytes, so these
-    // pins fail if either the wire format or the searched plan moves.
+    // plan_hash (resultPlanDigest) hashes the plan-frame payload, so
+    // these pins fail if either the wire format or the searched plan
+    // moves.
     // Both instances finish in milliseconds, far inside their budget.
     const struct
     {
         const char *shape;
         const char *digest;
     } pins[] = {
-        {"V", "51a433be64ed8cc318ece4f48337c2d1"},
-        {"K", "6d0e8dc2917b16cb9e294a3d346af46e"},
+        {"V", "985b6c08160c1f7ced0dfd43a4ac557a"},
+        {"K", "a9c696997e9fc411b1c06c20d488d936"},
     };
     for (const auto &pin : pins) {
         PlanQuery q = *referenceShapeQuery(pin.shape, "homogeneous", 4, 10.0);
@@ -464,16 +456,17 @@ TEST(Serialize, ReferencePlanDigestsPinned)
         EXPECT_EQ(resultPlanDigest(result).hex(), pin.digest) << pin.shape;
     }
 
-    // The breakdown block keeps its layout too, including the zero word
-    // left in the retired probe-counter slot.
+    // The not-found frame pins the header and the result fields. The
+    // search breakdown is not serialized, so its counters leave the
+    // bytes unchanged.
     TesselResult not_found;
+    const std::string frame = serializeResult(not_found, Hash128{123, 456});
+    EXPECT_EQ(hashBytes(frame).hex(), "afb945646fdc8540fe971c68b7b1b341");
     not_found.breakdown.candidatesEnumerated = 3;
-    not_found.breakdown.candidatesSolved = 5;
     not_found.breakdown.solverNodes = 7;
-    not_found.breakdown.memoReused = 11;
+    not_found.breakdown.valueSweeps = 11;
     not_found.breakdown.threadsUsed = 2;
-    EXPECT_EQ(hashBytes(serializeResult(not_found, Hash128{123, 456})).hex(),
-              "270eb0cd79ffecdd1f0a6f4e97586dd1");
+    EXPECT_EQ(serializeResult(not_found, Hash128{123, 456}), frame);
 }
 
 // -------------------------------------------- corruption & versioning
@@ -627,7 +620,7 @@ TEST(Verify, RenamedQueryServedByStructurallyEqualEntry)
     const Hash128 fp = fingerprintQuery(p, opts);
     {
         PlanCache cache(dir);
-        cache.put(fp, result);
+        cache.put(fp, p, opts, result);
     }
     PlanCache cache(dir);
     PlanCache::Source source;
@@ -678,7 +671,7 @@ TEST(PlanCache, MemoryDiskAndVerifyFailurePaths)
         EXPECT_FALSE(cache.get(fp, p, opts).has_value());
         EXPECT_EQ(cache.stats().misses, 1u);
 
-        cache.put(fp, result);
+        cache.put(fp, p, opts, result);
         PlanCache::Source source;
         const auto hit = cache.get(fp, p, opts, &source);
         ASSERT_TRUE(hit.has_value());
@@ -706,7 +699,7 @@ TEST(PlanCache, MemoryDiskAndVerifyFailurePaths)
         EXPECT_FALSE(fresh.get(fp, other, opts).has_value());
         setLogVerbose(prev);
         EXPECT_EQ(fresh.stats().verifyFailures, 1u);
-        EXPECT_FALSE(fresh.store().has(fp));
+        EXPECT_FALSE(fileExists(fresh.store().pathFor(fp)));
         EXPECT_GE(fresh.stats().gcRemoved, 1u);
     }
 
@@ -715,7 +708,7 @@ TEST(PlanCache, MemoryDiskAndVerifyFailurePaths)
         // verify failure above removed the entry; publish it again.)
         {
             PlanCache republish(dir);
-            republish.put(fp, result);
+            republish.put(fp, p, opts, result);
         }
         PlanStore store(dir);
         std::string bytes, err;
@@ -806,7 +799,7 @@ TEST(PlanCache, LruEvictsBeyondCapacity)
         opts.memLimit = 10 + i; // Three distinct instances.
         const Hash128 fp = fingerprintQuery(p, opts);
         fps.push_back(fp);
-        cache.put(fp, tesselSearch(p, opts));
+        cache.put(fp, p, opts, tesselSearch(p, opts));
     }
     EXPECT_EQ(cache.stats().evictions, 1u);
 
@@ -855,7 +848,7 @@ TEST(PlanCache, MemoryCapacityHonoredBelowShardCount)
         opts.memLimit = 20 + i;
         fps.push_back(fingerprintQuery(p, opts));
         variants.push_back(opts);
-        cache.put(fps.back(), tesselSearch(p, opts));
+        cache.put(fps.back(), p, opts, tesselSearch(p, opts));
     }
     EXPECT_GE(cache.stats().evictions, 1u);
     size_t in_memory = 0;
@@ -867,10 +860,10 @@ TEST(PlanCache, MemoryCapacityHonoredBelowShardCount)
     EXPECT_LE(in_memory, 2u);
 }
 
-TEST(PlanCache, OrphanMetaSidecarSkippedAndDeletedOnOpen)
+TEST(PlanCache, OneFilePerEntryAndCorruptMetaFrameRejected)
 {
     std::string dir;
-    ASSERT_TRUE(makeTempDir("tessel-store-orphan-", &dir));
+    ASSERT_TRUE(makeTempDir("tessel-store-entry-", &dir));
 
     const Placement p = makeShapeByName("V", 4);
     const TesselOptions opts = quickOptions();
@@ -883,20 +876,73 @@ TEST(PlanCache, OrphanMetaSidecarSkippedAndDeletedOnOpen)
         cache.put(fp, p, opts, result);
     }
 
-    // Delete only the .plan, stranding the .meta sidecar — the state a
-    // crash between the two removals (or an external cleanup) leaves.
+    // One file for the fingerprint and no sidecar: the plan frame, then
+    // the meta frame in the entry's last kMetaFrameBytes.
     PlanStore store(dir);
-    ASSERT_TRUE(removeFile(store.pathFor(fp)));
-    ASSERT_TRUE(fileExists(store.metaPathFor(fp)));
+    const std::string shard = dir + "/" + fp.hex().substr(0, 2);
+    EXPECT_EQ(listDirFiles(shard, ""),
+              std::vector<std::string>{fp.hex() + ".plan"});
+    std::string bytes, err;
+    ASSERT_TRUE(readFile(store.pathFor(fp), &bytes, &err)) << err;
+    EXPECT_EQ(bytes, serializeResult(result, fp) +
+                         serializeMeta(computeInstanceMeta(p, opts)));
+    EXPECT_EQ(PlanCache(dir).indexedInstances(), 1u);
 
-    // A fresh cache must not index the phantom instance; it deletes the
-    // orphan sidecar instead of seeding the neighbor index with an
-    // entry whose plan can never be fetched.
+    // Flip a byte inside the meta frame: the reopened cache does not
+    // index the entry, and get() rejects it, counts a verify failure
+    // and removes the file.
+    bytes[bytes.size() - kMetaFrameBytes / 2] ^= 0x1;
+    ASSERT_TRUE(writeFileAtomic(store.pathFor(fp), bytes, &err)) << err;
     PlanCache cache(dir);
     EXPECT_EQ(cache.indexedInstances(), 0u);
-    EXPECT_FALSE(fileExists(store.metaPathFor(fp)));
-    EXPECT_GE(cache.stats().gcRemoved, 1u);
+    const bool prev = setLogVerbose(false);
     EXPECT_FALSE(cache.get(fp, p, opts).has_value());
+    setLogVerbose(prev);
+    EXPECT_EQ(cache.stats().verifyFailures, 1u);
+    EXPECT_EQ(cache.stats().gcRemoved, 1u);
+    EXPECT_FALSE(fileExists(store.pathFor(fp)));
+
+    // The next lookup is a plain miss.
+    EXPECT_FALSE(cache.get(fp, p, opts).has_value());
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().verifyFailures, 1u);
+}
+
+TEST(PlanCache, CommAwareDiskHitCarriesSearchedExpansion)
+{
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-store-expansion-", &dir));
+
+    const HeteroShape hs = makeHeteroShapeByName("V", 4);
+    TesselOptions opts = quickOptions();
+    opts.cluster = &hs.cluster;
+    opts.edgeMB = hs.edgeMB;
+    const Hash128 fp = fingerprintQuery(hs.placement, opts);
+    const TesselResult result = tesselSearch(hs.placement, opts);
+    ASSERT_TRUE(result.found);
+    ASSERT_TRUE(result.expansion.has_value());
+    {
+        PlanCache cache(dir);
+        cache.put(fp, hs.placement, opts, result);
+    }
+
+    // The entry stores no expansion; verification lowers the query and
+    // the disk hit carries that expansion, equal to the searched one.
+    PlanCache cache(dir);
+    PlanCache::Source source;
+    const SharedPlan hit = cache.getShared(fp, hs.placement, opts, &source);
+    ASSERT_TRUE(hit);
+    EXPECT_EQ(source, PlanCache::Source::Disk);
+    EXPECT_EQ(hit.digest, resultPlanDigest(result));
+    ASSERT_TRUE(hit.result->expansion.has_value());
+    const CommExpansion &loaded = *hit.result->expansion;
+    const CommExpansion &searched = *result.expansion;
+    EXPECT_TRUE(loaded.placement == searched.placement);
+    EXPECT_EQ(loaded.numRealDevices, searched.numRealDevices);
+    EXPECT_EQ(loaded.numLinks, searched.numLinks);
+    EXPECT_EQ(loaded.origSpec, searched.origSpec);
+    EXPECT_EQ(loaded.indexSpec, searched.indexSpec);
+    EXPECT_EQ(loaded.linkEndpoints, searched.linkEndpoints);
 }
 
 TEST(PlanCache, RevalidationSweepDropsRottenEntries)
@@ -918,7 +964,9 @@ TEST(PlanCache, RevalidationSweepDropsRottenEntries)
     cache.put(good_fp, p, quickOptions(), good);
     cache.put(bad_fp, p, opts, bad);
 
-    // Rot one entry on disk behind the cache's back.
+    EXPECT_EQ(cache.indexedInstances(), 2u);
+
+    // Rot one entry's plan frame on disk behind the cache's back.
     {
         PlanStore store(dir);
         std::string bytes, err;
@@ -935,12 +983,16 @@ TEST(PlanCache, RevalidationSweepDropsRottenEntries)
     EXPECT_GE(cache.stats().revalidated, 1u);
     EXPECT_GE(cache.stats().gcRemoved, 1u);
 
-    // The rotten entry (and its sidecar) are gone; the good one still
-    // serves — and a second sweep finds nothing left to collect.
+    // The rotten entry is gone from disk and from the neighbor index;
+    // the good one still serves — and a second sweep finds nothing left
+    // to collect.
     PlanStore store(dir);
-    EXPECT_FALSE(store.has(bad_fp));
-    EXPECT_FALSE(fileExists(store.metaPathFor(bad_fp)));
-    EXPECT_TRUE(store.has(good_fp));
+    EXPECT_FALSE(fileExists(store.pathFor(bad_fp)));
+    EXPECT_TRUE(fileExists(store.pathFor(good_fp)));
+    InstanceMeta meta;
+    EXPECT_FALSE(cache.neighborMeta(bad_fp, &meta));
+    EXPECT_TRUE(cache.neighborMeta(good_fp, &meta));
+    EXPECT_EQ(cache.indexedInstances(), 1u);
     const bool prev2 = setLogVerbose(false);
     EXPECT_EQ(cache.revalidateOnce(), 0u);
     setLogVerbose(prev2);

@@ -519,7 +519,6 @@ runServe(const Args &args)
     loop_opts.service.cacheDir = args.cacheDir;
     loop_opts.service.numThreads = args.threads;
     loop_opts.service.neighborSeed = args.neighborSeed;
-    loop_opts.service.perQueryBudgetSec = 0.0; // traces carry budgets
     loop_opts.service.replanBudgetSec = args.replanBudgetSec;
     loop_opts.queueDepth = args.queueDepth;
     loop_opts.workers = args.workers;
