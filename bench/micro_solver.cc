@@ -242,8 +242,10 @@ BENCHMARK(BM_ParallelSearchMShape)->Arg(1)->Arg(2)->Arg(4)
  * --json mode: run the composite FullSearch workloads once each with
  * deterministic single-threaded settings and write wall time plus the
  * solver effort counters (nodes, period-kernel value sweeps) to
- * @p path in the BENCH_solver.json schema. CI archives the file per
- * commit, making solver perf regressions diffable.
+ * @p path in the BENCH_solver.json schema, then the isolated MCR kernel
+ * and one BnB phase-sized solve. CI archives the file per commit, making
+ * solver perf regressions diffable; a changed `nodes` on the BnB row
+ * means a changed search tree.
  */
 int
 runJsonReport(const std::string &path)
@@ -307,6 +309,25 @@ runJsonReport(const std::string &path)
                   << kReps << " solves) value_sweeps=" << row.valueSweeps
                   << " policy_improvements=" << row.policyImprovements
                   << " period=" << last.period << "\n";
+    }
+    // One BnB minimize on the 216-block NN-shape instance (12
+    // micro-batches, memory cap 4): a warmup/cooldown-sized solve whose
+    // scheduled sets span four key words.
+    {
+        Problem prob(makeNnShape(4), 12, 4);
+        const SolverProblem sp = buildFullInstance(prob);
+        Stopwatch watch;
+        BnbSolver solver(sp);
+        const SolveResult r = solver.minimizeMakespan();
+        bench::BenchJsonRow row;
+        row.bench = "PhaseSolveNnShape12";
+        row.wallMs = watch.milliseconds();
+        row.nodes = r.stats.nodes;
+        rows.push_back(row);
+        std::cout << row.bench << ": wall_ms=" << row.wallMs
+                  << " nodes=" << row.nodes
+                  << " memo_hits=" << r.stats.memoHits
+                  << " makespan=" << r.makespan << "\n";
     }
     if (!bench::writeBenchJson(path, rows)) {
         std::cerr << "failed to write " << path << "\n";

@@ -176,6 +176,10 @@ recordAnswer(const SharedPlan &plan, bool searched, TraceSpan &span,
     report->period = result.period;
     report->valueSweeps = effort.valueSweeps;
     report->policyImprovements = effort.policyImprovements;
+    report->solverNodes = effort.solverNodes;
+    report->sweepMs = effort.repetendSeconds * 1e3;
+    report->warmupMs = effort.warmupSeconds * 1e3;
+    report->cooldownMs = effort.cooldownSeconds * 1e3;
 }
 
 } // namespace

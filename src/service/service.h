@@ -87,12 +87,16 @@ struct QueryReport
      * search accepted its first own candidate — the nodes a cold run
      * would have had to expand or bound some other way. */
     uint64_t seedNodesPruned = 0;
-    /** Period-kernel effort this call spent on the answer (see
-     * SolveStats for semantics): the search's counts when the call ran
-     * one, zero for every memory or disk hit and stale answer, even
-     * when this process searched the resident plan earlier. */
+    /** Effort this call spent on the answer (see SearchBreakdown for
+     * semantics): the search's counts and layer milliseconds when the
+     * call ran one, zero for every memory or disk hit and stale answer,
+     * even when this process searched the resident plan earlier. */
     uint64_t valueSweeps = 0;
     uint64_t policyImprovements = 0;
+    uint64_t solverNodes = 0; ///< Period-core plus phase BnB nodes.
+    double sweepMs = 0.0;     ///< Repetend sweep (period core).
+    double warmupMs = 0.0;    ///< Warmup phase completion.
+    double cooldownMs = 0.0;  ///< Cooldown phase completion.
     /** Answered through PlanningService::replan (drift or failure). */
     bool replanned = false;
     /**

@@ -548,7 +548,11 @@ formatResponseLine(const std::string &id, const ServiceLoop::Response &resp)
            << ", \"wall_sec\": " << jsonNumber(resp.report.wallSec)
            << ", \"value_sweeps\": " << resp.report.valueSweeps
            << ", \"policy_improvements\": "
-           << resp.report.policyImprovements;
+           << resp.report.policyImprovements
+           << ", \"solver_nodes\": " << resp.report.solverNodes
+           << ", \"sweep_ms\": " << jsonNumber(resp.report.sweepMs)
+           << ", \"warmup_ms\": " << jsonNumber(resp.report.warmupMs)
+           << ", \"cooldown_ms\": " << jsonNumber(resp.report.cooldownMs);
         if (resp.report.replanned)
             os << ", \"replanned\": true";
         if (resp.report.stale)

@@ -20,9 +20,10 @@
  * Hot-path mechanics: dispatchable candidates come from a ready list
  * maintained incrementally on dispatch/undo, and the dispatch
  * save/restore rows and candidate buffers live in per-depth arenas
- * (support/arena.h), so dispatch and candidate gathering never allocate.
- * The search as a whole is not allocation-free: each dominance-memo
- * insertion copies the state vector and may add a map node.
+ * (support/arena.h). The dominance memo is a flat open-addressing table
+ * keyed by the scheduled set's bit words, whose entry blocks come from
+ * an arena the solver owns and recycles. Once those structures have
+ * grown to a solve's working set, no node allocates.
  */
 
 #ifndef TESSEL_SOLVER_BNB_H

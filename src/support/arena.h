@@ -8,8 +8,8 @@
  * own reusable frame, so the temporaries they hold cost no heap
  * allocation in steady state: a frame is allocated the first time its
  * depth is reached and reused on every later visit of that depth. (The
- * BnB solver's dominance memo lives outside these frames and still
- * allocates on insertion.)
+ * BnB solver's dominance memo lives outside these frames, in a flat
+ * table and entry arena of its own in solver/bnb.cc.)
  */
 
 #ifndef TESSEL_SUPPORT_ARENA_H

@@ -1,33 +1,32 @@
 /**
  * @file
- * Width-generic resource set: the one bitset implementation behind both
- * device masks (devices + link pseudo-devices) and the solver's
- * scheduled-block sets.
+ * Width-generic resource set: the bitset implementation behind the
+ * device masks (devices + link pseudo-devices).
  *
  * A ResourceSet is a value type holding an unbounded set of small
  * non-negative integers. Sets whose members all fit in one 64-bit word
- * (the overwhelmingly common case: clusters up to 64 resources, solver
- * instances up to 64 blocks) live entirely inline — no heap allocation,
- * and every operation reduces to the same single-word shift/mask/popcount
- * the old raw uint64_t masks compiled to. Setting a bit at index >= the
+ * (the overwhelmingly common case: clusters up to 64 resources) live
+ * entirely inline — no heap allocation, and every operation reduces to
+ * the same single-word shift/mask/popcount the old raw uint64_t masks
+ * compiled to. Setting a bit at index >= the
  * current capacity transparently grows the set onto a heap word block, so
- * wide clusters (32+ GPUs with per-device comm lowering) and large solver
- * instances need no compile-time cap and no saturation.
+ * wide clusters (32+ GPUs with per-device comm lowering) need no
+ * compile-time cap and no saturation.
  *
  * The value is two machine words (the inline word and a pointer whose
  * heap block self-describes its capacity), so the narrow fast path adds
  * only 8 bytes to every struct that embeds a mask and copies stay cheap.
  *
- * Equality, hashing, and containment are canonical: trailing zero words
- * never influence them, so a set that grew and shrank compares and hashes
- * identically to one that never grew. That keeps one hash/dominance-memo
- * story for solver block sets regardless of instance size.
+ * Equality and containment are canonical: trailing zero words never
+ * influence them, so a set that grew and shrank compares identically to
+ * one that never grew. Fingerprints hash a set through its members
+ * (support/hashing.h), so they are canonical the same way; the set
+ * itself offers no hash.
  */
 
 #ifndef TESSEL_SUPPORT_RESOURCESET_H
 #define TESSEL_SUPPORT_RESOURCESET_H
 
-#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <utility>
@@ -272,25 +271,6 @@ class ResourceSet
         return !(*this == other);
     }
 
-    /**
-     * FNV-style hash over the words up to the last nonzero one, so equal
-     * sets hash equal regardless of how much capacity they ever grew.
-     */
-    size_t
-    hash() const
-    {
-        const uint64_t *w = words();
-        int32_t used = numWords();
-        while (used > 0 && w[used - 1] == 0)
-            --used;
-        uint64_t h = 1469598103934665603ull;
-        for (int32_t k = 0; k < used; ++k) {
-            h ^= w[k];
-            h *= 1099511628211ull;
-        }
-        return static_cast<size_t>(h);
-    }
-
     /** Forward iterator over the set bit indices, in ascending order. */
     class const_iterator
     {
@@ -417,16 +397,6 @@ class ResourceSet
 
     uint64_t inline_ = 0;     ///< The single word while heap_ is null.
     uint64_t *heap_ = nullptr; ///< Self-describing word block, or null.
-};
-
-/** Hash functor so ResourceSet can key std::unordered_map. */
-struct ResourceSetHash
-{
-    size_t
-    operator()(const ResourceSet &s) const
-    {
-        return s.hash();
-    }
 };
 
 /** Render as "{0,3,17}" (test failure messages, debug dumps). */

@@ -86,6 +86,17 @@ TEST(IncrementalSolver, NnShapeSingleSolveGolden)
                                        {3, 73, 1545, 473, 210, 78, 87, 9}});
 }
 
+TEST(IncrementalSolver, NnShapeMultiWordKeySolveGolden)
+{
+    // 144 and 216 blocks: scheduled sets three and four words wide, the
+    // memo key width of the reference phase solves (NN/hetero's warmup
+    // has 118 blocks). These counters pin memo-entry growth across many
+    // keys, which sanitizers cannot see inside the memo's arena.
+    expectSolveGolden(makeNnShape(4),
+                      {{8, 188, 70655, 30798, 2375, 213, 237, 9},
+                       {12, 280, 228903, 103322, 4279, 321, 357, 9}});
+}
+
 TEST(IncrementalSolver, ReusedSolverAgreesWithFreshSolvers)
 {
     // Manual decide() sequences with non-monotone deadlines on one

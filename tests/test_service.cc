@@ -528,10 +528,15 @@ TEST(PlanningService, FrontEndsReportIdenticalAnswersFromEveryTier)
             for (const QueryReport &r : front[pass]) {
                 if (pass == 0) {
                     EXPECT_GT(r.valueSweeps, 0u) << r.label;
+                    EXPECT_GT(r.solverNodes, 0u) << r.label;
                 } else {
                     EXPECT_EQ(r.valueSweeps, 0u) << r.source << r.label;
                     EXPECT_EQ(r.policyImprovements, 0u)
                         << r.source << r.label;
+                    EXPECT_EQ(r.solverNodes, 0u) << r.source << r.label;
+                    EXPECT_EQ(r.sweepMs, 0.0) << r.source << r.label;
+                    EXPECT_EQ(r.warmupMs, 0.0) << r.source << r.label;
+                    EXPECT_EQ(r.cooldownMs, 0.0) << r.source << r.label;
                 }
             }
         }
@@ -1173,6 +1178,24 @@ TEST(TraceCodec, ResponseLineEscapesControlBytesInId)
     for (const char c : line)
         EXPECT_GE(static_cast<unsigned char>(c), 0x20) << line;
     EXPECT_NE(line.find("\"id\": \"a\\nb\\u0001c\""), std::string::npos)
+        << line;
+}
+
+TEST(TraceCodec, ResponseLineReportsSearchCostAfterEffortCounters)
+{
+    ServiceLoop::Response resp;
+    resp.report.policyImprovements = 7;
+    resp.report.solverNodes = 12345;
+    resp.report.sweepMs = 1.5;
+    resp.report.warmupMs = 20;
+    resp.report.cooldownMs = 0.25;
+    // Appended after the effort counters, so greps anchored on the
+    // leading keys ("fingerprint": ..., "plan_hash": ...) still match.
+    const std::string line = formatResponseLine("q", resp);
+    EXPECT_NE(line.find("\"policy_improvements\": 7, "
+                        "\"solver_nodes\": 12345, \"sweep_ms\": 1.5, "
+                        "\"warmup_ms\": 20, \"cooldown_ms\": 0.25"),
+              std::string::npos)
         << line;
 }
 

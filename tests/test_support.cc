@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for the support library: bitsets, tables, RNG, timers,
- * the JSON string escaper.
+ * Unit tests for the support library: tables, RNG, timers, the JSON
+ * string escaper. (Resource sets have their own model tests in
+ * test_resourceset.cc.)
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "support/bitset.h"
 #include "support/io.h"
 #include "support/logging.h"
 #include "support/cancel.h"
@@ -27,75 +27,6 @@
 
 namespace tessel {
 namespace {
-
-TEST(BlockSet, StartsEmpty)
-{
-    BlockSet s;
-    EXPECT_TRUE(s.empty());
-    EXPECT_EQ(s.count(), 0);
-    // Probing far past the inline capacity is valid and reads false.
-    for (int i = 0; i < 1024; i += 17)
-        EXPECT_FALSE(s.test(i));
-}
-
-TEST(BlockSet, SetResetTest)
-{
-    BlockSet s;
-    s.set(0);
-    s.set(63);
-    s.set(64);
-    s.set(255);
-    EXPECT_TRUE(s.test(0));
-    EXPECT_TRUE(s.test(63));
-    EXPECT_TRUE(s.test(64));
-    EXPECT_TRUE(s.test(255));
-    EXPECT_FALSE(s.test(1));
-    EXPECT_EQ(s.count(), 4);
-    s.reset(63);
-    EXPECT_FALSE(s.test(63));
-    EXPECT_EQ(s.count(), 3);
-}
-
-TEST(BlockSet, EqualityAndHash)
-{
-    BlockSet a, b;
-    a.set(7);
-    a.set(130);
-    b.set(130);
-    EXPECT_NE(a, b);
-    b.set(7);
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(a.hash(), b.hash());
-    b.reset(7);
-    b.set(8);
-    EXPECT_NE(a.hash(), b.hash()); // Overwhelmingly likely.
-}
-
-TEST(BlockSet, Contains)
-{
-    BlockSet a, b;
-    a.set(3);
-    a.set(100);
-    a.set(200);
-    b.set(3);
-    b.set(200);
-    EXPECT_TRUE(a.contains(b));
-    EXPECT_FALSE(b.contains(a));
-    EXPECT_TRUE(a.contains(a));
-    EXPECT_TRUE(a.contains(BlockSet{}));
-}
-
-TEST(BlockSet, HashDistribution)
-{
-    std::set<size_t> hashes;
-    for (int i = 0; i < 256; ++i) {
-        BlockSet s;
-        s.set(i);
-        hashes.insert(s.hash());
-    }
-    // FNV folding may collide rarely; demand near-perfect spread.
-    EXPECT_GE(hashes.size(), 240u);
-}
 
 TEST(Table, AlignsColumnsAndPrintsHeader)
 {

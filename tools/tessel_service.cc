@@ -302,6 +302,10 @@ writeStatsJson(const std::string &path, const BatchReport &report)
             << ", \"seed_nodes_pruned\": " << q.seedNodesPruned
             << ", \"value_sweeps\": " << q.valueSweeps
             << ", \"policy_improvements\": " << q.policyImprovements
+            << ", \"solver_nodes\": " << q.solverNodes
+            << ", \"sweep_ms\": " << q.sweepMs
+            << ", \"warmup_ms\": " << q.warmupMs
+            << ", \"cooldown_ms\": " << q.cooldownMs
             << (q.deadlineHit ? ", \"deadline_hit\": true" : "") << "}"
             << (i + 1 < report.queries.size() ? "," : "") << "\n";
     }
