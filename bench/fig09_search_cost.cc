@@ -7,9 +7,10 @@
  * (the paper marks one cell as exceeding 10000x).
  *
  * Also reports the parallel-sweep speedup: Tessel's search run with
- * TESSEL_THREADS workers (default: all hardware threads) against the
- * serial numThreads=1 path. Both runs return the identical plan; the
- * speedup column is wall-clock only.
+ * TESSEL_THREADS workers (default: all hardware threads) against
+ * numThreads=1, which sweeps inline on the calling thread with no
+ * pool. Both runs return the identical plan; the speedup column is
+ * wall-clock only.
  */
 
 #include <cstdlib>

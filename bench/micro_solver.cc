@@ -219,9 +219,10 @@ BM_FullSearchMShape(benchmark::State &state)
 BENCHMARK(BM_FullSearchMShape)->Unit(benchmark::kMillisecond);
 
 /**
- * Serial-vs-parallel candidate sweep (the tentpole knob): Arg is
- * TesselOptions::numThreads. Every thread count returns the identical
- * plan, so the per-iteration time difference is pure sweep speedup.
+ * One-thread vs pooled candidate sweep: Arg is
+ * TesselOptions::numThreads (1 sweeps inline with no pool, 2 and 4
+ * on a pool). Every thread count returns the identical plan, so the
+ * per-iteration time difference is pure sweep speedup.
  */
 void
 BM_ParallelSearchMShape(benchmark::State &state)

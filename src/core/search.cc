@@ -323,18 +323,23 @@ completeOrReusePlan(const Placement &placement,
 }
 
 /**
- * Shared state of one parallel candidate sweep.
+ * Shared state of one candidate sweep (Algorithm 1 lines 7-20).
  *
  * Determinism: every candidate carries its global enumeration index and
  * the incumbent is the lexicographic minimum of (period, index) over
- * accepted candidates, which is exactly what the serial loop converges
- * to (the serial winner is the lowest-index candidate achieving the
- * minimal period). Workers prune against the *inclusive* shared period
- * bound, so an equal-period candidate with a smaller index is never
- * masked by a higher-index one that happened to publish first. The
- * Algorithm 1 early exit becomes an index bar: once some candidate hits
- * the lower bound, only lower-index candidates (which could still win
- * the tie-break) keep running; everything above the bar is cancelled.
+ * accepted candidates: the lowest-index candidate achieving the minimal
+ * period, whatever order the solves finish in. Workers prune against
+ * the *inclusive* shared period bound, so an equal-period candidate
+ * with a smaller index is never masked by a higher-index one that
+ * happened to publish first. The Algorithm 1 early exit becomes an
+ * index bar: once some candidate hits the lower bound, only
+ * lower-index candidates (which could still win the tie-break) keep
+ * running; everything above the bar is cancelled.
+ *
+ * With one thread the candidates run inline in enumeration order, so
+ * every solve sees the final incumbent of all lower indices, nothing
+ * runs beside it to cancel, and the sweep spends exactly the effort of
+ * a plain serial loop.
  *
  * Seeding: a warm-start seed initializes the shared bound as a virtual
  * incumbent at (seed period, index +infinity) — bestPeriod_ starts at
@@ -348,32 +353,45 @@ class SweepState
   public:
     SweepState(const Placement &placement, const TesselOptions &options,
                const TimeBudget &total_budget, Time lower_bound,
-               Time optimal_init, std::vector<Mem> entry)
+               Time optimal_init, std::vector<Mem> entry, bool concurrent)
         : placement_(placement), options_(options),
           totalBudget_(total_budget), lowerBound_(lower_bound),
-          entry_(std::move(entry)), incumbent_(optimal_init),
-          bestPeriod_(optimal_init)
+          entry_(std::move(entry)), concurrent_(concurrent),
+          incumbent_(optimal_init), bestPeriod_(optimal_init)
     {
     }
 
-    /** Evaluate one candidate end-to-end (runs on a pool worker). */
+    /** Evaluate one candidate end-to-end, on a pool worker or, with one
+     * thread, on the enumerating thread. */
     void
     runCandidate(uint64_t index, const RepetendAssignment &assign)
     {
         SearchBreakdown local;
         if (!options_.cancel.cancelled() && !globalCancel_.cancelled() &&
-            index <= lbBar_.load(std::memory_order_relaxed)) {
+            !aboveBar(index)) {
             if (totalBudget_.expired()) {
                 local.budgetExhausted = true;
                 globalCancel_.cancel();
+            } else if (concurrent_) {
+                solveCancellable(index, assign, local);
             } else {
-                solveCandidate(index, assign, local);
+                // Nothing runs beside this solve, so only the caller
+                // can cancel it.
+                solveCandidate(index, assign, options_.cancel, local);
             }
         }
         mergeStats(local);
     }
 
-    /** Snapshot of the winner, taken after the pool went quiescent. */
+    /** Whether a lower-index candidate already hit the lower bound, so
+     * candidate @p index can no longer win. */
+    bool
+    aboveBar(uint64_t index) const
+    {
+        return index > lbBar_.load(std::memory_order_relaxed);
+    }
+
+    /** Snapshot of the winner, taken after the last solve finished. */
     bool hasBest() const { return best_.has_value(); }
     const BestCandidate &best() const { return *best_; }
     std::optional<TesselPlan> takeBestPlan() { return std::move(bestPlan_); }
@@ -404,12 +422,13 @@ class SweepState
         return lexBetterLocked(period, index);
     }
 
+    /** solveCandidate under a per-task source, which lets the early-exit
+     * bar kill this solve mid-flight without touching lower-index
+     * tasks. */
     void
-    solveCandidate(uint64_t index, const RepetendAssignment &assign,
-                   SearchBreakdown &local)
+    solveCancellable(uint64_t index, const RepetendAssignment &assign,
+                     SearchBreakdown &local)
     {
-        // A per-task source lets the early-exit bar kill this solve
-        // mid-flight without touching lower-index tasks.
         CancelToken token;
         {
             std::lock_guard<std::mutex> lock(runningMu_);
@@ -417,7 +436,19 @@ class SweepState
             token = options_.cancel.linked(globalCancel_.token())
                         .linked(running_.back().second.token());
         }
+        solveCandidate(index, assign, token, local);
+        std::lock_guard<std::mutex> lock(runningMu_);
+        running_.erase(std::remove_if(running_.begin(), running_.end(),
+                                      [&](const auto &entry) {
+                                          return entry.first == index;
+                                      }),
+                       running_.end());
+    }
 
+    void
+    solveCandidate(uint64_t index, const RepetendAssignment &assign,
+                   const CancelToken &token, SearchBreakdown &local)
+    {
         Time snap_period;
         uint64_t snap_index;
         {
@@ -429,12 +460,12 @@ class SweepState
         RepetendSolveOptions rso;
         rso.memLimit = options_.memLimit;
         rso.initialMem = options_.initialMem;
-        // Like the serial loop, freeze a strict cutoff at solve start:
-        // a higher-index candidate loses a period tie with the current
-        // incumbent, so periods >= it are prunable outright. A
-        // lower-index candidate could still win the tie-break, so only
-        // strictly worse periods may be cut. The inclusive live bound
-        // then keeps tightening mid-solve as siblings publish.
+        // Freeze a strict cutoff at solve start: a higher-index
+        // candidate loses a period tie with the current incumbent, so
+        // periods >= it are prunable outright. A lower-index candidate
+        // could still win the tie-break, so only strictly worse periods
+        // may be cut. The inclusive live bound then keeps tightening
+        // mid-solve as siblings publish.
         rso.cutoff = index > snap_index ? snap_period : snap_period + 1;
         rso.liveCutoff = incumbent_.raw();
         // Until a real candidate publishes, the bound is the seed's.
@@ -482,13 +513,6 @@ class SweepState
             if (accept)
                 publish(index, assign, sched, std::move(plan));
         }
-
-        std::lock_guard<std::mutex> lock(runningMu_);
-        running_.erase(std::remove_if(running_.begin(), running_.end(),
-                                      [&](const auto &entry) {
-                                          return entry.first == index;
-                                      }),
-                       running_.end());
     }
 
     void
@@ -525,6 +549,7 @@ class SweepState
     const TimeBudget &totalBudget_;
     const Time lowerBound_;
     const std::vector<Mem> entry_;
+    const bool concurrent_; ///< solves run on a pool, beside each other
 
     SharedIncumbent incumbent_;
     std::atomic<uint64_t> lbBar_{std::numeric_limits<uint64_t>::max()};
@@ -543,137 +568,43 @@ class SweepState
     SearchBreakdown stats_;
 };
 
-/** Legacy single-thread sweep (exact original control flow).
- *
- * Candidates are enumerated on @p enum_placement (the caller's original
- * placement) and solved on @p placement; for a comm-aware search the two
- * differ and @p expansion extends each assignment onto the comm blocks.
- * In the homogeneous case they alias and @p expansion is null.
+/**
+ * Candidate sweep: each NR's candidates solve concurrently on a pool,
+ * or with one thread inline as they are enumerated. Candidates are
+ * enumerated on @p enum_placement (the caller's original placement) and
+ * solved on @p placement; for a comm-aware search the two differ and
+ * @p expansion extends each assignment onto the comm blocks. In the
+ * homogeneous case they alias and @p expansion is null.
  */
 void
-serialSweep(const Placement &enum_placement, const CommExpansion *expansion,
-            const Placement &placement, const TesselOptions &options,
-            const TimeBudget &total_budget, int max_inflight,
-            const std::vector<Mem> &entry, TesselResult &result,
-            std::optional<BestCandidate> &best,
-            std::optional<TesselPlan> &best_plan)
+sweep(const Placement &enum_placement, const CommExpansion *expansion,
+      const Placement &placement, const TesselOptions &options,
+      const TimeBudget &total_budget, Time lower_bound, int max_inflight,
+      const std::vector<Mem> &entry, int threads, TesselResult &result,
+      std::optional<BestCandidate> &best,
+      std::optional<TesselPlan> &best_plan)
 {
-    Time optimal = placement.totalWork() + 1;
-    // A seed acts as a virtual accepted candidate at index +infinity:
-    // the strict cutoff below it admits every period <= the seed's, so
-    // any candidate the cold loop would have accepted as final winner
-    // (its period is <= the seed's, the seed plan being a feasible
-    // witness) is still accepted here — only the doomed prefix of
-    // strictly-worse candidates is skipped.
-    if (options.seed)
-        optimal = std::min(optimal, options.seed->period + 1);
-
-    // Lines 7-20. Under lazy search (Sec. V) the per-candidate
-    // time-optimal completions become satisfiability checks.
-    for (int nr = 1; nr <= max_inflight; ++nr) {
-        if (result.breakdown.earlyExit || result.breakdown.budgetExhausted)
-            break;
-        enumerateRepetends(
-            enum_placement, nr, [&](const RepetendAssignment &enum_assign) {
-                ++result.breakdown.candidatesEnumerated;
-                if (options.cancel.cancelled())
-                    return false;
-                if (total_budget.expired()) {
-                    result.breakdown.budgetExhausted = true;
-                    return false;
-                }
-                const RepetendAssignment assign =
-                    expansion ? expansion->extendAssignment(enum_assign)
-                              : enum_assign;
-                RepetendSolveOptions rso;
-                rso.memLimit = options.memLimit;
-                rso.initialMem = options.initialMem;
-                rso.cutoff = optimal;
-                rso.cutoffFromSeed =
-                    options.seed != nullptr && !best.has_value();
-                rso.timeBudgetSec = options.repetendBudgetSec;
-                rso.cancel = options.cancel;
-                Stopwatch watch;
-                const RepetendSchedule sched =
-                    solveRepetend(placement, assign, rso);
-                result.breakdown.repetendSeconds += watch.seconds();
-                ++result.breakdown.candidatesSolved;
-                addSolveStats(result.breakdown, sched.stats);
-                if (!sched.feasible || sched.period >= optimal)
-                    return true;
-
-                if (options.lazy) {
-                    Stopwatch w_watch;
-                    ++result.breakdown.satChecks;
-                    const bool sat_w = phaseSatisfiable(
-                        placement, warmupBlocks(placement, assign), entry,
-                        options, options.cancel, result.breakdown);
-                    result.breakdown.warmupSeconds += w_watch.seconds();
-                    if (!sat_w)
-                        return true;
-                    Stopwatch c_watch;
-                    ++result.breakdown.satChecks;
-                    const bool sat_c = phaseSatisfiable(
-                        placement, cooldownBlocks(placement, assign),
-                        postWindowMem(placement, assign,
-                                      options.initialMem),
-                        options, options.cancel, result.breakdown);
-                    result.breakdown.cooldownSeconds += c_watch.seconds();
-                    if (!sat_c)
-                        return true;
-                } else {
-                    // Full time-optimal completion per improving
-                    // candidate (Algorithm 1 lines 16-17 verbatim).
-                    auto plan = completeOrReusePlan(
-                        placement, assign, sched, options,
-                        result.breakdown, options.cancel);
-                    if (!plan)
-                        return true;
-                    best_plan = std::move(plan);
-                }
-
-                optimal = sched.period;
-                best = BestCandidate{assign, sched};
-                if (sched.period == result.lowerBound) {
-                    result.breakdown.earlyExit = true;
-                    return false; // Algorithm 1, lines 19-20.
-                }
-                return true;
-            });
-    }
-}
-
-/** Pool-backed sweep: candidates of each NR solve concurrently. Takes
- * the same (enumeration placement, expansion, solve placement) triple as
- * serialSweep. */
-void
-parallelSweep(const Placement &enum_placement,
-              const CommExpansion *expansion, const Placement &placement,
-              const TesselOptions &options, const TimeBudget &total_budget,
-              Time lower_bound, int max_inflight,
-              const std::vector<Mem> &entry, int threads,
-              TesselResult &result, std::optional<BestCandidate> &best,
-              std::optional<TesselPlan> &best_plan)
-{
-    // The cold virtual incumbent sits just above the serial upper bound
-    // (inclusive live bound + strict frozen cutoff = "anything goes");
-    // a seed tightens it to the seed period, which every real candidate
-    // may still match (seed index = +infinity loses all tie-breaks).
+    // The cold virtual incumbent sits just above totalWork, the longest
+    // period a solve returns ("anything goes"); a seed tightens it to
+    // the seed period, which every real candidate may still match (seed
+    // index = +infinity loses all tie-breaks).
     Time optimal_init = placement.totalWork() + 1;
     if (options.seed)
         optimal_init = std::min(optimal_init, options.seed->period);
     SweepState state(placement, options, total_budget, lower_bound,
-                     optimal_init, entry);
+                     optimal_init, entry, threads > 1);
     // The submitting thread helps drain the queues inside wait(), so it
     // counts as one of the requested workers.
-    ThreadPool pool(std::max(1, threads - 1));
+    std::optional<ThreadPool> pool;
+    if (threads > 1)
+        pool.emplace(threads - 1);
 
     uint64_t next_index = 0;
     for (int nr = 1; nr <= max_inflight; ++nr) {
         std::vector<RepetendAssignment> candidates;
         SearchBreakdown enum_stats;
         enumerateRepetends(
-            enum_placement, nr, [&](const RepetendAssignment &assign) {
+            enum_placement, nr, [&](const RepetendAssignment &enum_assign) {
                 ++enum_stats.candidatesEnumerated;
                 if (options.cancel.cancelled())
                     return false;
@@ -681,21 +612,30 @@ parallelSweep(const Placement &enum_placement,
                     enum_stats.budgetExhausted = true;
                     return false;
                 }
-                candidates.push_back(
-                    expansion ? expansion->extendAssignment(assign)
-                              : assign);
-                return true;
+                RepetendAssignment assign =
+                    expansion ? expansion->extendAssignment(enum_assign)
+                              : enum_assign;
+                if (pool) {
+                    candidates.push_back(std::move(assign));
+                    return true;
+                }
+                state.runCandidate(next_index++, assign);
+                // Algorithm 1, lines 19-20: stop once this candidate
+                // reached the lower bound.
+                return !state.aboveBar(next_index);
             });
         state.mergeStats(enum_stats);
 
-        const uint64_t base = next_index;
-        next_index += candidates.size();
-        for (size_t i = 0; i < candidates.size(); ++i) {
-            pool.submit([&state, &candidates, base, i] {
-                state.runCandidate(base + i, candidates[i]);
-            });
+        if (pool) {
+            const uint64_t base = next_index;
+            next_index += candidates.size();
+            for (size_t i = 0; i < candidates.size(); ++i) {
+                pool->submit([&state, &candidates, base, i] {
+                    state.runCandidate(base + i, candidates[i]);
+                });
+            }
+            pool->wait();
         }
-        pool.wait();
 
         // hasBest() guards the seeded case: bestPeriod_ may start AT the
         // lower bound (a seed already that tight) without any candidate
@@ -785,15 +725,9 @@ tesselSearch(const Placement &placement, const TesselOptions &options)
     std::optional<TesselPlan> best_plan; // Kept only without lazy search.
     {
         TraceSpan span("repetend-sweep");
-        if (threads == 1) {
-            serialSweep(placement, exp_ptr, *solve_placement, eff,
-                        total_budget, max_inflight, entry, result, best,
-                        best_plan);
-        } else {
-            parallelSweep(placement, exp_ptr, *solve_placement, eff,
-                          total_budget, result.lowerBound, max_inflight,
-                          entry, threads, result, best, best_plan);
-        }
+        sweep(placement, exp_ptr, *solve_placement, eff, total_budget,
+              result.lowerBound, max_inflight, entry, threads, result, best,
+              best_plan);
         span.setArg("value_sweeps", result.breakdown.valueSweeps);
         span.setArg("policy_improvements",
                     result.breakdown.policyImprovements);

@@ -98,9 +98,12 @@ struct TesselOptions
     uint64_t phaseNodeLimit = 2'500'000;
     /**
      * Worker threads for the per-NR candidate sweep. 0 picks
-     * hardware_concurrency(); 1 runs the exact legacy serial path.
-     * Any value returns the same plan: candidates carry their
-     * enumeration index and ties are broken by (period, index).
+     * hardware_concurrency(); N > 1 solves each NR's candidates on a
+     * pool of N threads (the caller among them); 1 solves them inline,
+     * with no pool, in enumeration order, so its effort counters are a
+     * pure function of the instance. Any value returns the same plan:
+     * candidates carry their enumeration index and ties are broken by
+     * (period, index).
      */
     int numThreads = 0;
     /** External cancellation for the whole search (optional). */

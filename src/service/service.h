@@ -186,11 +186,12 @@ struct ServiceOptions
     /**
      * Workers for the cache-lookup and miss fan-outs; 0 picks
      * hardware_concurrency(), 1 runs everything inline. Only when two
-     * or more misses actually fan out over the pool is each pooled
-     * search forced serial (numThreads = 1), so batch parallelism is
-     * not multiplied by per-search parallelism; a lone miss keeps the
-     * search's own multi-threaded sweep. Plans are identical either
-     * way by the search's determinism contract.
+     * or more misses actually fan out over the pool does each pooled
+     * search run its sweep with one thread (numThreads = 1: inline on
+     * the worker, no pool of its own), so batch parallelism is not
+     * multiplied by per-search parallelism; a lone miss keeps the
+     * search's own pooled sweep. Plans are identical either way by
+     * the search's determinism contract.
      */
     int numThreads = 0;
     /**

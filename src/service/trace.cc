@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "placement/shapes.h"
 #include "support/io.h"
@@ -258,16 +261,23 @@ struct Scanner
     }
 };
 
+/** @p v as a JSON number: an integral value as an integer, any other
+ * to six significant digits or, with @p exact, to the fewest digits that
+ * read back as @p v (so a parsed trace line formats to the same bytes). */
 std::string
-jsonNumber(double v)
+jsonNumber(double v, bool exact = false)
 {
     char buf[64];
-    if (v == static_cast<double>(static_cast<long long>(v)))
-        std::snprintf(buf, sizeof buf, "%lld",
-                      static_cast<long long>(v));
-    else
-        std::snprintf(buf, sizeof buf, "%.6g", v);
-    return buf;
+    // The range check comes first: the cast is undefined past 2^63.
+    if (std::fabs(v) < 0x1p63 && v == std::trunc(v)) {
+        std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+        return buf;
+    }
+    for (int digits = exact ? 15 : 6;; ++digits) {
+        std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+        if (!exact || digits == 17 || std::strtod(buf, nullptr) == v)
+            return buf;
+    }
 }
 
 } // namespace
@@ -312,7 +322,20 @@ parseTraceLine(const std::string &line, TraceQuery *out, std::string *err)
                 return true;
             };
 
-            double tmp = 0.0;
+            // Integer keys: the cast from double is undefined for
+            // values outside the target type, so range-check first.
+            auto wantInteger = [&](auto *dst) {
+                using T = std::remove_pointer_t<decltype(dst)>;
+                double v = 0.0;
+                if (!wantNumber(&v))
+                    return false;
+                if (!(std::fabs(v) <
+                      std::ldexp(1.0, std::numeric_limits<T>::digits)))
+                    return bail("key \"" + key + "\" out of range");
+                *dst = static_cast<T>(v);
+                return true;
+            };
+
             if (key == "id") {
                 if (!wantString(&q.id))
                     return false;
@@ -330,35 +353,29 @@ parseTraceLine(const std::string &line, TraceQuery *out, std::string *err)
                 if (!wantString(&q.tenant))
                     return false;
             } else if (key == "devices") {
-                if (!wantNumber(&tmp))
+                if (!wantInteger(&q.devices))
                     return false;
-                q.devices = static_cast<int>(tmp);
             } else if (key == "budget_sec") {
                 if (!wantNumber(&q.budgetSec))
                     return false;
             } else if (key == "nr_cap") {
-                if (!wantNumber(&tmp))
+                if (!wantInteger(&q.nrCap))
                     return false;
-                q.nrCap = static_cast<int>(tmp);
             } else if (key == "mem_limit") {
-                if (!wantNumber(&tmp))
+                if (!wantInteger(&q.memLimit))
                     return false;
-                q.memLimit = static_cast<long long>(tmp);
             } else if (key == "drift_device") {
-                if (!wantNumber(&tmp))
+                if (!wantInteger(&q.driftDevice))
                     return false;
-                q.driftDevice = static_cast<int>(tmp);
             } else if (key == "drift_speed") {
                 if (!wantNumber(&q.driftSpeed))
                     return false;
             } else if (key == "drift_src") {
-                if (!wantNumber(&tmp))
+                if (!wantInteger(&q.driftSrc))
                     return false;
-                q.driftSrc = static_cast<int>(tmp);
             } else if (key == "drift_dst") {
-                if (!wantNumber(&tmp))
+                if (!wantInteger(&q.driftDst))
                     return false;
-                q.driftDst = static_cast<int>(tmp);
             } else if (key == "drift_latency") {
                 if (!wantNumber(&q.driftLatency))
                     return false;
@@ -366,9 +383,8 @@ parseTraceLine(const std::string &line, TraceQuery *out, std::string *err)
                 if (!wantNumber(&q.driftTimePerMB))
                     return false;
             } else if (key == "fail_device") {
-                if (!wantNumber(&tmp))
+                if (!wantInteger(&q.failDevice))
                     return false;
-                q.failDevice = static_cast<int>(tmp);
             }
             // Unknown keys: parsed and dropped (forward compatibility).
 
@@ -405,20 +421,21 @@ formatTraceLine(const TraceQuery &q)
     os << "\"shape\": \"" << jsonEscape(q.shape) << "\""
        << ", \"variant\": \"" << jsonEscape(q.variant) << "\""
        << ", \"devices\": " << q.devices
-       << ", \"budget_sec\": " << jsonNumber(q.budgetSec);
+       << ", \"budget_sec\": " << jsonNumber(q.budgetSec, true);
     if (q.nrCap > 0)
         os << ", \"nr_cap\": " << q.nrCap;
     if (q.memLimit > 0)
         os << ", \"mem_limit\": " << q.memLimit;
     if (q.driftDevice >= 0) {
         os << ", \"drift_device\": " << q.driftDevice
-           << ", \"drift_speed\": " << jsonNumber(q.driftSpeed);
+           << ", \"drift_speed\": " << jsonNumber(q.driftSpeed, true);
     }
     if (q.driftSrc >= 0 || q.driftDst >= 0) {
         os << ", \"drift_src\": " << q.driftSrc
            << ", \"drift_dst\": " << q.driftDst
-           << ", \"drift_latency\": " << jsonNumber(q.driftLatency)
-           << ", \"drift_time_per_mb\": " << jsonNumber(q.driftTimePerMB);
+           << ", \"drift_latency\": " << jsonNumber(q.driftLatency, true)
+           << ", \"drift_time_per_mb\": "
+           << jsonNumber(q.driftTimePerMB, true);
     }
     if (q.failDevice >= 0)
         os << ", \"fail_device\": " << q.failDevice;
@@ -431,6 +448,13 @@ formatTraceLine(const TraceQuery &q)
 std::optional<PlanQuery>
 makeTraceQuery(const TraceQuery &q, std::string *err)
 {
+    if (q.devices > kMaxTraceDevices) {
+        if (err)
+            *err = "devices " + std::to_string(q.devices) +
+                   " above the trace limit " +
+                   std::to_string(kMaxTraceDevices);
+        return std::nullopt;
+    }
     std::optional<PlanQuery> plan =
         referenceShapeQuery(q.shape, q.variant, q.devices, q.budgetSec);
     if (!plan) {

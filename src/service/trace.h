@@ -97,8 +97,9 @@ struct TraceQuery
 
 /**
  * Parse one trace line. @return false with @p err set on malformed
- * JSON (a malformed number included), a non-scalar value, a wrong value type for a known key, or a
- * missing/unknown "shape". Unknown keys are ignored.
+ * JSON (a malformed number included), a non-scalar value, a wrong
+ * value type for a known key, an integer key whose value does not fit
+ * its field, or a missing "shape". Unknown keys are ignored.
  */
 bool parseTraceLine(const std::string &line, TraceQuery *out,
                     std::string *err);
@@ -106,11 +107,17 @@ bool parseTraceLine(const std::string &line, TraceQuery *out,
 /** Serialize @p q as one trace line (no trailing newline). */
 std::string formatTraceLine(const TraceQuery &q);
 
+/** Most devices a trace line may name: building a shape grows with the
+ * device count (a hetero shape models every link), so a line naming
+ * tens of thousands would stall the daemon before any search. */
+constexpr int kMaxTraceDevices = 256;
+
 /**
  * Build the PlanQuery a trace line describes: the reference-shape
  * query for (shape, variant, devices, budget) with any perturbation
  * knobs applied (and recorded in the label for readability).
- * @return nullopt with @p err set for unknown coordinates.
+ * @return nullopt with @p err set for unknown coordinates or more than
+ * kMaxTraceDevices devices.
  */
 std::optional<PlanQuery> makeTraceQuery(const TraceQuery &q,
                                         std::string *err);

@@ -17,10 +17,13 @@ namespace {
  * (2^24 instances x 2^38 max |delta| < 2^63) and bounds the memory the
  * verification of a hostile entry can allocate. Real plans are orders
  * of magnitude below both limits (spans are milliseconds-scale
- * integers, NR <= maxRepetendMicrobatches).
+ * integers, NR <= maxRepetendMicrobatches). Placement allocates per
+ * device, so the device count (link pseudo-devices included) is capped
+ * at 2^16: an unchecked 2^31 would demand tens of gigabytes.
  */
 constexpr int64_t kMaxSerializedMagnitude = int64_t{1} << 38;
 constexpr int64_t kMaxSerializedInstances = int64_t{1} << 24;
+constexpr int32_t kMaxSerializedDevices = int32_t{1} << 16;
 
 bool
 magnitudeOk(int64_t v)
@@ -125,8 +128,9 @@ writePayload(const TesselResult &result)
 // re-checked here because their constructors fatal()/panic() on
 // violations — untrusted bytes must be fully vetted first.
 
+/** A device mask whose bits are all below @p num_devices. */
 bool
-readMask(ByteReader &r, DeviceMask *out)
+readMask(ByteReader &r, int32_t num_devices, DeviceMask *out)
 {
     uint32_t n;
     if (!r.count(&n, 4))
@@ -138,7 +142,7 @@ readMask(ByteReader &r, DeviceMask *out)
         if (!r.i32(&bit))
             return false;
         // Canonical encoding is strictly ascending and non-negative.
-        if (bit <= prev || bit < 0) {
+        if (bit <= prev || bit < 0 || bit >= num_devices) {
             r.markFailed();
             return false;
         }
@@ -163,15 +167,20 @@ readPlacement(ByteReader &r, Placement *out, std::string *err)
         *err = "placement has no devices or no blocks";
         return false;
     }
+    if (num_devices > kMaxSerializedDevices) {
+        *err = "placement device count out of bounds";
+        return false;
+    }
     std::vector<BlockSpec> blocks;
     blocks.reserve(num_blocks);
     for (uint32_t i = 0; i < num_blocks; ++i) {
         BlockSpec b;
         uint8_t kind;
         uint32_t num_deps;
-        if (!r.str(&b.name) || !r.u8(&kind) || !readMask(r, &b.devices) ||
+        if (!r.str(&b.name) || !r.u8(&kind) ||
+            !readMask(r, num_devices, &b.devices) ||
             !r.i64(&b.span) || !r.i64(&b.memory) || !r.count(&num_deps, 4)) {
-            *err = "placement block truncated";
+            *err = "placement block truncated or has out-of-range devices";
             return false;
         }
         if (kind > static_cast<uint8_t>(BlockKind::Comm)) {
@@ -179,8 +188,8 @@ readPlacement(ByteReader &r, Placement *out, std::string *err)
             return false;
         }
         b.kind = static_cast<BlockKind>(kind);
-        if (b.devices.empty() || b.devices.anyAtOrAbove(num_devices)) {
-            *err = "placement block has empty or out-of-range devices";
+        if (b.devices.empty()) {
+            *err = "placement block has no devices";
             return false;
         }
         if (b.span <= 0 || b.span > kMaxSerializedMagnitude ||

@@ -9,7 +9,8 @@
  * the per-deque locks are never contended enough to matter. wait()
  * lets the submitting thread help drain the queues instead of idling,
  * which keeps a pool of size N worth N+1 solving threads during a
- * sweep and makes single-core runs no slower than the serial path.
+ * sweep. A search asked for one thread builds no pool at all: its
+ * sweep solves every candidate inline on the calling thread.
  */
 
 #ifndef TESSEL_SUPPORT_THREADPOOL_H

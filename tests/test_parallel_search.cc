@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the parallel candidate sweep: serial/parallel plan identity,
- * cooperative cancellation, mergeable stats, and node-capped phase
- * solves that give the same plan at any thread count and under load.
+ * Tests for the candidate sweep: one-thread/pooled plan identity, the
+ * one-thread sweep's effort counters pinned per instance, cooperative
+ * cancellation, mergeable stats, and node-capped phase solves that give
+ * the same plan at any thread count and under load.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include "service/service.h"
 #include "solver/bnb.h"
 #include "solver/from_ir.h"
+#include "store/adapt.h"
+#include "store/fingerprint.h"
 #include "store/serialize.h"
 #include "support/cancel.h"
 #include "support/threadpool.h"
@@ -278,6 +281,90 @@ TEST(ParallelSearch, NodeCappedPhasesSamePlanAtAnyThreadCountAndLoad)
     uncapped.phaseNodeLimit = 0;
     EXPECT_NE(run(uncapped, 1).breakdown.solverNodes,
               serial.breakdown.solverNodes);
+}
+
+/** Effort counters and plan digest one sweep thread must reproduce. */
+struct EffortGolden
+{
+    const char *what;
+    uint64_t enumerated;
+    uint64_t solved;
+    uint64_t satChecks;
+    uint64_t nodes;
+    uint64_t valueSweeps;
+    uint64_t policyImprovements;
+    uint64_t seedPruned;
+    bool earlyExit;
+    const char *digest;
+};
+
+void
+expectEffort(const TesselResult &r, const EffortGolden &g)
+{
+    ASSERT_TRUE(r.found) << g.what;
+    ASSERT_FALSE(r.breakdown.budgetExhausted) << g.what;
+    const SearchBreakdown &b = r.breakdown;
+    EXPECT_EQ(b.threadsUsed, 1) << g.what;
+    EXPECT_EQ(b.candidatesEnumerated, g.enumerated) << g.what;
+    EXPECT_EQ(b.candidatesSolved, g.solved) << g.what;
+    EXPECT_EQ(b.satChecks, g.satChecks) << g.what;
+    EXPECT_EQ(b.solverNodes, g.nodes) << g.what;
+    EXPECT_EQ(b.valueSweeps, g.valueSweeps) << g.what;
+    EXPECT_EQ(b.policyImprovements, g.policyImprovements) << g.what;
+    EXPECT_EQ(b.seededNodesPruned, g.seedPruned) << g.what;
+    EXPECT_EQ(b.earlyExit, g.earlyExit) << g.what;
+    EXPECT_EQ(resultPlanDigest(r).hex(), g.digest) << g.what;
+}
+
+TEST(ParallelSearch, OneThreadSweepEffortGolden)
+{
+    // One sweep thread solves the candidates in enumeration order, so
+    // its effort is a pure function of the instance: these counters
+    // pin where it stops early, which candidates reach the phase
+    // checks and how much each solve prunes. No deadline is set, so
+    // only the node caps bound the work.
+    const EffortGolden golden[] = {
+        {"M/homogeneous", 1513, 1513, 14, 98555, 231114, 48138, 0, true,
+         "a55b98508ad1e4900f1e9da5be91d19c"},
+        {"V/hetero", 808, 808, 14, 5394, 5726, 1745, 0, true,
+         "c164601491afd323272bc6b3404d4c8a"},
+        {"X/mem-capped", 80, 80, 6, 296, 508, 191, 0, false,
+         "924623af76360149ff8945a188c096d4"},
+        {"M/homogeneous eager", 1513, 1513, 0, 100866, 231114, 48138, 0,
+         true, "a55b98508ad1e4900f1e9da5be91d19c"},
+        {"V/hetero seeded", 808, 808, 2, 924, 1631, 820, 820, true,
+         "c164601491afd323272bc6b3404d4c8a"},
+    };
+    auto search = [](const PlanQuery &q, bool lazy,
+                     const SearchSeed *seed) {
+        TesselOptions o = q.effectiveOptions();
+        o.numThreads = 1;
+        o.lazy = lazy;
+        o.seed = seed;
+        return tesselSearch(q.placement, o);
+    };
+    const PlanQuery m = *referenceShapeQuery("M", "homogeneous", 4, 0.0);
+    const PlanQuery v = *referenceShapeQuery("V", "hetero", 4, 0.0);
+    const PlanQuery x = *referenceShapeQuery("X", "mem-capped", 4, 0.0);
+    expectEffort(search(m, true, nullptr), golden[0]);
+    const TesselResult base = search(v, true, nullptr);
+    expectEffort(base, golden[1]);
+    expectEffort(search(x, true, nullptr), golden[2]);
+    expectEffort(search(m, false, nullptr), golden[3]);
+
+    // A near miss: one more micro-batch of sweep headroom, seeded from
+    // the base plan the way the service seeds a store neighbor.
+    PlanQuery wider = v;
+    wider.options.maxRepetendMicrobatches += 1;
+    const TesselOptions wider_opts = wider.effectiveOptions();
+    const AdaptOutcome adapted = adaptResultToQuery(
+        wider.placement, wider_opts, base,
+        phaseOptionsDigest(v.effectiveOptions()) ==
+            phaseOptionsDigest(wider_opts));
+    ASSERT_TRUE(adapted.ok) << adapted.reason;
+    const TesselResult seeded = search(wider, true, &adapted.seed);
+    EXPECT_EQ(seeded.breakdown.seedMakespan, adapted.seed.makespan);
+    expectEffort(seeded, golden[4]);
 }
 
 TEST(ParallelSearch, SweepSpeedsUpOnRealMulticore)

@@ -1258,6 +1258,46 @@ TEST(TraceCodec, RejectsMalformedNumbers)
     EXPECT_EQ(q.budgetSec, 2.5);
 }
 
+TEST(TraceCodec, IntegerKeysRangeCheckedAndNumbersReformatExactly)
+{
+    TraceQuery q;
+    std::string err;
+    for (const char *bad : {"2147483648", "1e10", "-1e300"}) {
+        const std::string line =
+            std::string(R"({"shape": "V", "devices": )") + bad + "}";
+        EXPECT_FALSE(parseTraceLine(line, &q, &err)) << line;
+        EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+    }
+    ASSERT_TRUE(parseTraceLine(
+        R"({"shape": "V", "devices": 2147483647, "mem_limit": 1e18})", &q,
+        &err))
+        << err;
+    EXPECT_EQ(q.devices, 2147483647);
+    EXPECT_EQ(q.memLimit, 1'000'000'000'000'000'000LL);
+
+    // More digits than six must survive a format/parse round trip.
+    ASSERT_TRUE(parseTraceLine(
+        R"({"shape": "V", "budget_sec": 123456789.5, "drift_device": 0,)"
+        R"( "drift_speed": 0.1})",
+        &q, &err))
+        << err;
+    const std::string once = formatTraceLine(q);
+    EXPECT_NE(once.find(R"("budget_sec": 123456789.5)"), std::string::npos)
+        << once;
+    EXPECT_NE(once.find(R"("drift_speed": 0.1)"), std::string::npos) << once;
+    TraceQuery back;
+    ASSERT_TRUE(parseTraceLine(once, &back, &err)) << err;
+    EXPECT_EQ(back.budgetSec, q.budgetSec);
+    EXPECT_EQ(formatTraceLine(back), once);
+
+    // A huge device count is refused before any shape is built.
+    q.devices = kMaxTraceDevices + 2;
+    EXPECT_FALSE(makeTraceQuery(q, &err).has_value());
+    EXPECT_NE(err.find("trace limit"), std::string::npos) << err;
+    q.devices = kMaxTraceDevices;
+    EXPECT_TRUE(makeTraceReplan(q, &err).has_value()) << err;
+}
+
 TEST(TraceCodec, TraceLineRoundTripsIdsWithControlBytes)
 {
     // jsonEscape writes control bytes as \u00XX and passes UTF-8

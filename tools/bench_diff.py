@@ -9,10 +9,11 @@ Compares per-bench (matched by name) and exits nonzero when
     override with TESSEL_BENCH_WALL_TOL, a fraction: 0.25 = +25%).
     Wall clock is noisy on shared runners, so CI sets a generous
     tolerance; the real regression signal is the counter gate below.
-  * the deterministic period-kernel effort -- value_sweeps -- regresses
-    by more than TESSEL_BENCH_COUNTER_TOL (default 0.10), or `nodes`
-    changes at all (the search tree is deterministic; any drift is a
-    behavior change, not noise).
+  * either deterministic period-kernel effort counter -- value_sweeps
+    or policy_improvements -- regresses by more than
+    TESSEL_BENCH_COUNTER_TOL (default 0.10), or `nodes` changes at all
+    (the search tree is deterministic; any drift is a behavior change,
+    not noise).
 
 Benches present on only one side are reported but never fail the gate,
 so adding or retiring a bench does not require a lockstep baseline
@@ -22,6 +23,12 @@ update.
 import json
 import os
 import sys
+
+# Counters gated by TESSEL_BENCH_COUNTER_TOL: (JSON key, printed label).
+COUNTERS = (
+    ("value_sweeps", "value sweeps"),
+    ("policy_improvements", "policy improvements"),
+)
 
 
 def load_rows(path):
@@ -58,25 +65,31 @@ def main():
 
         wall_f, wall_b = f["wall_ms"], b["wall_ms"]
         wall_ok = wall_f <= wall_b * (1.0 + wall_tol)
-        sweeps_f = f.get("value_sweeps", 0)
-        sweeps_b = b.get("value_sweeps", 0)
-        sweeps_ok = sweeps_f <= sweeps_b * (1.0 + counter_tol)
+        counters_over = [
+            (label, b.get(key, 0), f.get(key, 0))
+            for key, label in COUNTERS
+            if f.get(key, 0) > b.get(key, 0) * (1.0 + counter_tol)
+        ]
         nodes_ok = f.get("nodes", 0) == b.get("nodes", 0)
 
-        status = "ok" if (wall_ok and sweeps_ok and nodes_ok) else "FAIL"
+        ok = wall_ok and not counters_over and nodes_ok
+        status = "ok" if ok else "FAIL"
+        counts = ", ".join(
+            f"{label} {b.get(key, 0)} -> {f.get(key, 0)}"
+            for key, label in COUNTERS + (("nodes", "nodes"),)
+        )
         print(
             f"  {status:4s} {name}: wall {wall_b:.1f} -> {wall_f:.1f} ms, "
-            f"value sweeps {sweeps_b} -> {sweeps_f}, "
-            f"nodes {b.get('nodes', 0)} -> {f.get('nodes', 0)}"
+            f"{counts}"
         )
         if not wall_ok:
             failures.append(
                 f"{name}: wall_ms {wall_f:.1f} > {wall_b:.1f} "
                 f"* (1 + {wall_tol})"
             )
-        if not sweeps_ok:
+        for label, base_count, fresh_count in counters_over:
             failures.append(
-                f"{name}: value sweeps {sweeps_f} > {sweeps_b} "
+                f"{name}: {label} {fresh_count} > {base_count} "
                 f"* (1 + {counter_tol})"
             )
         if not nodes_ok:
