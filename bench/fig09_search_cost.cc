@@ -10,7 +10,10 @@
  * TESSEL_THREADS workers (default: all hardware threads) against
  * numThreads=1, which sweeps inline on the calling thread with no
  * pool. Both runs return the identical plan; the speedup column is
- * wall-clock only.
+ * wall-clock only. Beside each wall sit that run's warmup and cooldown
+ * milliseconds (SearchBreakdown: lazy checks plus the final
+ * completion, whose cooldown overlaps its warmup), the part of the
+ * search that more sweep threads do not shorten.
  */
 
 #include <cstdlib>
@@ -35,6 +38,14 @@ benchThreads()
     return ThreadPool::hardwareThreads();
 }
 
+/** A search's warmup and cooldown milliseconds, as "warmup/cooldown". */
+std::string
+phaseMs(const TesselResult &r)
+{
+    return fmtDouble(r.breakdown.warmupSeconds * 1e3, 0) + "/" +
+           fmtDouble(r.breakdown.cooldownSeconds * 1e3, 0);
+}
+
 void
 sweep(Table &table, const std::string &label, const Placement &placement)
 {
@@ -56,8 +67,11 @@ sweep(Table &table, const std::string &label, const Placement &placement)
         warn("parallel sweep diverged from serial on ", label);
     }
 
-    std::vector<std::string> row{label, fmtDouble(serial_sec, 3),
+    std::vector<std::string> row{label,
+                                 fmtDouble(serial_sec, 3),
+                                 phaseMs(tessel),
                                  fmtDouble(parallel_sec, 3),
+                                 phaseMs(par),
                                  fmtDouble(serial_sec / parallel_sec, 2) +
                                      "x"};
     for (int nmb : {2, 4, 6}) {
@@ -78,10 +92,16 @@ sweep(Table &table, const std::string &label, const Placement &placement)
 std::vector<std::string>
 header()
 {
-    return {"placement", "tessel 1t (s)",
-            "tessel " + std::to_string(benchThreads()) + "t (s)",
-            "speedup",  "TO nmb=2",
-            "TO nmb=4", "TO nmb=6",
+    const std::string nt = std::to_string(benchThreads()) + "t";
+    return {"placement",
+            "tessel 1t (s)",
+            "1t wu/cd (ms)",
+            "tessel " + nt + " (s)",
+            nt + " wu/cd (ms)",
+            "speedup",
+            "TO nmb=2",
+            "TO nmb=4",
+            "TO nmb=6",
             "period"};
 }
 
@@ -112,6 +132,9 @@ main()
                  "Speedup column: serial (numThreads=1) vs "
               << benchThreads()
               << "-thread candidate sweep (set TESSEL_THREADS to "
-                 "override); both return the identical plan.\n";
+                 "override); both return the identical plan.\n"
+                 "wu/cd: warmup/cooldown solve ms of that run; they "
+                 "overlap each other and no sweep thread shortens "
+                 "them.\n";
     return 0;
 }

@@ -4,6 +4,11 @@
  * repetend / cooldown phases, and (b) the effect of the lazy-search
  * optimization (satisfiability-only completion checks inside the
  * candidate loop, one time-optimal completion at the end, Sec. V).
+ *
+ * The shares in (a) are of summed solve seconds (SearchBreakdown), not
+ * of the search's wall time: the sweep's candidate solves may run on
+ * several threads, and a completion solves its cooldown beside its
+ * warmup, so those seconds overlap.
  */
 
 #include "bench/common.h"

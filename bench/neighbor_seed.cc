@@ -23,6 +23,14 @@
  * aggregate cold/warm speedup falls below TESSEL_NEIGHBOR_MIN_SPEEDUP
  * (default 5; set 0 to only report).
  *
+ * A second, counter pass answers the same perturbed queries on fresh
+ * stores with no deadline and one sweep thread, cold and seeded, and
+ * sums their value sweeps and solved candidates. At one sweep thread
+ * those sums are a pure function of the instances, so the cold/seeded
+ * counter ratios gate what seeding saves without the host noise of the
+ * wall ratio; the bench also exits nonzero when either falls below its
+ * floor (kMinSweepRatio, kMinCandidateRatio).
+ *
  * Env knobs:
  *   TESSEL_NEIGHBOR_BENCH_DEVICES     devices per shape (default 4)
  *   TESSEL_NEIGHBOR_BENCH_BUDGET_SEC  per-query budget (default 10)
@@ -82,6 +90,67 @@ perturbedQueries(int devices, double budget_sec)
     return out;
 }
 
+/**
+ * Floors of the counter pass's cold/seeded ratios. Measured on the 15
+ * perturbed reference queries at 4 devices: value sweeps 2,413,133 cold
+ * vs 1,831,510 seeded (1.32x); candidates 60,348 on both sides (1.00x:
+ * a seed prunes inside each candidate's solve but skips none of them).
+ */
+constexpr double kMinSweepRatio = 1.3;
+constexpr double kMinCandidateRatio = 1.0;
+
+/** Search effort summed over one pass of queries. */
+struct Effort
+{
+    uint64_t valueSweeps = 0;
+    uint64_t candidates = 0;
+};
+
+double
+ratio(uint64_t cold, uint64_t seeded)
+{
+    return seeded > 0 ? static_cast<double>(cold) / seeded : 0.0;
+}
+
+/**
+ * Counter pass: answer @p queries, with no deadline and one sweep
+ * thread, on a fresh empty store with seeding off (cold) and on a fresh
+ * store holding the unperturbed batch with seeding on (seeded). Sets
+ * @p cold and @p seeded; false when a temp store cannot be created.
+ */
+bool
+counterPass(int devices, const std::vector<PlanQuery> &queries,
+            Effort *cold, Effort *seeded)
+{
+    std::string base_dir, cold_dir;
+    if (!makeTempDir("tessel-neighbor-count-base-", &base_dir) ||
+        !makeTempDir("tessel-neighbor-count-cold-", &cold_dir))
+        return false;
+    {
+        ServiceOptions opts;
+        opts.cacheDir = base_dir;
+        PlanningService(opts).runBatch(referenceShapeQueries(
+            devices, /*include_hetero=*/true, /*budget_sec=*/0.0));
+    }
+    ServiceOptions cold_opts;
+    cold_opts.cacheDir = cold_dir;
+    cold_opts.neighborSeed = false;
+    ServiceOptions seeded_opts;
+    seeded_opts.cacheDir = base_dir;
+    seeded_opts.neighborSeed = true;
+    PlanningService cold_service(cold_opts), seeded_service(seeded_opts);
+    auto add = [](Effort *e, const TesselResult &r) {
+        e->valueSweeps += r.breakdown.valueSweeps;
+        e->candidates += r.breakdown.candidatesSolved;
+    };
+    for (PlanQuery q : queries) {
+        q.options.numThreads = 1;
+        add(cold, cold_service.runOne(q));
+        add(seeded, seeded_service.runOne(q));
+    }
+    return true;
+}
+
 struct Row
 {
     std::string label;
@@ -95,7 +164,8 @@ struct Row
 bool
 writeJson(const std::string &path, const std::vector<Row> &rows,
           double cold_sec, double warm_sec, double speedup,
-          double min_speedup, bool pass)
+          double min_speedup, const Effort &cold, const Effort &seeded,
+          bool pass)
 {
     std::ofstream out(path);
     if (!out)
@@ -116,6 +186,16 @@ writeJson(const std::string &path, const std::vector<Row> &rows,
         << "  \"warm_sec\": " << warm_sec << ",\n"
         << "  \"speedup\": " << speedup << ",\n"
         << "  \"min_speedup\": " << min_speedup << ",\n"
+        << "  \"counters\": {\"cold_value_sweeps\": " << cold.valueSweeps
+        << ", \"seeded_value_sweeps\": " << seeded.valueSweeps
+        << ", \"sweep_ratio\": "
+        << ratio(cold.valueSweeps, seeded.valueSweeps)
+        << ", \"min_sweep_ratio\": " << kMinSweepRatio
+        << ", \"cold_candidates\": " << cold.candidates
+        << ", \"seeded_candidates\": " << seeded.candidates
+        << ", \"candidate_ratio\": "
+        << ratio(cold.candidates, seeded.candidates)
+        << ", \"min_candidate_ratio\": " << kMinCandidateRatio << "},\n"
         << "  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
     return static_cast<bool>(out);
 }
@@ -240,9 +320,35 @@ main(int argc, char **argv)
         ok = false;
     }
 
+    Effort cold_effort, seeded_effort;
+    if (!counterPass(devices, perturbedQueries(devices, 0.0), &cold_effort,
+                     &seeded_effort)) {
+        std::cerr << "cannot create temp cache dirs\n";
+        return 1;
+    }
+    const double sweep_ratio =
+        ratio(cold_effort.valueSweeps, seeded_effort.valueSweeps);
+    const double candidate_ratio =
+        ratio(cold_effort.candidates, seeded_effort.candidates);
+    std::cout << "one sweep thread: value sweeps cold "
+              << cold_effort.valueSweeps << " vs seeded "
+              << seeded_effort.valueSweeps << " => "
+              << fmtDouble(sweep_ratio, 2) << "x (floor "
+              << fmtDouble(kMinSweepRatio, 2) << "x); candidates cold "
+              << cold_effort.candidates << " vs seeded "
+              << seeded_effort.candidates << " => "
+              << fmtDouble(candidate_ratio, 2) << "x (floor "
+              << fmtDouble(kMinCandidateRatio, 2) << "x)\n";
+    if (sweep_ratio < kMinSweepRatio ||
+        candidate_ratio < kMinCandidateRatio) {
+        std::cout << "FAIL: seeding saves fewer value sweeps or "
+                     "candidates than measured\n";
+        ok = false;
+    }
+
     if (!json_path.empty() &&
         !writeJson(json_path, rows, cold_total, warm_total, speedup,
-                   min_speedup, ok)) {
+                   min_speedup, cold_effort, seeded_effort, ok)) {
         std::cerr << "cannot write " << json_path << "\n";
         return 1;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <future>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -24,17 +25,21 @@ struct PhaseInstance
     std::vector<BlockRef> refs; // Index-aligned with sp.blocks.
 };
 
+/** Release a phase block takes from a dependency outside its phase, or
+ * nullopt when that dependency can never bind and is dropped. */
+using ExternalFinish = std::function<std::optional<Time>(BlockRef)>;
+
 /**
  * Build a solver instance for a phase block set. Dependencies that point
  * outside the set become release times via @p external_finish (pass
- * nullptr to drop them, which is sound for satisfiability-only checks:
- * memory feasibility depends only on per-device order).
+ * nullptr to drop them all, which is sound for satisfiability-only
+ * checks: memory feasibility depends only on per-device order).
  */
 PhaseInstance
 buildPhase(const Placement &placement, const std::vector<BlockRef> &refs,
            const std::vector<Mem> &entry_mem, Mem mem_limit,
            const std::vector<Time> *initial_avail,
-           const std::function<Time(BlockRef)> *external_finish)
+           const ExternalFinish *external_finish)
 {
     PhaseInstance inst;
     inst.refs = refs;
@@ -61,8 +66,9 @@ buildPhase(const Placement &placement, const std::vector<BlockRef> &refs,
             if (it != index.end()) {
                 sb.deps.push_back(it->second);
             } else if (external_finish) {
-                sb.release = std::max(
-                    sb.release, (*external_finish)({dep, refs[i].mb}));
+                if (const std::optional<Time> release =
+                        (*external_finish)({dep, refs[i].mb}))
+                    sb.release = std::max(sb.release, *release);
             }
         }
         // Property 4.1 symmetry chain within the phase.
@@ -156,22 +162,44 @@ phaseSatisfiable(const Placement &placement,
     return r.feasible();
 }
 
+/** Per device, the repetend window's first start and last finish in
+ * window time (-1 on a device that holds no block). */
+struct WindowEdges
+{
+    std::vector<Time> firstStart;
+    std::vector<Time> lastFinish;
+};
+
+WindowEdges
+windowEdges(const Placement &placement, const std::vector<Time> &window_start)
+{
+    WindowEdges edges;
+    edges.firstStart.assign(placement.numDevices(), -1);
+    edges.lastFinish.assign(placement.numDevices(), -1);
+    for (DeviceId d = 0; d < placement.numDevices(); ++d) {
+        for (int i : placement.blocksOnDevice(d)) {
+            const Time s = window_start[i];
+            Time &first = edges.firstStart[d];
+            first = first < 0 ? s : std::min(first, s);
+            edges.lastFinish[d] =
+                std::max(edges.lastFinish[d], s + placement.block(i).span);
+        }
+    }
+    return edges;
+}
+
 /** Anchor offset of window instance 0 behind the warmup (extra = 0). */
 Time
 computeTheta0(const Placement &placement, const RepetendAssignment &assign,
-              const std::vector<Time> &window_start,
+              const std::vector<Time> &window_start, const WindowEdges &edges,
               const std::map<std::pair<int, int>, Time> &warmup_finish,
               const std::vector<Time> &avail_after_warmup)
 {
     Time theta0 = 0;
-    for (DeviceId d = 0; d < placement.numDevices(); ++d) {
-        Time min_s = -1;
-        for (int i : placement.blocksOnDevice(d))
-            min_s = min_s < 0 ? window_start[i]
-                              : std::min(min_s, window_start[i]);
-        if (min_s >= 0)
-            theta0 = std::max(theta0, avail_after_warmup[d] - min_s);
-    }
+    for (DeviceId d = 0; d < placement.numDevices(); ++d)
+        if (edges.firstStart[d] >= 0)
+            theta0 = std::max(theta0,
+                              avail_after_warmup[d] - edges.firstStart[d]);
     for (int j = 0; j < placement.numBlocks(); ++j) {
         for (int i : placement.block(j).deps) {
             if (assign.r[i] - assign.r[j] < 1)
@@ -183,6 +211,53 @@ computeTheta0(const Placement &placement, const RepetendAssignment &assign,
         }
     }
     return theta0;
+}
+
+/**
+ * Whether the window-relative cooldown needs the warmup's schedule. A
+ * cooldown block (j, mb) that depends on a warmup block (i, mb), that
+ * is r[i] >= r[j] + 2, is released at the warmup block's finish. That
+ * finish is at most theta0 + the window's first start on any device of
+ * i (computeTheta0 anchors the window behind the warmup on every
+ * device). When that bound is no later than the window's last finish on
+ * one of j's devices, where the cooldown's device availability begins,
+ * the release can never delay j and is dropped. Otherwise the cooldown
+ * waits for the warmup. Reads only the window, so it is known before
+ * either phase is solved.
+ */
+bool
+cooldownWaitsForWarmup(const Placement &placement,
+                       const RepetendAssignment &assign,
+                       const WindowEdges &edges)
+{
+    for (int j = 0; j < placement.numBlocks(); ++j) {
+        Time reach = -1;
+        for (DeviceId d : placement.block(j).devices)
+            reach = std::max(reach, edges.lastFinish[d]);
+        for (int i : placement.block(j).deps) {
+            if (assign.r[i] - assign.r[j] < 2)
+                continue;
+            Time bound = std::numeric_limits<Time>::max();
+            for (DeviceId d : placement.block(i).devices)
+                bound = std::min(bound, edges.firstStart[d]);
+            if (bound > reach)
+                return true;
+        }
+    }
+    return false;
+}
+
+/** Fold a completion minimize into the breakdown: its effort, its wall
+ * seconds into @p seconds, and whether the node cap stopped it. */
+void
+addPhaseSolve(SearchBreakdown &breakdown, const SolveResult &phase,
+              double &seconds)
+{
+    const SolveStats &st = phase.stats;
+    seconds += st.seconds;
+    addSolveStats(breakdown, st);
+    if (st.budgetExhausted && !st.timedOut && !st.cancelled)
+        ++breakdown.phaseCapHits;
 }
 
 /** Best candidate found so far: its assignment and window schedule. */
@@ -202,83 +277,101 @@ completeRepetendPlan(const Placement &placement,
                      const TesselOptions &options,
                      SearchBreakdown &breakdown, const CancelToken &cancel)
 {
+    const int nd = placement.numDevices();
     std::vector<Mem> entry = options.initialMem;
     if (entry.empty())
-        entry.assign(placement.numDevices(), 0);
-
+        entry.assign(nd, 0);
+    const SolverOptions so = phaseSolverOptions(options, cancel);
+    const WindowEdges edges = windowEdges(placement, rsched.start);
     const auto warm_refs = warmupBlocks(placement, assign);
-    std::vector<Time> warm_starts;
-    std::map<std::pair<int, int>, Time> warmup_finish;
-    std::vector<Time> avail_after_warmup(placement.numDevices(), 0);
-    {
-        Stopwatch watch;
-        if (!warm_refs.empty()) {
-            PhaseInstance inst = buildPhase(placement, warm_refs, entry,
-                                            options.memLimit, nullptr,
-                                            nullptr);
-            BnbSolver solver(inst.sp, phaseSolverOptions(options, cancel));
-            const SolveResult r = solver.minimizeMakespan();
-            breakdown.warmupSeconds += watch.seconds();
-            addSolveStats(breakdown, r.stats);
-            if (!r.feasible())
-                return std::nullopt;
-            warm_starts = r.starts;
-            for (size_t i = 0; i < warm_refs.size(); ++i) {
-                const Time fin =
-                    r.starts[i] + placement.block(warm_refs[i].spec).span;
-                warmup_finish[{warm_refs[i].spec, warm_refs[i].mb}] = fin;
-                for (DeviceId d :
-                     placement.block(warm_refs[i].spec).devices) {
-                    avail_after_warmup[d] =
-                        std::max(avail_after_warmup[d], fin);
-                }
-            }
-        } else {
-            breakdown.warmupSeconds += watch.seconds();
-        }
-    }
-
-    const Time theta0 = computeTheta0(placement, assign, rsched.start,
-                                      warmup_finish, avail_after_warmup);
-
-    std::vector<Time> avail_after_window = avail_after_warmup;
-    for (int i = 0; i < placement.numBlocks(); ++i) {
-        const Time fin =
-            theta0 + rsched.start[i] + placement.block(i).span;
-        for (DeviceId d : placement.block(i).devices)
-            avail_after_window[d] =
-                std::max(avail_after_window[d], fin);
-    }
-
     const auto cool_refs = cooldownBlocks(placement, assign);
-    std::vector<Time> cool_starts;
-    {
-        Stopwatch watch;
-        if (!cool_refs.empty()) {
-            std::function<Time(BlockRef)> external =
-                [&](BlockRef ref) -> Time {
-                if (ref.mb == assign.r[ref.spec])
-                    return theta0 + rsched.start[ref.spec] +
-                           placement.block(ref.spec).span;
-                auto it = warmup_finish.find({ref.spec, ref.mb});
-                panic_if(it == warmup_finish.end(),
-                         "cooldown dependency outside warmup/window");
-                return it->second;
-            };
-            PhaseInstance inst = buildPhase(
-                placement, cool_refs,
-                postWindowMem(placement, assign, options.initialMem),
-                options.memLimit, &avail_after_window, &external);
-            BnbSolver solver(inst.sp, phaseSolverOptions(options, cancel));
-            const SolveResult r = solver.minimizeMakespan();
-            breakdown.cooldownSeconds += watch.seconds();
-            addSolveStats(breakdown, r.stats);
-            if (!r.feasible())
+
+    // Set from the warmup's schedule once it is solved; the cooldown
+    // reads them only when it waits for the warmup.
+    std::map<std::pair<int, int>, Time> warmup_finish;
+    Time theta0 = 0;
+
+    auto solve_warmup = [&] {
+        const PhaseInstance inst = buildPhase(
+            placement, warm_refs, entry, options.memLimit, nullptr, nullptr);
+        return BnbSolver(inst.sp, so).minimizeMakespan();
+    };
+    // The cooldown in window-relative time (theta0 = 0): availability
+    // starts at the window's last finish per device, and window-sourced
+    // releases at their window finish. Shifting every availability and
+    // release by theta0 shifts the BnB's schedule and nothing else, so
+    // adding theta0 to its starts gives the anchored cooldown exactly.
+    // A warmup-sourced release needs theta0 only when the cooldown
+    // waits; otherwise it cannot bind and is dropped.
+    const bool wait = cooldownWaitsForWarmup(placement, assign, edges);
+    auto solve_cooldown = [&] {
+        std::vector<Time> avail(nd, 0);
+        for (DeviceId d = 0; d < nd; ++d)
+            avail[d] = std::max<Time>(edges.lastFinish[d], 0);
+        const ExternalFinish external =
+            [&](BlockRef ref) -> std::optional<Time> {
+            if (ref.mb == assign.r[ref.spec])
+                return rsched.start[ref.spec] +
+                       placement.block(ref.spec).span;
+            if (!wait)
                 return std::nullopt;
-            cool_starts = r.starts;
-        } else {
-            breakdown.cooldownSeconds += watch.seconds();
+            auto it = warmup_finish.find({ref.spec, ref.mb});
+            panic_if(it == warmup_finish.end(),
+                     "cooldown dependency outside warmup/window");
+            return it->second - theta0;
+        };
+        const PhaseInstance inst = buildPhase(
+            placement, cool_refs,
+            postWindowMem(placement, assign, options.initialMem),
+            options.memLimit, &avail, &external);
+        return BnbSolver(inst.sp, so).minimizeMakespan();
+    };
+
+    // Unless it waits, the cooldown is solved on a helper thread beside
+    // the warmup. The future is declared after everything the helper
+    // reads, so it is joined before any of it dies, and get() passes on
+    // whatever the helper threw.
+    std::optional<SolveResult> warm, cool;
+    std::future<SolveResult> cool_helper;
+    if (!warm_refs.empty() && !cool_refs.empty() && !wait)
+        cool_helper = std::async(std::launch::async, solve_cooldown);
+    if (!warm_refs.empty())
+        warm = solve_warmup();
+    if (cool_helper.valid())
+        cool = cool_helper.get();
+
+    std::vector<Time> warm_starts;
+    if (warm) {
+        addPhaseSolve(breakdown, *warm, breakdown.warmupSeconds);
+        if (!warm->feasible()) {
+            // The overlapped cooldown's effort was spent all the same.
+            if (cool)
+                addPhaseSolve(breakdown, *cool, breakdown.cooldownSeconds);
+            return std::nullopt;
         }
+        warm_starts = warm->starts;
+    }
+    std::vector<Time> avail_after_warmup(nd, 0);
+    for (size_t i = 0; i < warm_refs.size(); ++i) {
+        const Time fin =
+            warm_starts[i] + placement.block(warm_refs[i].spec).span;
+        warmup_finish[{warm_refs[i].spec, warm_refs[i].mb}] = fin;
+        for (DeviceId d : placement.block(warm_refs[i].spec).devices)
+            avail_after_warmup[d] = std::max(avail_after_warmup[d], fin);
+    }
+    theta0 = computeTheta0(placement, assign, rsched.start, edges,
+                           warmup_finish, avail_after_warmup);
+
+    std::vector<Time> cool_starts;
+    if (!cool && !cool_refs.empty())
+        cool = solve_cooldown();
+    if (cool) {
+        addPhaseSolve(breakdown, *cool, breakdown.cooldownSeconds);
+        if (!cool->feasible())
+            return std::nullopt;
+        cool_starts = cool->starts;
+        for (Time &s : cool_starts)
+            s += theta0;
     }
 
     return TesselPlan(

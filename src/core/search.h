@@ -97,13 +97,14 @@ struct TesselOptions
      */
     uint64_t phaseNodeLimit = 2'500'000;
     /**
-     * Worker threads for the per-NR candidate sweep. 0 picks
-     * hardware_concurrency(); N > 1 solves each NR's candidates on a
-     * pool of N threads (the caller among them); 1 solves them inline,
-     * with no pool, in enumeration order, so its effort counters are a
-     * pure function of the instance. Any value returns the same plan:
-     * candidates carry their enumeration index and ties are broken by
-     * (period, index).
+     * Worker threads for the per-NR candidate sweep, and only for it.
+     * 0 picks hardware_concurrency(); N > 1 solves each NR's candidates
+     * on a pool of N threads (the caller among them); 1 solves them
+     * inline, with no pool, in enumeration order, so its effort
+     * counters are a pure function of the instance. Any value returns
+     * the same plan: candidates carry their enumeration index and ties
+     * are broken by (period, index). A phase completion
+     * (completeRepetendPlan) may use one more thread at any value.
      */
     int numThreads = 0;
     /** External cancellation for the whole search (optional). */
@@ -138,6 +139,12 @@ struct TesselOptions
 struct SearchBreakdown
 {
     double repetendSeconds = 0.0;
+    /**
+     * Wall seconds of the warmup and of the cooldown solves, each its
+     * own: lazy satisfiability checks plus completion minimizes. A
+     * completion solves its cooldown beside its warmup, so the two
+     * overlap and their sum is not the completion's wall time.
+     */
     double warmupSeconds = 0.0;
     double cooldownSeconds = 0.0;
     uint64_t candidatesEnumerated = 0;
@@ -153,6 +160,11 @@ struct SearchBreakdown
     /** Howard policy improvements (period raises) across repetend
      * solves. */
     uint64_t policyImprovements = 0;
+    /** Completion minimizes (warmup or cooldown) that their node cap,
+     * TesselOptions::phaseNodeLimit, stopped unproven, a seed's
+     * adaptation included (mergeSeedWork); a deadline or a cancel stop
+     * does not count. */
+    uint64_t phaseCapHits = 0;
     /** Always 0: every BnB solve starts from an empty dominance memo.
      *  Kept only because bench/e2e reads it. */
     uint64_t memoReused = 0;
@@ -188,6 +200,7 @@ struct SearchBreakdown
         solverNodes += other.solverNodes;
         valueSweeps += other.valueSweeps;
         policyImprovements += other.policyImprovements;
+        phaseCapHits += other.phaseCapHits;
         memoReused += other.memoReused;
         threadsUsed = threadsUsed > other.threadsUsed ? threadsUsed
                                                       : other.threadsUsed;
@@ -243,9 +256,21 @@ TesselResult tesselSearch(const Placement &placement,
 
 /**
  * Time-optimal completion of one repetend candidate (Algorithm 1 lines
- * 14-18): solve the warmup, anchor the window, solve the cooldown
- * against the window context, and assemble the plan. Returns nullopt
- * when a phase solve fails within its budget.
+ * 14-18): solve the warmup, anchor the window behind it at offset
+ * theta0, solve the cooldown against the window context, and assemble
+ * the plan. Returns nullopt when a phase solve fails within its budget.
+ *
+ * The cooldown is built in window-relative time (theta0 = 0) and its
+ * starts are shifted by theta0 afterwards. The BnB only compares times
+ * with each other, so the plan, the search trees and the effort
+ * counters are those of an anchored cooldown. A cooldown block released
+ * by a warmup block is the one input that may need the warmup's
+ * schedule: when the window alone shows that release cannot delay the
+ * block, it is dropped; otherwise the cooldown waits for the warmup.
+ * Unless it waits, the cooldown is solved on a helper thread beside the
+ * warmup (one thread more than TesselOptions::numThreads), and both
+ * solves' effort is folded into @p breakdown after the join. An
+ * exception in either solve reaches the caller.
  *
  * @p placement must be the *solve* placement (the comm-expanded one for
  * comm-aware instances) and @p options must already be lowered

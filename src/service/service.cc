@@ -180,6 +180,7 @@ recordAnswer(const SharedPlan &plan, bool searched, TraceSpan &span,
     report->sweepMs = effort.repetendSeconds * 1e3;
     report->warmupMs = effort.warmupSeconds * 1e3;
     report->cooldownMs = effort.cooldownSeconds * 1e3;
+    report->phaseCapHits = effort.phaseCapHits;
 }
 
 } // namespace

@@ -95,8 +95,14 @@ struct QueryReport
     uint64_t policyImprovements = 0;
     uint64_t solverNodes = 0; ///< Period-core plus phase BnB nodes.
     double sweepMs = 0.0;     ///< Repetend sweep (period core).
-    double warmupMs = 0.0;    ///< Warmup phase completion.
-    double cooldownMs = 0.0;  ///< Cooldown phase completion.
+    /** Wall milliseconds of the warmup and of the cooldown solves. A
+     * completion solves its cooldown beside its warmup, so the two
+     * overlap: their sum can exceed the phase time of wallSec. */
+    double warmupMs = 0.0;
+    double cooldownMs = 0.0;
+    /** Completion minimizes the phase node cap stopped unproven
+     * (SearchBreakdown::phaseCapHits). */
+    uint64_t phaseCapHits = 0;
     /** Answered through PlanningService::replan (drift or failure). */
     bool replanned = false;
     /**

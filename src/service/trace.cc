@@ -576,7 +576,8 @@ formatResponseLine(const std::string &id, const ServiceLoop::Response &resp)
            << ", \"solver_nodes\": " << resp.report.solverNodes
            << ", \"sweep_ms\": " << jsonNumber(resp.report.sweepMs)
            << ", \"warmup_ms\": " << jsonNumber(resp.report.warmupMs)
-           << ", \"cooldown_ms\": " << jsonNumber(resp.report.cooldownMs);
+           << ", \"cooldown_ms\": " << jsonNumber(resp.report.cooldownMs)
+           << ", \"phase_cap_hits\": " << resp.report.phaseCapHits;
         if (resp.report.replanned)
             os << ", \"replanned\": true";
         if (resp.report.stale)

@@ -191,6 +191,8 @@ TEST(ParallelSearch, BreakdownMergeIsAssociative)
     c.budgetExhausted = true;
     c.seedMakespan = 25;
     c.seededNodesPruned = 4;
+    a.phaseCapHits = 1;
+    c.phaseCapHits = 2;
 
     SearchBreakdown ab = a;
     ab.merge(b);
@@ -217,6 +219,8 @@ TEST(ParallelSearch, BreakdownMergeIsAssociative)
     EXPECT_EQ(left.seededNodesPruned, right.seededNodesPruned);
     EXPECT_EQ(left.seedMakespan, 40);
     EXPECT_EQ(left.seededNodesPruned, 21u);
+    EXPECT_EQ(left.phaseCapHits, right.phaseCapHits);
+    EXPECT_EQ(left.phaseCapHits, 3u);
 }
 
 TEST(ParallelSearch, SeedWorkNeverFlagsADeadline)
@@ -277,10 +281,12 @@ TEST(ParallelSearch, NodeCappedPhasesSamePlanAtAnyThreadCountAndLoad)
     // count.
     EXPECT_EQ(loaded_serial.breakdown.solverNodes,
               serial.breakdown.solverNodes);
+    EXPECT_EQ(serial.breakdown.phaseCapHits, 2u);
     TesselOptions uncapped = capped;
     uncapped.phaseNodeLimit = 0;
-    EXPECT_NE(run(uncapped, 1).breakdown.solverNodes,
-              serial.breakdown.solverNodes);
+    const TesselResult free_run = run(uncapped, 1);
+    EXPECT_NE(free_run.breakdown.solverNodes, serial.breakdown.solverNodes);
+    EXPECT_EQ(free_run.breakdown.phaseCapHits, 0u);
 }
 
 /** Effort counters and plan digest one sweep thread must reproduce. */
@@ -334,6 +340,10 @@ TEST(ParallelSearch, OneThreadSweepEffortGolden)
          true, "a55b98508ad1e4900f1e9da5be91d19c"},
         {"V/hetero seeded", 808, 808, 2, 924, 1631, 820, 820, true,
          "c164601491afd323272bc6b3404d4c8a"},
+        {"V/hetero link drift", 339, 339, 14, 2658, 2675, 693, 0, true,
+         "cb1750022274d7176d7e166abce0937d"},
+        {"M/hetero", 535, 535, 28, 273445, 35410, 6629, 0, true,
+         "0941e50f99a1241720d9cd7ab3f884b1"},
     };
     auto search = [](const PlanQuery &q, bool lazy,
                      const SearchSeed *seed) {
@@ -365,6 +375,22 @@ TEST(ParallelSearch, OneThreadSweepEffortGolden)
     const TesselResult seeded = search(wider, true, &adapted.seed);
     EXPECT_EQ(seeded.breakdown.seedMakespan, adapted.seed.makespan);
     expectEffort(seeded, golden[4]);
+
+    // The link (0, 1) drift of bench_replan: the one measured completion
+    // whose cooldown waits for the warmup, because a warmup-sourced
+    // release may bind.
+    ReplanRequest drift;
+    drift.base = v;
+    LinkParams slow;
+    slow.latency = 2.0;
+    slow.timePerMB = 0.5;
+    drift.delta.link[{0, 1}] = slow;
+    expectEffort(search(makeDriftedQuery(drift), true, nullptr), golden[5]);
+    // 46-block warmup and cooldown that both do real work, solved side
+    // by side.
+    expectEffort(
+        search(*referenceShapeQuery("M", "hetero", 4, 0.0), true, nullptr),
+        golden[6]);
 }
 
 TEST(ParallelSearch, SweepSpeedsUpOnRealMulticore)

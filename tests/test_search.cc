@@ -2,13 +2,16 @@
  * @file
  * Tests for TesselSearch (Algorithm 1): zero-bubble periods and NR
  * thresholds matching the paper's searched schedules (Fig. 8 / Fig. 11),
- * memory ablation behavior (Fig. 12), and lazy-search equivalence.
+ * memory ablation behavior (Fig. 12), lazy-search equivalence, and
+ * phase completion's wait for a warmup release that may bind.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/repetend.h"
 #include "core/search.h"
 #include "placement/shapes.h"
+#include "service/service.h"
 
 namespace tessel {
 namespace {
@@ -169,6 +172,66 @@ TEST(TesselSearch, CustomSpansStillOptimal)
     const auto r = tesselSearch(makeVShape(4, costs), quickOpts());
     ASSERT_TRUE(r.found);
     EXPECT_EQ(r.period, 6);
+}
+
+/** FNV-1a over a plan's warmup and cooldown starts. */
+uint64_t
+phaseStartsDigest(const TesselPlan &plan)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (const std::vector<Time> *starts :
+         {&plan.warmupStarts(), &plan.cooldownStarts()})
+        for (Time t : *starts)
+            h = (h ^ static_cast<uint64_t>(t)) * 1099511628211ull;
+    return h;
+}
+
+TEST(PhaseCompletion, CooldownWaitsWhenAWarmupReleaseMayBind)
+{
+    // In these two hetero candidates a cooldown block depends on a
+    // warmup block that the window alone cannot show finishes in time,
+    // and the release binds: a cooldown that dropped it instead of
+    // waiting for the warmup moves both plans. The digests were
+    // recorded with the sequential completion, which solved the
+    // cooldown after the warmup in absolute time; a 5k node cap keeps
+    // the solves short.
+    struct Case
+    {
+        const char *shape;
+        int nr;
+        int index;
+        uint64_t digest;
+    };
+    const Case cases[] = {{"V", 5, 55, 0x4d1c621b632bf627ull},
+                          {"M", 4, 56, 0x2d4e0cba08be7fa4ull}};
+    for (const Case &c : cases) {
+        const PlanQuery q = *referenceShapeQuery(c.shape, "hetero", 4, 0.0);
+        TesselOptions eff = q.effectiveOptions();
+        eff.phaseNodeLimit = 5000;
+        const CommExpansion exp = expandWithComm(q.placement, *eff.cluster,
+                                                 eff.edgeMB, eff.comm);
+        eff.initialMem.resize(exp.placement.numDevices(), 0);
+        int index = 0;
+        std::optional<RepetendAssignment> assign;
+        enumerateRepetends(q.placement, c.nr,
+                           [&](const RepetendAssignment &a) {
+                               if (index++ == c.index)
+                                   assign = exp.extendAssignment(a);
+                               return !assign;
+                           });
+        ASSERT_TRUE(assign) << c.shape;
+        RepetendSolveOptions rso;
+        rso.memLimit = eff.memLimit;
+        rso.initialMem = eff.initialMem;
+        const RepetendSchedule sched =
+            solveRepetend(exp.placement, *assign, rso);
+        ASSERT_TRUE(sched.feasible) << c.shape;
+        SearchBreakdown b;
+        const std::optional<TesselPlan> plan = completeRepetendPlan(
+            exp.placement, *assign, sched, eff, b, CancelToken{});
+        ASSERT_TRUE(plan) << c.shape;
+        EXPECT_EQ(phaseStartsDigest(*plan), c.digest) << c.shape;
+    }
 }
 
 } // namespace

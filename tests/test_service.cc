@@ -255,6 +255,31 @@ TEST(PlanningService, DeadlineCutAnswerServedFlaggedNeverStored)
               std::string::npos);
 }
 
+TEST(PlanningService, ReportsPhaseSolvesStoppedAtTheNodeCap)
+{
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-svc-phasecap-", &dir));
+    PlanningService service(optionsFor(dir));
+
+    // M/hetero's warmup and cooldown both need more than 20k nodes to
+    // finish, so both completion minimizes stop at that cap; at the
+    // default cap both end proven. A repeat is a hit and spent nothing.
+    PlanQuery capped = *referenceShapeQuery("M", "hetero", 4, 0.0);
+    capped.options.phaseNodeLimit = 20'000;
+    QueryReport first, repeat;
+    service.runOne(capped, &first);
+    EXPECT_STREQ(first.source, "search");
+    EXPECT_EQ(first.phaseCapHits, 2u);
+    service.runOne(capped, &repeat);
+    EXPECT_STREQ(repeat.source, "memory");
+    EXPECT_EQ(repeat.phaseCapHits, 0u);
+
+    QueryReport proven;
+    service.runOne(*referenceShapeQuery("M", "hetero", 4, 0.0), &proven);
+    EXPECT_STREQ(proven.source, "search");
+    EXPECT_EQ(proven.phaseCapHits, 0u);
+}
+
 TEST(PlanningService, ZeroBudgetMeansNoDeadline)
 {
     // budget_sec <= 0 sets no deadline at all; the node cap bounds the
@@ -537,6 +562,7 @@ TEST(PlanningService, FrontEndsReportIdenticalAnswersFromEveryTier)
                     EXPECT_EQ(r.sweepMs, 0.0) << r.source << r.label;
                     EXPECT_EQ(r.warmupMs, 0.0) << r.source << r.label;
                     EXPECT_EQ(r.cooldownMs, 0.0) << r.source << r.label;
+                    EXPECT_EQ(r.phaseCapHits, 0u) << r.source << r.label;
                 }
             }
         }
@@ -1189,12 +1215,14 @@ TEST(TraceCodec, ResponseLineReportsSearchCostAfterEffortCounters)
     resp.report.sweepMs = 1.5;
     resp.report.warmupMs = 20;
     resp.report.cooldownMs = 0.25;
+    resp.report.phaseCapHits = 2;
     // Appended after the effort counters, so greps anchored on the
     // leading keys ("fingerprint": ..., "plan_hash": ...) still match.
     const std::string line = formatResponseLine("q", resp);
     EXPECT_NE(line.find("\"policy_improvements\": 7, "
                         "\"solver_nodes\": 12345, \"sweep_ms\": 1.5, "
-                        "\"warmup_ms\": 20, \"cooldown_ms\": 0.25"),
+                        "\"warmup_ms\": 20, \"cooldown_ms\": 0.25, "
+                        "\"phase_cap_hits\": 2"),
               std::string::npos)
         << line;
 }

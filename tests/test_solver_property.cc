@@ -3,10 +3,14 @@
  * Property-based tests for the solver over randomized instances: every
  * produced schedule must satisfy all constraints; the optimum must never
  * exceed a greedy list schedule; pruning features must not change the
- * optimum; decide() must be consistent with the optimum.
+ * optimum; decide() must be consistent with the optimum; shifting every
+ * availability and release shifts the schedule and leaves the search
+ * tree as it was, and a release that cannot bind can be dropped.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "solver/bnb.h"
 #include "support/rng.h"
@@ -48,6 +52,48 @@ randomProblem(uint64_t seed, int num_blocks, int num_devices,
         sp.blocks.push_back(std::move(b));
     }
     return sp;
+}
+
+/**
+ * randomProblem plus what phase stitching adds: releases, per-device
+ * initial availability and Property 4.1 orderAfter links (each to an
+ * earlier block, so index order still dispatches every block).
+ */
+SolverProblem
+randomStitchedProblem(uint64_t seed, int num_blocks, int num_devices,
+                      bool with_memory)
+{
+    SolverProblem sp =
+        randomProblem(seed, num_blocks, num_devices, with_memory);
+    Rng rng(seed * 6364136223846793005ull + 1442695040888963407ull);
+    sp.initialAvail.resize(num_devices);
+    for (Time &avail : sp.initialAvail)
+        avail = rng.range(0, 8);
+    for (int i = 0; i < num_blocks; ++i) {
+        SolverBlock &b = sp.blocks[i];
+        if (rng.chance(0.5))
+            b.release = rng.range(1, 8);
+        if (i > 0 && rng.chance(0.3))
+            b.orderAfter = static_cast<int>(rng.range(0, i - 1));
+    }
+    return sp;
+}
+
+/** Expect @p moved to be @p base with every time shifted by @p shift:
+ * the same status and search effort, and shifted starts. */
+void
+expectShifted(const SolveResult &base, const SolveResult &moved, Time shift)
+{
+    EXPECT_EQ(moved.status, base.status);
+    EXPECT_EQ(moved.stats.nodes, base.stats.nodes);
+    EXPECT_EQ(moved.stats.memoHits, base.stats.memoHits);
+    EXPECT_EQ(moved.stats.boundPrunes, base.stats.boundPrunes);
+    ASSERT_EQ(moved.starts.size(), base.starts.size());
+    for (size_t i = 0; i < base.starts.size(); ++i)
+        EXPECT_EQ(moved.starts[i], base.starts[i] + shift) << "block " << i;
+    if (base.feasible()) {
+        EXPECT_EQ(moved.makespan, base.makespan + shift);
+    }
 }
 
 /** Check a solver result against all constraints of its problem. */
@@ -196,6 +242,71 @@ TEST_P(RandomInstance, MemoryTightensTheOptimum)
     if (tight.feasible()) {
         EXPECT_GE(tight.makespan, loose.makespan);
     }
+}
+
+TEST_P(RandomInstance, ShiftingEveryTimeShiftsTheScheduleOnly)
+{
+    // Phase completion solves the cooldown in window-relative time and
+    // shifts its starts afterwards; that is exact only while the BnB
+    // compares times with each other and never with a fixed origin.
+    const SolverProblem sp = randomStitchedProblem(
+        GetParam() * 2741 + 17, 12, 3, GetParam() % 2 == 1);
+    for (const Time shift : {1, 7, 100000}) {
+        SolverProblem moved = sp;
+        for (Time &avail : moved.initialAvail)
+            avail += shift;
+        for (SolverBlock &b : moved.blocks)
+            b.release += shift;
+        for (const uint64_t cap : {uint64_t{0}, uint64_t{40}}) {
+            SolverOptions so;
+            so.nodeLimit = cap;
+            BnbSolver base(sp, so), shifted(moved, so);
+            const SolveResult opt = base.minimizeMakespan();
+            expectShifted(opt, shifted.minimizeMakespan(), shift);
+            if (!opt.feasible())
+                continue;
+            for (const Time deadline :
+                 {opt.makespan, opt.makespan - 1, opt.makespan + 3})
+                expectShifted(base.decide(deadline),
+                              shifted.decide(deadline + shift), shift);
+        }
+    }
+}
+
+TEST_P(RandomInstance, ReleaseNoLaterThanADeviceAvailabilityNeverBinds)
+{
+    // A block starts no earlier than the availability of each of its
+    // devices, so a release no later than one of them never binds:
+    // completion drops such warmup-sourced releases from its cooldown.
+    SolverProblem sp = randomStitchedProblem(GetParam() * 4099 + 29, 12, 3,
+                                             GetParam() % 2 == 0);
+    auto reach = [&](const SolverBlock &b) {
+        Time at = 0;
+        for (int d : b.devices)
+            at = std::max(at, sp.initialAvail[d]);
+        return at;
+    };
+    // Blocks without a release get one exactly at that availability.
+    for (SolverBlock &b : sp.blocks)
+        if (b.release == 0)
+            b.release = reach(b);
+    SolverProblem dropped = sp;
+    int drops = 0;
+    for (SolverBlock &b : dropped.blocks) {
+        if (b.release > 0 && b.release <= reach(b)) {
+            b.release = 0;
+            ++drops;
+        }
+    }
+    ASSERT_GT(drops, 0);
+    BnbSolver with(sp), without(dropped);
+    const SolveResult opt = with.minimizeMakespan();
+    expectShifted(opt, without.minimizeMakespan(), 0);
+    if (opt.feasible())
+        expectShifted(with.decide(opt.makespan),
+                      without.decide(opt.makespan), 0);
+    expectShifted(with.decide(kUnlimitedMem), without.decide(kUnlimitedMem),
+                  0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomInstance, ::testing::Range(0, 20));

@@ -306,6 +306,7 @@ writeStatsJson(const std::string &path, const BatchReport &report)
             << ", \"sweep_ms\": " << q.sweepMs
             << ", \"warmup_ms\": " << q.warmupMs
             << ", \"cooldown_ms\": " << q.cooldownMs
+            << ", \"phase_cap_hits\": " << q.phaseCapHits
             << (q.deadlineHit ? ", \"deadline_hit\": true" : "") << "}"
             << (i + 1 < report.queries.size() ? "," : "") << "\n";
     }
