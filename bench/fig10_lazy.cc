@@ -9,6 +9,13 @@
  * of the search's wall time: the sweep's candidate solves may run on
  * several threads, and a completion solves its cooldown beside its
  * warmup, so those seconds overlap.
+ *
+ * The candidates column comes from a search at the default thread count,
+ * whose sweep is pooled on a multicore host. A pooled sweep hands each
+ * candidate to the pool as it is enumerated and stops once a candidate
+ * reaches the lower bound, which depends on which solves finish first,
+ * so on such a host that column varies from run to run. One sweep
+ * thread (a one-core host) makes it a pure function of the placement.
  */
 
 #include "bench/common.h"

@@ -602,11 +602,6 @@ class PeriodSearch
         Time limit = serialUb_;
         if (opts_.cutoff >= 0)
             limit = std::min(limit, opts_.cutoff - 1);
-        // The shared incumbent is inclusive: equal periods stay visible
-        // so the caller's (period, index) tie-break is deterministic.
-        if (opts_.liveCutoff)
-            limit = std::min(
-                limit, opts_.liveCutoff->load(std::memory_order_acquire));
         if (bestPeriod_ >= 0)
             limit = std::min(limit, bestPeriod_ - 1);
         return limit;

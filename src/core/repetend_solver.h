@@ -170,12 +170,18 @@ struct RepetendSolveOptions
     Mem memLimit = kUnlimitedMem;
     /** Per-device baseline usage (parameters etc.); empty = zeros. */
     std::vector<Mem> initialMem;
-    /** Prune any candidate whose period would reach this value
-     *  (Algorithm 1 passes the incumbent; -1 disables). */
+    /**
+     * Prune any candidate whose period would reach this value (-1
+     * disables). It is the solve's only outside bound, fixed for the
+     * whole solve: the sweep freezes it from its incumbent when the
+     * solve starts, at the incumbent's period for a candidate that
+     * enumerates after the incumbent and one above it for one that
+     * enumerates before, since that candidate wins a period tie.
+     */
     Time cutoff = -1;
     /**
-     * Marks `cutoff`/`liveCutoff` as inherited from a warm-start seed
-     * rather than from a candidate the enclosing sweep accepted itself.
+     * Marks `cutoff` as inherited from a warm-start seed rather than
+     * from a candidate the enclosing sweep accepted itself.
      * Purely attributional: bound prunes taken under a seed-derived
      * bound are additionally counted in SolveStats::seedPrunes so the
      * seed's share of the pruning work is observable. Never changes
@@ -189,15 +195,6 @@ struct RepetendSolveOptions
     /** Cooperative cancellation; a cancelled solve reports
      *  stats.cancelled and comes back infeasible/unproven. */
     CancelToken cancel;
-    /**
-     * Live incumbent period shared with concurrently running solves,
-     * re-read at every bound check. Unlike `cutoff` this is
-     * *inclusive*: periods equal to the live value are still returned,
-     * because the parallel search breaks period ties by enumeration
-     * index and an equal-period candidate with a smaller index must
-     * not be masked. nullptr disables.
-     */
-    const std::atomic<Time> *liveCutoff = nullptr;
 };
 
 /** Result of a repetend period solve. */

@@ -421,36 +421,37 @@ completeOrReusePlan(const Placement &placement,
  * Determinism: every candidate carries its global enumeration index and
  * the incumbent is the lexicographic minimum of (period, index) over
  * accepted candidates: the lowest-index candidate achieving the minimal
- * period, whatever order the solves finish in. Workers prune against
- * the *inclusive* shared period bound, so an equal-period candidate
- * with a smaller index is never masked by a higher-index one that
- * happened to publish first. The Algorithm 1 early exit becomes an
+ * period, whatever order the solves finish in. Each solve prunes
+ * against a cutoff frozen at its start (strict against a lower-index
+ * incumbent, inclusive against a higher-index one), so an equal-period
+ * candidate with a smaller index is never masked by a higher-index one
+ * that happened to publish first. The Algorithm 1 early exit becomes an
  * index bar: once some candidate hits the lower bound, only
- * lower-index candidates (which could still win the tie-break) keep
- * running; everything above the bar is cancelled.
+ * lower-index candidates (which could still win the tie-break) start;
+ * a solve already running above the bar finishes and loses.
  *
  * With one thread the candidates run inline in enumeration order, so
- * every solve sees the final incumbent of all lower indices, nothing
- * runs beside it to cancel, and the sweep spends exactly the effort of
- * a plain serial loop.
+ * every solve sees the final incumbent of all lower indices and the
+ * sweep spends exactly the effort of a plain serial loop.
  *
- * Seeding: a warm-start seed initializes the shared bound as a virtual
- * incumbent at (seed period, index +infinity) — bestPeriod_ starts at
- * the seed period while bestIndex_ stays at its unset maximum, so every
- * real candidate's frozen cutoff allows periods <= the seed's and every
- * real candidate wins the index tie-break. hasBest() stays false until
- * a real candidate publishes, exactly as in a cold sweep.
+ * Seeding: a warm-start seed initializes the incumbent as a virtual one
+ * at (seed period, index +infinity) — bestPeriod_ starts at the seed
+ * period while bestIndex_ stays at its unset maximum, so every real
+ * candidate's frozen cutoff allows periods <= the seed's and every real
+ * candidate wins the index tie-break. hasBest() stays false until a
+ * real candidate publishes, exactly as in a cold sweep.
  */
 class SweepState
 {
   public:
     SweepState(const Placement &placement, const TesselOptions &options,
                const TimeBudget &total_budget, Time lower_bound,
-               Time optimal_init, std::vector<Mem> entry, bool concurrent)
+               Time optimal_init, std::vector<Mem> entry)
         : placement_(placement), options_(options),
           totalBudget_(total_budget), lowerBound_(lower_bound),
-          entry_(std::move(entry)), concurrent_(concurrent),
-          incumbent_(optimal_init), bestPeriod_(optimal_init)
+          entry_(std::move(entry)),
+          cancel_(options.cancel.linked(globalCancel_.token())),
+          bestPeriod_(optimal_init)
     {
     }
 
@@ -460,17 +461,12 @@ class SweepState
     runCandidate(uint64_t index, const RepetendAssignment &assign)
     {
         SearchBreakdown local;
-        if (!options_.cancel.cancelled() && !globalCancel_.cancelled() &&
-            !aboveBar(index)) {
+        if (!cancel_.cancelled() && !aboveBar(index)) {
             if (totalBudget_.expired()) {
                 local.budgetExhausted = true;
                 globalCancel_.cancel();
-            } else if (concurrent_) {
-                solveCancellable(index, assign, local);
             } else {
-                // Nothing runs beside this solve, so only the caller
-                // can cancel it.
-                solveCandidate(index, assign, options_.cancel, local);
+                solveCandidate(index, assign, local);
             }
         }
         mergeStats(local);
@@ -515,32 +511,9 @@ class SweepState
         return lexBetterLocked(period, index);
     }
 
-    /** solveCandidate under a per-task source, which lets the early-exit
-     * bar kill this solve mid-flight without touching lower-index
-     * tasks. */
-    void
-    solveCancellable(uint64_t index, const RepetendAssignment &assign,
-                     SearchBreakdown &local)
-    {
-        CancelToken token;
-        {
-            std::lock_guard<std::mutex> lock(runningMu_);
-            running_.emplace_back(index, CancelSource{});
-            token = options_.cancel.linked(globalCancel_.token())
-                        .linked(running_.back().second.token());
-        }
-        solveCandidate(index, assign, token, local);
-        std::lock_guard<std::mutex> lock(runningMu_);
-        running_.erase(std::remove_if(running_.begin(), running_.end(),
-                                      [&](const auto &entry) {
-                                          return entry.first == index;
-                                      }),
-                       running_.end());
-    }
-
     void
     solveCandidate(uint64_t index, const RepetendAssignment &assign,
-                   const CancelToken &token, SearchBreakdown &local)
+                   SearchBreakdown &local)
     {
         Time snap_period;
         uint64_t snap_index;
@@ -553,28 +526,23 @@ class SweepState
         RepetendSolveOptions rso;
         rso.memLimit = options_.memLimit;
         rso.initialMem = options_.initialMem;
-        // Freeze a strict cutoff at solve start: a higher-index
-        // candidate loses a period tie with the current incumbent, so
-        // periods >= it are prunable outright. A lower-index candidate
-        // could still win the tie-break, so only strictly worse periods
-        // may be cut. The inclusive live bound then keeps tightening
-        // mid-solve as siblings publish.
+        // Freeze the cutoff at solve start: a higher-index candidate
+        // loses a period tie with the current incumbent, so periods >=
+        // it are prunable outright. A lower-index candidate could still
+        // win the tie-break, so only strictly worse periods may be cut.
         rso.cutoff = index > snap_index ? snap_period : snap_period + 1;
-        rso.liveCutoff = incumbent_.raw();
         // Until a real candidate publishes, the bound is the seed's.
         rso.cutoffFromSeed =
             options_.seed != nullptr &&
             snap_index == std::numeric_limits<uint64_t>::max();
         rso.timeBudgetSec = options_.repetendBudgetSec;
-        rso.cancel = token;
+        rso.cancel = cancel_;
         Stopwatch watch;
         const RepetendSchedule sched =
             solveRepetend(placement_, assign, rso);
         local.repetendSeconds += watch.seconds();
         ++local.candidatesSolved;
         addSolveStats(local, sched.stats);
-        if (sched.stats.cancelled)
-            ++local.candidatesCancelled;
 
         if (sched.feasible && couldImprove(sched.period, index)) {
             std::optional<TesselPlan> plan;
@@ -584,7 +552,7 @@ class SweepState
                 ++local.satChecks;
                 accept = phaseSatisfiable(
                     placement_, warmupBlocks(placement_, assign), entry_,
-                    options_, token, local);
+                    options_, cancel_, local);
                 local.warmupSeconds += w_watch.seconds();
                 if (accept) {
                     Stopwatch c_watch;
@@ -593,14 +561,14 @@ class SweepState
                         placement_, cooldownBlocks(placement_, assign),
                         postWindowMem(placement_, assign,
                                       options_.initialMem),
-                        options_, token, local);
+                        options_, cancel_, local);
                     local.cooldownSeconds += c_watch.seconds();
                 }
             } else {
                 // Full time-optimal completion per improving candidate
                 // (Algorithm 1 lines 16-17 verbatim).
                 plan = completeOrReusePlan(placement_, assign, sched,
-                                           options_, local, token);
+                                           options_, local, cancel_);
                 accept = plan.has_value();
             }
             if (accept)
@@ -620,20 +588,14 @@ class SweepState
             bestIndex_ = index;
             best_ = BestCandidate{assign, sched};
             bestPlan_ = std::move(plan);
-            incumbent_.tryImprove(sched.period);
         }
         if (sched.period == lowerBound_) {
-            // Algorithm 1, lines 19-20: lower the early-exit bar and
-            // cancel every in-flight solve that can no longer win.
+            // Algorithm 1, lines 19-20: lower the early-exit bar, so no
+            // candidate above it starts.
             uint64_t cur = lbBar_.load(std::memory_order_relaxed);
             while (index < cur &&
                    !lbBar_.compare_exchange_weak(cur, index)) {
             }
-            const uint64_t bar = lbBar_.load(std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(runningMu_);
-            for (auto &entry : running_)
-                if (entry.first > bar)
-                    entry.second.cancel();
         }
     }
 
@@ -642,11 +604,13 @@ class SweepState
     const TimeBudget &totalBudget_;
     const Time lowerBound_;
     const std::vector<Mem> entry_;
-    const bool concurrent_; ///< solves run on a pool, beside each other
 
-    SharedIncumbent incumbent_;
     std::atomic<uint64_t> lbBar_{std::numeric_limits<uint64_t>::max()};
+    /** Cancelled once the total budget runs out, stopping every solve. */
     CancelSource globalCancel_;
+    /** The one token every solve runs under: the caller's cancel linked
+     * with globalCancel_. */
+    const CancelToken cancel_;
 
     std::mutex winnerMu_;
     Time bestPeriod_;
@@ -654,20 +618,20 @@ class SweepState
     std::optional<BestCandidate> best_;
     std::optional<TesselPlan> bestPlan_; // Kept only without lazy search.
 
-    std::mutex runningMu_;
-    std::vector<std::pair<uint64_t, CancelSource>> running_;
-
     std::mutex statsMu_;
     SearchBreakdown stats_;
 };
 
 /**
- * Candidate sweep: each NR's candidates solve concurrently on a pool,
- * or with one thread inline as they are enumerated. Candidates are
- * enumerated on @p enum_placement (the caller's original placement) and
- * solved on @p placement; for a comm-aware search the two differ and
- * @p expansion extends each assignment onto the comm blocks. In the
- * homogeneous case they alias and @p expansion is null.
+ * Candidate sweep: each candidate is solved the moment it is
+ * enumerated, on a pool worker or, with one thread, inline. Either way
+ * enumeration stops once the early-exit bar is set, and each NR ends at
+ * a barrier (the enumerating thread helps drain the pool) before the
+ * early-exit, budget and cancel checks. Candidates are enumerated on
+ * @p enum_placement (the caller's original placement) and solved on
+ * @p placement; for a comm-aware search the two differ and @p expansion
+ * extends each assignment onto the comm blocks. In the homogeneous case
+ * they alias and @p expansion is null.
  */
 void
 sweep(const Placement &enum_placement, const CommExpansion *expansion,
@@ -685,16 +649,15 @@ sweep(const Placement &enum_placement, const CommExpansion *expansion,
     if (options.seed)
         optimal_init = std::min(optimal_init, options.seed->period);
     SweepState state(placement, options, total_budget, lower_bound,
-                     optimal_init, entry, threads > 1);
-    // The submitting thread helps drain the queues inside wait(), so it
-    // counts as one of the requested workers.
+                     optimal_init, entry);
+    // The enumerating thread helps drain the queues inside wait(), so
+    // it counts as one of the requested workers.
     std::optional<ThreadPool> pool;
     if (threads > 1)
         pool.emplace(threads - 1);
 
     uint64_t next_index = 0;
     for (int nr = 1; nr <= max_inflight; ++nr) {
-        std::vector<RepetendAssignment> candidates;
         SearchBreakdown enum_stats;
         enumerateRepetends(
             enum_placement, nr, [&](const RepetendAssignment &enum_assign) {
@@ -708,27 +671,21 @@ sweep(const Placement &enum_placement, const CommExpansion *expansion,
                 RepetendAssignment assign =
                     expansion ? expansion->extendAssignment(enum_assign)
                               : enum_assign;
+                const uint64_t index = next_index++;
                 if (pool) {
-                    candidates.push_back(std::move(assign));
-                    return true;
+                    pool->submit([&state, index, assign = std::move(assign)] {
+                        state.runCandidate(index, assign);
+                    });
+                } else {
+                    state.runCandidate(index, assign);
                 }
-                state.runCandidate(next_index++, assign);
-                // Algorithm 1, lines 19-20: stop once this candidate
+                // Algorithm 1, lines 19-20: stop once a candidate
                 // reached the lower bound.
                 return !state.aboveBar(next_index);
             });
         state.mergeStats(enum_stats);
-
-        if (pool) {
-            const uint64_t base = next_index;
-            next_index += candidates.size();
-            for (size_t i = 0; i < candidates.size(); ++i) {
-                pool->submit([&state, &candidates, base, i] {
-                    state.runCandidate(base + i, candidates[i]);
-                });
-            }
+        if (pool)
             pool->wait();
-        }
 
         // hasBest() guards the seeded case: bestPeriod_ may start AT the
         // lower bound (a seed already that tight) without any candidate

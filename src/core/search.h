@@ -97,14 +97,15 @@ struct TesselOptions
      */
     uint64_t phaseNodeLimit = 2'500'000;
     /**
-     * Worker threads for the per-NR candidate sweep, and only for it.
-     * 0 picks hardware_concurrency(); N > 1 solves each NR's candidates
-     * on a pool of N threads (the caller among them); 1 solves them
+     * Worker threads for the candidate sweep, and only for it. 0 picks
+     * hardware_concurrency(); N > 1 hands each candidate to a pool of N
+     * threads (the caller among them) as it is enumerated; 1 solves it
      * inline, with no pool, in enumeration order, so its effort
      * counters are a pure function of the instance. Any value returns
-     * the same plan: candidates carry their enumeration index and ties
-     * are broken by (period, index). A phase completion
-     * (completeRepetendPlan) may use one more thread at any value.
+     * the same plan: candidates carry their enumeration index, each
+     * solve's cutoff is frozen when it starts, and ties are broken by
+     * (period, index). A phase completion (completeRepetendPlan) may
+     * use one more thread at any value.
      */
     int numThreads = 0;
     /** External cancellation for the whole search (optional). */
@@ -135,7 +136,16 @@ struct TesselOptions
     const SearchSeed *seed = nullptr;
 };
 
-/** Search diagnostics (feeds the Fig. 9/10 benches). */
+/**
+ * Search diagnostics (feeds the Fig. 9/10 benches).
+ *
+ * With one sweep thread every counter is a pure function of the
+ * instance. On a pool the sweep stops enumerating once the early-exit
+ * bar is set, and each solve's cutoff depends on which solves finished
+ * before it started, so candidatesEnumerated, candidatesSolved,
+ * satChecks, solverNodes, valueSweeps and policyImprovements vary from
+ * run to run; the plan does not.
+ */
 struct SearchBreakdown
 {
     double repetendSeconds = 0.0;
@@ -149,7 +159,6 @@ struct SearchBreakdown
     double cooldownSeconds = 0.0;
     uint64_t candidatesEnumerated = 0;
     uint64_t candidatesSolved = 0;
-    uint64_t candidatesCancelled = 0; ///< solves cut short mid-flight
     uint64_t satChecks = 0;
     /** Search nodes expanded across all inner solves (PeriodSearch +
      * BnB phase/completion solves). */
@@ -195,7 +204,6 @@ struct SearchBreakdown
         cooldownSeconds += other.cooldownSeconds;
         candidatesEnumerated += other.candidatesEnumerated;
         candidatesSolved += other.candidatesSolved;
-        candidatesCancelled += other.candidatesCancelled;
         satChecks += other.satChecks;
         solverNodes += other.solverNodes;
         valueSweeps += other.valueSweeps;

@@ -455,6 +455,13 @@ makeTraceQuery(const TraceQuery &q, std::string *err)
                    std::to_string(kMaxTraceDevices);
         return std::nullopt;
     }
+    if (q.nrCap > kMaxTraceNrCap) {
+        if (err)
+            *err = "nr_cap " + std::to_string(q.nrCap) +
+                   " above the trace limit " +
+                   std::to_string(kMaxTraceNrCap);
+        return std::nullopt;
+    }
     std::optional<PlanQuery> plan =
         referenceShapeQuery(q.shape, q.variant, q.devices, q.budgetSec);
     if (!plan) {
@@ -555,6 +562,37 @@ makeTraceReplan(const TraceQuery &q, std::string *err)
 }
 
 std::string
+formatReportFields(const QueryReport &report)
+{
+    std::ostringstream os;
+    os << "\"fingerprint\": \"" << report.fingerprint << "\""
+       << ", \"plan_hash\": \"" << report.planHash << "\""
+       << ", \"source\": \"" << report.source << "\""
+       << ", \"found\": " << (report.found ? "true" : "false")
+       << ", \"period\": " << report.period
+       << ", \"wall_sec\": " << jsonNumber(report.wallSec)
+       << ", \"seeded_from\": \"" << report.seededFrom << "\""
+       << ", \"seed_makespan\": " << report.seedMakespan
+       << ", \"seed_nodes_pruned\": " << report.seedNodesPruned
+       << ", \"value_sweeps\": " << report.valueSweeps
+       << ", \"policy_improvements\": " << report.policyImprovements
+       << ", \"solver_nodes\": " << report.solverNodes
+       << ", \"sweep_ms\": " << jsonNumber(report.sweepMs)
+       << ", \"warmup_ms\": " << jsonNumber(report.warmupMs)
+       << ", \"cooldown_ms\": " << jsonNumber(report.cooldownMs)
+       << ", \"phase_cap_hits\": " << report.phaseCapHits;
+    if (report.replanned)
+        os << ", \"replanned\": true";
+    if (report.stale)
+        os << ", \"stale\": true";
+    if (report.degraded)
+        os << ", \"degraded\": true";
+    if (report.deadlineHit)
+        os << ", \"deadline_hit\": true";
+    return os.str();
+}
+
+std::string
 formatResponseLine(const std::string &id, const ServiceLoop::Response &resp)
 {
     std::ostringstream os;
@@ -563,30 +601,8 @@ formatResponseLine(const std::string &id, const ServiceLoop::Response &resp)
         os << "\"id\": \"" << jsonEscape(id) << "\", ";
     os << "\"admission\": \"" << admissionName(resp.admission) << "\""
        << ", \"label\": \"" << jsonEscape(resp.report.label) << "\"";
-    if (resp.admission == Admission::Accepted) {
-        os << ", \"fingerprint\": \"" << resp.report.fingerprint << "\""
-           << ", \"plan_hash\": \"" << resp.report.planHash << "\""
-           << ", \"source\": \"" << resp.report.source << "\""
-           << ", \"found\": " << (resp.report.found ? "true" : "false")
-           << ", \"period\": " << resp.report.period
-           << ", \"wall_sec\": " << jsonNumber(resp.report.wallSec)
-           << ", \"value_sweeps\": " << resp.report.valueSweeps
-           << ", \"policy_improvements\": "
-           << resp.report.policyImprovements
-           << ", \"solver_nodes\": " << resp.report.solverNodes
-           << ", \"sweep_ms\": " << jsonNumber(resp.report.sweepMs)
-           << ", \"warmup_ms\": " << jsonNumber(resp.report.warmupMs)
-           << ", \"cooldown_ms\": " << jsonNumber(resp.report.cooldownMs)
-           << ", \"phase_cap_hits\": " << resp.report.phaseCapHits;
-        if (resp.report.replanned)
-            os << ", \"replanned\": true";
-        if (resp.report.stale)
-            os << ", \"stale\": true";
-        if (resp.report.degraded)
-            os << ", \"degraded\": true";
-        if (resp.report.deadlineHit)
-            os << ", \"deadline_hit\": true";
-    }
+    if (resp.admission == Admission::Accepted)
+        os << ", " << formatReportFields(resp.report);
     if (resp.cancelled)
         os << ", \"cancelled\": true";
     if (!resp.error.empty())

@@ -54,7 +54,8 @@ struct TraceQuery
     std::string tenant;  ///< admission bucket; empty = anonymous tenant
     int devices = 4;
     double budgetSec = 5.0;
-    /** > 0 overrides maxRepetendMicrobatches (perturbation knob). */
+    /** > 0 overrides maxRepetendMicrobatches (perturbation knob; at most
+     * kMaxTraceNrCap). */
     int nrCap = 0;
     /** > 0 overrides memLimit (perturbation knob). */
     long long memLimit = 0;
@@ -112,12 +113,19 @@ std::string formatTraceLine(const TraceQuery &q);
  * tens of thousands would stall the daemon before any search. */
 constexpr int kMaxTraceDevices = 256;
 
+/** Largest "nr_cap" a trace line may set: twice the default sweep cap
+ * of 8. A search that does not exit early sweeps every NR up to the
+ * cap, and candidates per NR grow fast (NN-Shape enumerates 13.0M at
+ * NR 12), so with "budget_sec" 0 one line could hold a worker for as
+ * long as it likes. */
+constexpr int kMaxTraceNrCap = 16;
+
 /**
  * Build the PlanQuery a trace line describes: the reference-shape
  * query for (shape, variant, devices, budget) with any perturbation
  * knobs applied (and recorded in the label for readability).
- * @return nullopt with @p err set for unknown coordinates or more than
- * kMaxTraceDevices devices.
+ * @return nullopt with @p err set for unknown coordinates, more than
+ * kMaxTraceDevices devices or an "nr_cap" above kMaxTraceNrCap.
  */
 std::optional<PlanQuery> makeTraceQuery(const TraceQuery &q,
                                         std::string *err);
@@ -136,10 +144,20 @@ std::optional<ReplanRequest> makeTraceReplan(const TraceQuery &q,
                                              std::string *err);
 
 /**
+ * The answer fields of @p report as JSON object members, with no braces
+ * and no leading or trailing comma: "fingerprint" immediately followed
+ * by "plan_hash" (CI greps that pair), source, found, period, wall_sec,
+ * the seed's seeded_from/seed_makespan/seed_nodes_pruned, the effort
+ * counters and layer milliseconds, phase_cap_hits, then the
+ * replanned/stale/degraded/deadline_hit flags when set. Batch `--json`
+ * rows and `--serve` response lines both print exactly these.
+ */
+std::string formatReportFields(const QueryReport &report);
+
+/**
  * Serialize one daemon response as a JSON line (no trailing newline):
- * id, label, admission verdict, fingerprint, plan hash, source,
- * found/period/wall_sec, the replanned/stale/degraded/deadline_hit
- * flags when set, and the error message when any.
+ * id, admission verdict, label, the formatReportFields() of an
+ * accepted answer, and the cancelled flag and error message when set.
  */
 std::string formatResponseLine(const std::string &id,
                                const ServiceLoop::Response &resp);

@@ -1,14 +1,12 @@
 /**
  * @file
- * Cooperative cancellation and shared-incumbent primitives for the
- * parallel schedule search.
+ * Cooperative cancellation for the schedule search.
  *
  * A CancelSource owns a cancellation flag; CancelToken is a cheap,
  * copyable view that long-running solver loops poll. Tokens can be
- * linked so one token observes several sources (e.g. a per-task source
- * plus the search-wide one). SharedIncumbent wraps the live best
- * objective that concurrently running solves prune against and improve
- * via compare-exchange.
+ * linked so one token observes several sources: every candidate solve
+ * of a sweep runs under the caller's token linked with the sweep's
+ * total-budget source.
  */
 
 #ifndef TESSEL_SUPPORT_CANCEL_H
@@ -17,8 +15,6 @@
 #include <atomic>
 #include <memory>
 #include <vector>
-
-#include "ir/types.h"
 
 namespace tessel {
 
@@ -84,46 +80,6 @@ class CancelSource
 
   private:
     std::shared_ptr<std::atomic<bool>> flag_;
-};
-
-/**
- * Live best objective shared across concurrent solves.
- *
- * Workers read it as a prune cutoff (acquire) and publish improvements
- * with a compare-exchange loop so a stale store can never overwrite a
- * better value. Tie-breaking across equal objectives (the deterministic
- * (period, enumeration index) order of the search) is handled by the
- * caller; this type only tracks the scalar bound.
- */
-class SharedIncumbent
-{
-  public:
-    explicit SharedIncumbent(Time initial) : value_(initial) {}
-
-    /** @return the current bound. */
-    Time load() const { return value_.load(std::memory_order_acquire); }
-
-    /**
-     * Lower the bound to @p candidate if it improves.
-     * @return true when this call changed the stored value.
-     */
-    bool
-    tryImprove(Time candidate)
-    {
-        Time cur = value_.load(std::memory_order_relaxed);
-        while (candidate < cur) {
-            if (value_.compare_exchange_weak(cur, candidate,
-                                             std::memory_order_acq_rel))
-                return true;
-        }
-        return false;
-    }
-
-    /** Raw atomic, for solver options that hold a live-cutoff pointer. */
-    const std::atomic<Time> *raw() const { return &value_; }
-
-  private:
-    std::atomic<Time> value_;
 };
 
 } // namespace tessel

@@ -1210,21 +1210,39 @@ TEST(TraceCodec, ResponseLineEscapesControlBytesInId)
 TEST(TraceCodec, ResponseLineReportsSearchCostAfterEffortCounters)
 {
     ServiceLoop::Response resp;
+    resp.report.fingerprint = "f00d";
+    resp.report.planHash = "beef";
+    resp.report.found = true;
+    resp.report.period = 9;
+    resp.report.wallSec = 0.125;
+    resp.report.seededFrom = "cafe";
+    resp.report.seedMakespan = 40;
+    resp.report.seedNodesPruned = 3;
+    resp.report.valueSweeps = 11;
     resp.report.policyImprovements = 7;
     resp.report.solverNodes = 12345;
     resp.report.sweepMs = 1.5;
     resp.report.warmupMs = 20;
     resp.report.cooldownMs = 0.25;
     resp.report.phaseCapHits = 2;
-    // Appended after the effort counters, so greps anchored on the
+    resp.report.deadlineHit = true;
+    // One field order for batch rows and response lines: the search
+    // cost follows the effort counters, so greps anchored on the
     // leading keys ("fingerprint": ..., "plan_hash": ...) still match.
-    const std::string line = formatResponseLine("q", resp);
-    EXPECT_NE(line.find("\"policy_improvements\": 7, "
-                        "\"solver_nodes\": 12345, \"sweep_ms\": 1.5, "
-                        "\"warmup_ms\": 20, \"cooldown_ms\": 0.25, "
-                        "\"phase_cap_hits\": 2"),
-              std::string::npos)
-        << line;
+    const std::string fields = formatReportFields(resp.report);
+    EXPECT_EQ(fields,
+              "\"fingerprint\": \"f00d\", \"plan_hash\": \"beef\", "
+              "\"source\": \"search\", \"found\": true, \"period\": 9, "
+              "\"wall_sec\": 0.125, \"seeded_from\": \"cafe\", "
+              "\"seed_makespan\": 40, \"seed_nodes_pruned\": 3, "
+              "\"value_sweeps\": 11, \"policy_improvements\": 7, "
+              "\"solver_nodes\": 12345, \"sweep_ms\": 1.5, "
+              "\"warmup_ms\": 20, \"cooldown_ms\": 0.25, "
+              "\"phase_cap_hits\": 2, \"deadline_hit\": true");
+    EXPECT_EQ(formatResponseLine("q", resp),
+              "{\"id\": \"q\", \"admission\": \"accepted\", "
+              "\"label\": \"\", " +
+                  fields + "}");
 }
 
 TEST(TraceCodec, ParsesEveryJsonStringEscape)
@@ -1324,6 +1342,30 @@ TEST(TraceCodec, IntegerKeysRangeCheckedAndNumbersReformatExactly)
     EXPECT_NE(err.find("trace limit"), std::string::npos) << err;
     q.devices = kMaxTraceDevices;
     EXPECT_TRUE(makeTraceReplan(q, &err).has_value()) << err;
+}
+
+TEST(TraceCodec, NrCapAboveTheTraceLimitIsRefused)
+{
+    // Only the queries are built; no search runs.
+    TraceQuery q;
+    std::string err;
+    ASSERT_TRUE(parseTraceLine(R"({"shape": "NN", "nr_cap": 16})", &q, &err))
+        << err;
+    ASSERT_EQ(q.nrCap, kMaxTraceNrCap);
+    const std::optional<PlanQuery> at_cap = makeTraceQuery(q, &err);
+    ASSERT_TRUE(at_cap.has_value()) << err;
+    EXPECT_EQ(at_cap->options.maxRepetendMicrobatches, kMaxTraceNrCap);
+
+    q.nrCap = kMaxTraceNrCap + 1;
+    EXPECT_FALSE(makeTraceQuery(q, &err).has_value());
+    EXPECT_NE(err.find("nr_cap 17 above the trace limit 16"),
+              std::string::npos)
+        << err;
+    // A replan line builds its base query through the same check.
+    q.driftDevice = 1;
+    q.driftSpeed = 2.0;
+    EXPECT_FALSE(makeTraceReplan(q, &err).has_value());
+    EXPECT_NE(err.find("trace limit"), std::string::npos) << err;
 }
 
 TEST(TraceCodec, TraceLineRoundTripsIdsWithControlBytes)

@@ -196,31 +196,6 @@ TEST(CancelToken, ObservesSourceAndLinks)
     EXPECT_TRUE(b.cancelled());
 }
 
-TEST(SharedIncumbent, ImprovesMonotonically)
-{
-    SharedIncumbent inc(100);
-    EXPECT_EQ(inc.load(), 100);
-    EXPECT_TRUE(inc.tryImprove(42));
-    EXPECT_FALSE(inc.tryImprove(42)); // Equal value is not an improvement.
-    EXPECT_FALSE(inc.tryImprove(50));
-    EXPECT_EQ(inc.load(), 42);
-}
-
-TEST(SharedIncumbent, ConcurrentImprovesKeepMinimum)
-{
-    SharedIncumbent inc(1000000);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([&inc, t] {
-            for (int i = 999; i >= 0; --i)
-                inc.tryImprove(4 * i + t);
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-    EXPECT_EQ(inc.load(), 0);
-}
-
 TEST(Stopwatch, MeasuresForwardProgress)
 {
     Stopwatch w;

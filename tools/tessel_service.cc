@@ -292,22 +292,8 @@ writeStatsJson(const std::string &path, const BatchReport &report)
     out << "{\n  \"queries\": [\n";
     for (size_t i = 0; i < report.queries.size(); ++i) {
         const QueryReport &q = report.queries[i];
-        out << "    {\"label\": \"" << jsonEscape(q.label)
-            << "\", \"fingerprint\": \"" << q.fingerprint
-            << "\", \"plan_hash\": \"" << q.planHash << "\", \"source\": \""
-            << q.source << "\", \"found\": " << (q.found ? "true" : "false")
-            << ", \"period\": " << q.period
-            << ", \"wall_sec\": " << q.wallSec << ", \"seeded_from\": \""
-            << q.seededFrom << "\", \"seed_makespan\": " << q.seedMakespan
-            << ", \"seed_nodes_pruned\": " << q.seedNodesPruned
-            << ", \"value_sweeps\": " << q.valueSweeps
-            << ", \"policy_improvements\": " << q.policyImprovements
-            << ", \"solver_nodes\": " << q.solverNodes
-            << ", \"sweep_ms\": " << q.sweepMs
-            << ", \"warmup_ms\": " << q.warmupMs
-            << ", \"cooldown_ms\": " << q.cooldownMs
-            << ", \"phase_cap_hits\": " << q.phaseCapHits
-            << (q.deadlineHit ? ", \"deadline_hit\": true" : "") << "}"
+        out << "    {\"label\": \"" << jsonEscape(q.label) << "\", "
+            << formatReportFields(q) << "}"
             << (i + 1 < report.queries.size() ? "," : "") << "\n";
     }
     const StoreStats &cs = report.cacheStats;
