@@ -1,8 +1,9 @@
 /**
  * @file
- * Elastic replanning core: adapt a served plan to a drifted cluster and
- * seed the fresh search with it (core/search.h ReplanSeed /
- * tesselReplan).
+ * Elastic replanning core: adapt a served plan to a drifted cluster
+ * into the seed of a fresh search (core/search.h ReplanSeed). The
+ * caller, PlanningService::answer(ReplanRequest), then runs
+ * tesselSearch with that seed.
  *
  * Adaptation itself is store/adapt.h's pipeline — the served plan is
  * treated as its own best neighbor: structural correspondence is
@@ -72,23 +73,6 @@ prepareReplanSeed(const Placement &placement, const TesselOptions &drifted,
     out.seed = std::move(adapted.seed);
     out.retimedResult = std::move(adapted.adapted);
     return out;
-}
-
-TesselResult
-tesselReplan(const Placement &placement, const TesselOptions &drifted,
-             const TesselResult &served, const ClusterDelta *delta,
-             bool exactPhasesAllowed, ReplanSeed *info)
-{
-    ReplanSeed seed = prepareReplanSeed(placement, drifted, served, delta,
-                                        exactPhasesAllowed);
-    TesselOptions opts = drifted;
-    if (seed.ok)
-        opts.seed = &seed.seed;
-    TesselResult result = tesselSearch(placement, opts);
-    result.breakdown.mergeSeedWork(seed.work);
-    if (info)
-        *info = std::move(seed);
-    return result;
 }
 
 } // namespace tessel

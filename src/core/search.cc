@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <future>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -327,18 +326,17 @@ completeRepetendPlan(const Placement &placement,
         return BnbSolver(inst.sp, so).minimizeMakespan();
     };
 
-    // Unless it waits, the cooldown is solved on a helper thread beside
-    // the warmup. The future is declared after everything the helper
-    // reads, so it is joined before any of it dies, and get() passes on
-    // whatever the helper threw.
+    // Unless it waits, the cooldown is solved beside the warmup as the
+    // one task of a width-1 group. The group is declared after
+    // everything the task reads, so it is waited for before any of it
+    // dies, and wait() passes on whatever the task threw.
     std::optional<SolveResult> warm, cool;
-    std::future<SolveResult> cool_helper;
+    ThreadPool::Group helper(1);
     if (!warm_refs.empty() && !cool_refs.empty() && !wait)
-        cool_helper = std::async(std::launch::async, solve_cooldown);
+        helper.submit([&] { cool = solve_cooldown(); });
     if (!warm_refs.empty())
         warm = solve_warmup();
-    if (cool_helper.valid())
-        cool = cool_helper.get();
+    helper.wait();
 
     std::vector<Time> warm_starts;
     if (warm) {
@@ -455,8 +453,8 @@ class SweepState
     {
     }
 
-    /** Evaluate one candidate end-to-end, on a pool worker or, with one
-     * thread, on the enumerating thread. */
+    /** Evaluate one candidate end-to-end, on a pool worker or on the
+     * enumerating thread. */
     void
     runCandidate(uint64_t index, const RepetendAssignment &assign)
     {
@@ -623,11 +621,14 @@ class SweepState
 };
 
 /**
- * Candidate sweep: each candidate is solved the moment it is
- * enumerated, on a pool worker or, with one thread, inline. Either way
+ * Candidate sweep: each candidate is handed to a task group on the
+ * shared pool the moment it is enumerated; with one thread the group
+ * has width 0 and solves it inline. The group's backlog cap keeps the
+ * enumerator at most a few candidates ahead of the solves. Either way
  * enumeration stops once the early-exit bar is set, and each NR ends at
- * a barrier (the enumerating thread helps drain the pool) before the
- * early-exit, budget and cancel checks. Candidates are enumerated on
+ * a barrier (the group's wait(), where the enumerating thread solves
+ * what is still queued) before the early-exit, budget and cancel
+ * checks. Candidates are enumerated on
  * @p enum_placement (the caller's original placement) and solved on
  * @p placement; for a comm-aware search the two differ and @p expansion
  * extends each assignment onto the comm blocks. In the homogeneous case
@@ -650,11 +651,10 @@ sweep(const Placement &enum_placement, const CommExpansion *expansion,
         optimal_init = std::min(optimal_init, options.seed->period);
     SweepState state(placement, options, total_budget, lower_bound,
                      optimal_init, entry);
-    // The enumerating thread helps drain the queues inside wait(), so
-    // it counts as one of the requested workers.
-    std::optional<ThreadPool> pool;
-    if (threads > 1)
-        pool.emplace(threads - 1);
+    // The enumerating thread runs candidates too (past the backlog cap
+    // and inside wait()), so it counts as one of the requested threads.
+    // One thread gives width 0: every candidate is solved inline.
+    ThreadPool::Group group(threads - 1);
 
     uint64_t next_index = 0;
     for (int nr = 1; nr <= max_inflight; ++nr) {
@@ -672,20 +672,15 @@ sweep(const Placement &enum_placement, const CommExpansion *expansion,
                     expansion ? expansion->extendAssignment(enum_assign)
                               : enum_assign;
                 const uint64_t index = next_index++;
-                if (pool) {
-                    pool->submit([&state, index, assign = std::move(assign)] {
-                        state.runCandidate(index, assign);
-                    });
-                } else {
+                group.submit([&state, index, assign = std::move(assign)] {
                     state.runCandidate(index, assign);
-                }
+                });
                 // Algorithm 1, lines 19-20: stop once a candidate
                 // reached the lower bound.
                 return !state.aboveBar(next_index);
             });
         state.mergeStats(enum_stats);
-        if (pool)
-            pool->wait();
+        group.wait();
 
         // hasBest() guards the seeded case: bestPeriod_ may start AT the
         // lower bound (a seed already that tight) without any candidate

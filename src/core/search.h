@@ -97,15 +97,16 @@ struct TesselOptions
      */
     uint64_t phaseNodeLimit = 2'500'000;
     /**
-     * Worker threads for the candidate sweep, and only for it. 0 picks
-     * hardware_concurrency(); N > 1 hands each candidate to a pool of N
-     * threads (the caller among them) as it is enumerated; 1 solves it
-     * inline, with no pool, in enumeration order, so its effort
-     * counters are a pure function of the instance. Any value returns
-     * the same plan: candidates carry their enumeration index, each
-     * solve's cutoff is frozen when it starts, and ties are broken by
-     * (period, index). A phase completion (completeRepetendPlan) may
-     * use one more thread at any value.
+     * Threads for the candidate sweep, and only for it. 0 picks
+     * hardware_concurrency(); N > 1 hands each candidate, as it is
+     * enumerated, to a task group of width N - 1 on the shared pool
+     * (ThreadPool::shared()), the calling thread making the Nth; 1
+     * solves it inline in enumeration order, so its effort counters
+     * are a pure function of the instance. Any value returns the same
+     * plan: candidates carry their enumeration index, each solve's
+     * cutoff is frozen when it starts, and ties are broken by (period,
+     * index). A phase completion (completeRepetendPlan) runs its
+     * cooldown as a width-1 group on the same pool at any value.
      */
     int numThreads = 0;
     /** External cancellation for the whole search (optional). */
@@ -275,10 +276,11 @@ TesselResult tesselSearch(const Placement &placement,
  * by a warmup block is the one input that may need the warmup's
  * schedule: when the window alone shows that release cannot delay the
  * block, it is dropped; otherwise the cooldown waits for the warmup.
- * Unless it waits, the cooldown is solved on a helper thread beside the
- * warmup (one thread more than TesselOptions::numThreads), and both
- * solves' effort is folded into @p breakdown after the join. An
- * exception in either solve reaches the caller.
+ * Unless it waits, the cooldown is solved beside the warmup as a
+ * width-1 task group on the shared pool (a worker if one is free, else
+ * the calling thread once the warmup is done), and both solves' effort
+ * is folded into @p breakdown after the group's wait(). An exception in
+ * either solve reaches the caller.
  *
  * @p placement must be the *solve* placement (the comm-expanded one for
  * comm-aware instances) and @p options must already be lowered
@@ -344,23 +346,6 @@ ReplanSeed prepareReplanSeed(const Placement &placement,
                              const TesselResult &served,
                              const ClusterDelta *delta = nullptr,
                              bool exactPhasesAllowed = false);
-
-/**
- * Elastic replan: answer (@p placement, @p drifted) — the served
- * instance under a perturbed cluster — by seeding a full search with
- * the served plan retimed under the new costs (prepareReplanSeed).
- * The answer is bit-identical to tesselSearch(placement, drifted)
- * run cold (seed-only-prunes); only the wall clock changes. When the
- * served plan fails to adapt, this *is* that cold search. @p info,
- * when given, receives the seed details (including the verified
- * retimed fallback plan).
- */
-TesselResult tesselReplan(const Placement &placement,
-                          const TesselOptions &drifted,
-                          const TesselResult &served,
-                          const ClusterDelta *delta = nullptr,
-                          bool exactPhasesAllowed = false,
-                          ReplanSeed *info = nullptr);
 
 } // namespace tessel
 

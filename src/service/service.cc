@@ -185,27 +185,6 @@ recordAnswer(const SharedPlan &plan, bool searched, TraceSpan &span,
 
 } // namespace
 
-bool
-PlanningService::parallelBatch() const
-{
-    return options_.numThreads != 1 &&
-           (options_.numThreads > 1 || ThreadPool::hardwareThreads() > 1);
-}
-
-ThreadPool &
-PlanningService::pool()
-{
-    // One persistent pool per service: the daemon loop answers batches
-    // for the process lifetime, and constructing/joining a worker set
-    // per phase (the pre-daemon behavior) costs two thread-team
-    // spawn/join cycles per batch. Lazy so a serial service (or one
-    // that only ever takes the inline path) never spawns workers.
-    std::lock_guard<std::mutex> lock(poolMu_);
-    if (!pool_)
-        pool_ = std::make_unique<ThreadPool>(options_.numThreads);
-    return *pool_;
-}
-
 TesselOptions
 PlanningService::resolveOptions(const PlanQuery &query) const
 {
@@ -226,7 +205,6 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
     std::vector<UniqueInstance> unique;
     std::unordered_map<Hash128, size_t, Hash128Hasher> slot_of;
     std::vector<size_t> query_slot(queries.size());
-    const bool parallel_batch = parallelBatch();
     for (size_t q = 0; q < queries.size(); ++q) {
         TesselOptions eff = resolveOptions(queries[q]);
         const Hash128 fp = fingerprintQuery(queries[q].placement, eff);
@@ -271,27 +249,28 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
         inst.report.source = sourceName(inst.source);
         recordAnswer(inst.plan, /*searched=*/false, span, &inst.report);
     };
-    if (parallel_batch && unique.size() > 1) {
-        ThreadPool &p = pool();
-        for (size_t u = 0; u < unique.size(); ++u)
-            p.submit([&lookup, u] { lookup(u); });
-        p.wait();
-    } else {
-        for (size_t u = 0; u < unique.size(); ++u)
-            lookup(u);
-    }
+    // Each fan-out is a task group on the shared pool, declared after
+    // everything its tasks touch: numThreads workers beside this thread.
+    const int threads = options_.numThreads > 0
+                            ? options_.numThreads
+                            : ThreadPool::hardwareThreads();
+    const int width = threads > 1 ? threads : 0;
+    ThreadPool::Group lookups(width);
+    for (size_t u = 0; u < unique.size(); ++u)
+        lookups.submit([&lookup, u] { lookup(u); });
+    lookups.wait();
     std::vector<size_t> missing;
     for (size_t u = 0; u < unique.size(); ++u)
         if (!unique[u].plan)
             missing.push_back(u);
 
-    // Phase 3: fan the misses out. A pooled solve runs its own search
-    // serially (numThreads = 1) so batch parallelism is not multiplied
-    // by per-search parallelism; with a single miss (or a serial
-    // service) the search keeps its own multi-threaded sweep. Plans are
-    // identical either way by the search's determinism contract, and
-    // numThreads is excluded from the fingerprint for the same reason.
-    auto solve = [&](size_t u, bool pooled) {
+    // Phase 3: fan the misses out. Each search sweeps with its own
+    // numThreads as a group on the same pool, so the misses still
+    // running take the workers of the ones already done. Plans are
+    // identical at any thread count by the search's determinism
+    // contract, and numThreads is excluded from the fingerprint for the
+    // same reason.
+    auto solve = [&](size_t u) {
         UniqueInstance &inst = unique[u];
         const PlanQuery &query = queries[inst.firstQuery];
         TraceSpan span("query");
@@ -300,20 +279,15 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
         // warm/cold comparisons the bench and CI make are only honest
         // if the cost of obtaining the seed is part of the warm path.
         const Stopwatch watch;
-        inst.plan = searchMiss(query, inst.effective, inst.fingerprint,
-                               pooled, &inst.report);
+        inst.plan =
+            searchMiss(query, inst.effective, inst.fingerprint, &inst.report);
         inst.report.wallSec = watch.seconds();
         recordAnswer(inst.plan, /*searched=*/true, span, &inst.report);
     };
-    if (parallel_batch && missing.size() > 1) {
-        ThreadPool &p = pool();
-        for (size_t u : missing)
-            p.submit([&solve, u] { solve(u, true); });
-        p.wait();
-    } else {
-        for (size_t u : missing)
-            solve(u, false);
-    }
+    ThreadPool::Group solves(width);
+    for (size_t u : missing)
+        solves.submit([&solve, u] { solve(u); });
+    solves.wait();
 
     // Phase 4: per-query rows (deduplicated queries share the unique
     // instance's answer and timing, which `service.answer_ms` records
@@ -344,13 +318,10 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
 
 SharedPlan
 PlanningService::searchMiss(const PlanQuery &query, const TesselOptions &eff,
-                            const Hash128 &fp, bool serial,
-                            QueryReport *report)
+                            const Hash128 &fp, QueryReport *report)
 {
     NeighborSeed seed;
     TesselOptions opts = eff;
-    if (serial)
-        opts.numThreads = 1;
     if (options_.neighborSeed) {
         TraceSpan span("seed-adapt");
         if (trySeedFromNeighbors(cache_, query.placement, eff, seed)) {
@@ -433,7 +404,7 @@ PlanningService::answer(const PlanQuery &query, QueryReport *report)
         if (report)
             report->source = sourceName(source);
     } else {
-        plan = searchMiss(query, eff, fp, /*serial=*/false, report);
+        plan = searchMiss(query, eff, fp, report);
     }
     recordAnswer(plan, searched, span, report);
     if (report) {
@@ -557,7 +528,7 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
             report->seededFrom = base_fp.hex();
     }
     if (!served || !served->found)
-        return finish(searchMiss(drifted, eff, fp, /*serial=*/false, report),
+        return finish(searchMiss(drifted, eff, fp, report),
                       /*searched=*/true);
 
     // Retime the served plan under the drifted costs in the foreground:
@@ -570,7 +541,7 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
     task->seed = prepareReplanSeed(drifted.placement, task->effective,
                                    *served, &request.delta, phases_ok);
     if (!task->seed.ok)
-        return finish(searchMiss(drifted, eff, fp, /*serial=*/false, report),
+        return finish(searchMiss(drifted, eff, fp, report),
                       /*searched=*/true);
     if (report)
         report->seedMakespan = task->seed.seed.makespan;

@@ -6,10 +6,11 @@
  * option sweep). The service fingerprints every query canonically
  * (store/fingerprint.h), deduplicates identical instances, answers what
  * it can from the two-tier plan cache, and fans the remaining unique
- * searches out over a ThreadPool with per-query budgets and cooperative
- * cancellation. Fresh results are admitted to the cache, so a repeated
- * batch — same process or a later one sharing the cache directory — is
- * answered entirely from storage with bit-identical plans.
+ * searches out as a task group on the shared ThreadPool with per-query
+ * budgets and cooperative cancellation. Fresh results are admitted to
+ * the cache, so a repeated batch — same process or a later one sharing
+ * the cache directory — is answered entirely from storage with
+ * bit-identical plans.
  */
 
 #ifndef TESSEL_SERVICE_SERVICE_H
@@ -26,7 +27,6 @@
 
 #include "store/store.h"
 #include "support/metrics.h"
-#include "support/threadpool.h"
 
 namespace tessel {
 
@@ -190,14 +190,14 @@ struct ServiceOptions
     /** Memory-tier capacity (results). */
     size_t memoryCapacity = 256;
     /**
-     * Workers for the cache-lookup and miss fan-outs; 0 picks
-     * hardware_concurrency(), 1 runs everything inline. Only when two
-     * or more misses actually fan out over the pool does each pooled
-     * search run its sweep with one thread (numThreads = 1: inline on
-     * the worker, no pool of its own), so batch parallelism is not
-     * multiplied by per-search parallelism; a lone miss keeps the
-     * search's own pooled sweep. Plans are identical either way by
-     * the search's determinism contract.
+     * Pool workers for runBatch's cache-lookup and miss fan-outs,
+     * beside the calling thread: each fan-out is a task group of this
+     * width on the shared pool. 0 picks hardware_concurrency(); 1 gives
+     * width 0 and runs everything inline. Each miss's search keeps its
+     * own TesselOptions::numThreads, and its sweep is a group on the
+     * same pool, so sweeps take the workers the fan-out leaves idle.
+     * Plans are identical at any value by the search's determinism
+     * contract.
      */
     int numThreads = 0;
     /**
@@ -259,12 +259,12 @@ class PlanningService
 
     /**
      * Answer @p queries (dedup -> cache -> parallel search). Both
-     * fan-out phases run on one persistent ThreadPool owned by the
-     * service (created lazily on the first parallel batch and reused
-     * for the service's lifetime), so a long-running daemon does not
-     * spawn and join a worker set per batch. Not re-entrant: one batch
-     * at a time per service (concurrent runOne() calls are fine — the
-     * daemon path uses those).
+     * fan-out phases are task groups of width ServiceOptions::numThreads
+     * on the process-wide pool (ThreadPool::shared()), which the
+     * searches' sweeps and cooldown helpers share, so no batch spawns
+     * or joins threads of its own. Not re-entrant: one batch at a time
+     * per service (concurrent runOne() calls are fine — the daemon path
+     * uses those).
      *
      * Results whose search observed a cancellation or was cut short by
      * a wall deadline are NOT admitted to the cache: neither is part of
@@ -346,20 +346,12 @@ class PlanningService
     /** Query options with the service's cancellation linked in. */
     TesselOptions resolveOptions(const PlanQuery &query) const;
 
-    /** Whether misses fan out over a pool (forces serial searches). */
-    bool parallelBatch() const;
-
-    /** The persistent batch fan-out pool (lazily constructed). */
-    ThreadPool &pool();
-
     /** Miss pipeline shared by both answer paths and runBatch:
-     * neighbor seeding, the search (single-threaded when @p serial),
-     * cache admission unless cancelled or cut by a deadline, report
-     * source and seed fields.
+     * neighbor seeding, the search, cache admission unless cancelled or
+     * cut by a deadline, report source and seed fields.
      * @return the admitted resident, or the digested uncached result. */
     SharedPlan searchMiss(const PlanQuery &query, const TesselOptions &eff,
-                          const Hash128 &fp, bool serial,
-                          QueryReport *report);
+                          const Hash128 &fp, QueryReport *report);
 
     /** Join background replans whose search already finished. */
     void reapBackgroundReplans();
@@ -386,12 +378,11 @@ class PlanningService
     /** Metrics-registry source reporting stats() as `service.*`. */
     int metricsSource_ = 0;
 
-    std::mutex poolMu_; ///< guards lazy pool construction
-    std::unique_ptr<ThreadPool> pool_;
-
     /** A replan search still running after its caller stopped waiting
      * (the caller got the stale answer; the search publishes to the
-     * store on completion). */
+     * store on completion). It runs on a thread of its own, not as a
+     * pool task, which would hold a worker for the whole search; its
+     * sweep and cooldown helper use the shared pool. */
     struct BackgroundReplan
     {
         std::thread thread;

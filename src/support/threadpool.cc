@@ -1,6 +1,7 @@
 #include "support/threadpool.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/logging.h"
 
@@ -13,16 +14,11 @@ ThreadPool::hardwareThreads()
     return n == 0 ? 1 : static_cast<int>(n);
 }
 
-ThreadPool::ThreadPool(int num_threads)
+ThreadPool &
+ThreadPool::shared()
 {
-    if (num_threads <= 0)
-        num_threads = hardwareThreads();
-    shards_.reserve(num_threads);
-    for (int i = 0; i < num_threads; ++i)
-        shards_.push_back(std::make_unique<Shard>());
-    threads_.reserve(num_threads);
-    for (int i = 0; i < num_threads; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
+    static ThreadPool *const pool = new ThreadPool;
+    return *pool;
 }
 
 ThreadPool::~ThreadPool()
@@ -36,94 +32,133 @@ ThreadPool::~ThreadPool()
         t.join();
 }
 
+int
+ThreadPool::size() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<int>(threads_.size());
+}
+
 void
-ThreadPool::submit(Task task)
+ThreadPool::schedule(Group &group)
+{
+    const bool eligible =
+        !group.queue_.empty() && group.onWorkers_ < group.width_;
+    if (eligible == group.scheduled_)
+        return;
+    group.scheduled_ = eligible;
+    if (eligible) {
+        ready_.push_back(&group);
+        workCv_.notify_one();
+    } else {
+        ready_.erase(std::find(ready_.begin(), ready_.end(), &group));
+    }
+}
+
+void
+ThreadPool::run(Group &group, Task &task, std::unique_lock<std::mutex> &lock)
+{
+    ++group.running_;
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+        task();
+    } catch (...) {
+        error = std::current_exception();
+    }
+    task = nullptr; // Release the captures outside the lock.
+    lock.lock();
+    --group.running_;
+    if (error && !group.error_)
+        group.error_ = error;
+    group.changed_.notify_all();
+}
+
+void
+ThreadPool::workerLoop()
+{
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+        workCv_.wait(lock, [&] { return stop_ || !ready_.empty(); });
+        if (ready_.empty())
+            return;
+        // The front group's oldest task; the group goes to the back of
+        // the line if it still has work and width to spare.
+        Group &group = *ready_.front();
+        ready_.pop_front();
+        group.scheduled_ = false;
+        Task task = std::move(group.queue_.front());
+        group.queue_.pop_front();
+        ++group.onWorkers_;
+        schedule(group);
+        run(group, task, lock);
+        --group.onWorkers_;
+        schedule(group);
+        // The group may be destroyed once the lock is released.
+    }
+}
+
+ThreadPool::Group::Group(ThreadPool &pool, int width)
+    : pool_(pool), width_(std::max(width, 0))
+{
+    std::lock_guard<std::mutex> lock(pool_.mu_);
+    while (static_cast<int>(pool_.threads_.size()) < width_)
+        pool_.threads_.emplace_back([p = &pool_] { p->workerLoop(); });
+}
+
+ThreadPool::Group::~Group()
+{
+    std::unique_lock<std::mutex> lock(pool_.mu_);
+    drain(lock);
+    lock.unlock();
+    // Only an owner unwinding from an exception of its own skips wait().
+    if (error_)
+        warn("threadpool: a task threw, and its group was never waited for");
+}
+
+void
+ThreadPool::Group::runOldest(std::unique_lock<std::mutex> &lock)
+{
+    Task task = std::move(queue_.front());
+    queue_.pop_front();
+    pool_.schedule(*this);
+    pool_.run(*this, task, lock);
+}
+
+void
+ThreadPool::Group::submit(Task task)
 {
     panic_if(!task, "threadpool: empty task");
-    unsigned shard;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        panic_if(stop_, "threadpool: submit after shutdown began");
-        shard = nextShard_++ % shards_.size();
-        ++queued_;
-        ++pending_;
-    }
-    {
-        std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-        shards_[shard]->queue.push_back(std::move(task));
-    }
-    workCv_.notify_one();
-    idleCv_.notify_all(); // A wait()er may be sleeping and can help.
-}
-
-bool
-ThreadPool::tryRunOne(int self)
-{
-    const int n = static_cast<int>(shards_.size());
-    Task task;
-    for (int k = 0; k < n && !task; ++k) {
-        // Own shard front first (FIFO), then steal from siblings' backs
-        // so thieves and owners mostly touch opposite deque ends.
-        Shard &shard = *shards_[(self + k) % n];
-        std::lock_guard<std::mutex> lock(shard.mu);
-        if (shard.queue.empty())
-            continue;
-        if (k == 0) {
-            task = std::move(shard.queue.front());
-            shard.queue.pop_front();
-        } else {
-            task = std::move(shard.queue.back());
-            shard.queue.pop_back();
-        }
-    }
-    if (!task)
-        return false;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        --queued_;
-    }
-    task();
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--pending_ == 0)
-            idleCv_.notify_all();
-    }
-    return true;
+    std::unique_lock<std::mutex> lock(pool_.mu_);
+    queue_.push_back(std::move(task));
+    pool_.schedule(*this);
+    changed_.notify_all(); // A waiter on another thread may run it.
+    while (queue_.size() > kBacklogPerWidth * static_cast<size_t>(width_))
+        runOldest(lock);
 }
 
 void
-ThreadPool::workerLoop(int self)
+ThreadPool::Group::drain(std::unique_lock<std::mutex> &lock)
 {
     for (;;) {
-        if (tryRunOne(self))
-            continue;
-        std::unique_lock<std::mutex> lock(mu_);
-        if (queued_ > 0)
-            continue; // Raced with a submit; rescan the shards.
-        if (stop_)
+        if (!queue_.empty())
+            runOldest(lock);
+        else if (running_ == 0)
             return;
-        workCv_.wait(lock, [&] { return stop_ || queued_ > 0; });
-        if (queued_ == 0 && stop_)
-            return;
+        else
+            changed_.wait(lock);
     }
 }
 
 void
-ThreadPool::wait()
+ThreadPool::Group::wait()
 {
-    for (;;) {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (pending_ == 0)
-                return;
-        }
-        if (tryRunOne(0))
-            continue;
-        std::unique_lock<std::mutex> lock(mu_);
-        idleCv_.wait(lock, [&] { return pending_ == 0 || queued_ > 0; });
-        if (pending_ == 0)
-            return;
-    }
+    std::unique_lock<std::mutex> lock(pool_.mu_);
+    drain(lock);
+    const std::exception_ptr error = std::exchange(error_, nullptr);
+    lock.unlock();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace tessel

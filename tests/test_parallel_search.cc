@@ -2,9 +2,10 @@
  * @file
  * Tests for the candidate sweep: one-thread/pooled plan identity (a
  * seeded drift replan's included), the one-thread sweep's effort
- * counters pinned per instance, cooperative cancellation, mergeable
- * stats, and node-capped phase solves that give the same plan at any
- * thread count and under load.
+ * counters pinned per instance, the pooled sweep's bounded backlog,
+ * concurrent searches sharing one pool, cooperative cancellation,
+ * mergeable stats, and node-capped phase solves that give the same plan
+ * at any thread count and under load.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +13,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <limits>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/search.h"
 #include "placement/shapes.h"
@@ -453,6 +457,80 @@ TEST(ParallelSearch, SeededPooledSweepGivesTheColdPlan)
             EXPECT_EQ(resultPlanDigest(seeded).hex(), digest) << what;
         }
     }
+}
+
+TEST(ParallelSearch, PooledSweepSkipsAtMostItsBacklog)
+{
+    // The sweep's task group holds at most its backlog cap of queued
+    // candidates, so the enumerator stays that close to the solves.
+    // When a candidate reaches the lower bound, what is queued then is
+    // skipped unsolved: at most the cap, plus the one candidate
+    // enumerated while the bar was being set.
+    const PlanQuery q = *referenceShapeQuery("NN", "homogeneous", 4, 0.0);
+    TesselOptions o = q.effectiveOptions();
+    o.numThreads = 4;
+    const uint64_t cap = ThreadPool::kBacklogPerWidth * (o.numThreads - 1);
+    for (int run = 0; run < 3; ++run) {
+        const TesselResult r = tesselSearch(q.placement, o);
+        ASSERT_TRUE(r.found);
+        ASSERT_FALSE(r.breakdown.budgetExhausted);
+        ASSERT_TRUE(r.breakdown.earlyExit);
+        ASSERT_GE(r.breakdown.candidatesEnumerated,
+                  r.breakdown.candidatesSolved);
+        EXPECT_LE(r.breakdown.candidatesEnumerated -
+                      r.breakdown.candidatesSolved,
+                  cap + 1)
+            << "enumerated " << r.breakdown.candidatesEnumerated
+            << ", solved " << r.breakdown.candidatesSolved;
+    }
+}
+
+/** `Threads:` of this process in /proc/self/status (-1: unreadable). */
+int
+processThreads()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("Threads:", 0) == 0)
+            return std::stoi(line.substr(8));
+    return -1;
+}
+
+TEST(ParallelSearch, ConcurrentSearchesShareOnePool)
+{
+    // Every sweep and cooldown helper is a task group on the one
+    // process-wide pool, so K concurrent 4-thread searches add their K
+    // calling threads and nothing more: no pool per search and no
+    // thread per completion.
+    if (processThreads() < 0)
+        GTEST_SKIP() << "no /proc/self/status";
+    {
+        // A 4-thread search's sweep group: the pool has its workers.
+        ThreadPool::Group sweep_width(3);
+    }
+    const int baseline = processThreads();
+    constexpr int kSearches = 3;
+    const Placement p = makeNnShape(4);
+    std::vector<TesselResult> results(kSearches);
+    std::atomic<int> done{0};
+    std::vector<std::thread> searches;
+    for (int i = 0; i < kSearches; ++i)
+        searches.emplace_back([&, i] {
+            results[i] = tesselSearch(p, optsWithThreads(4));
+            ++done;
+        });
+    int peak = baseline;
+    while (done.load() < kSearches) {
+        peak = std::max(peak, processThreads());
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    for (std::thread &t : searches)
+        t.join();
+    for (const TesselResult &r : results)
+        EXPECT_TRUE(r.found);
+    EXPECT_LE(peak, baseline + kSearches + 3)
+        << "baseline " << baseline << " threads";
 }
 
 TEST(ParallelSearch, SweepSpeedsUpOnRealMulticore)

@@ -1,14 +1,14 @@
 /**
  * @file
  * Elastic-replanning tests: applyDelta survivor compaction, a freed
- * link dropping exactly the comm blocks it carried, core tesselReplan
- * producing plans bit-identical to a cold search of the drifted
- * instance, and the service-level contract — drifted answers matching
- * cold searches, device failure served as a verified degraded plan
- * (never an error), budget-missed replans serving the old plan
- * conservatively retimed (stale) while the full search publishes to
- * the store in the background, and replans without a served base
- * degenerating to an ordinary fresh search.
+ * link dropping exactly the comm blocks it carried, a search seeded by
+ * prepareReplanSeed producing plans bit-identical to a cold search of
+ * the drifted instance, and the service-level contract — drifted
+ * answers matching cold searches, device failure served as a verified
+ * degraded plan (never an error), budget-missed replans serving the
+ * old plan conservatively retimed (stale) while the full search
+ * publishes to the store in the background, and replans without a
+ * served base degenerating to an ordinary fresh search.
  */
 
 #include <gtest/gtest.h>
@@ -175,11 +175,14 @@ TEST(TesselReplan, DriftedPlanBitIdenticalToColdSearch)
     const TesselResult cold = tesselSearch(base.placement, drifted);
     ASSERT_TRUE(cold.found);
 
-    ReplanSeed info;
-    const TesselResult replanned = tesselReplan(
-        base.placement, drifted, served, &delta,
-        /*exactPhasesAllowed=*/true, &info);
+    // The service's replan: retime the served plan into a seed, then
+    // search the drifted instance with it.
+    const ReplanSeed info = prepareReplanSeed(
+        base.placement, drifted, served, &delta, /*exactPhasesAllowed=*/true);
     ASSERT_TRUE(info.ok) << info.reason;
+    TesselOptions seeded = drifted;
+    seeded.seed = &info.seed;
+    const TesselResult replanned = tesselSearch(base.placement, seeded);
     EXPECT_TRUE(info.retimed);
     // Seed-only-prunes: the seeded search lands on the cold plan bit
     // for bit. The retimed fallback itself verified against the
