@@ -21,6 +21,12 @@
  * drifted/degraded query also runs cold — a seeding-disabled service
  * on an empty directory — as the baseline.
  *
+ * Each drift row also times, once its replan has settled, the retime
+ * the replan runs in the foreground: prepareReplanSeed of the served
+ * base plan under the drift (`prepare`, and whether it took the retime
+ * path). `seeded` says whether the replan's search, in the foreground
+ * or behind a stale answer, started from a seed.
+ *
  * Gates (exit nonzero on any violation):
  *   - every served answer (fresh, stale, or degraded) passes the
  *     verification oracle;
@@ -56,10 +62,13 @@
 
 #include "placement/shapes.h"
 #include "service/service.h"
+#include "store/adapt.h"
+#include "store/fingerprint.h"
 #include "store/serialize.h"
 #include "store/store.h"
 #include "support/io.h"
 #include "support/table.h"
+#include "support/timer.h"
 
 using namespace tessel;
 
@@ -136,6 +145,10 @@ struct Row
     std::string label;
     double coldSec = 0.0;
     double serveSec = 0.0;
+    /** prepareReplanSeed wall time (drift rows only). */
+    double prepareMs = 0.0;
+    bool retimed = false;
+    bool seeded = false;
     bool stale = false;
     bool identical = false;
     bool removal = false;
@@ -155,7 +168,14 @@ writeJson(const std::string &path, const std::vector<Row> &rows,
         const Row &r = rows[i];
         out << "    {\"label\": \"" << r.label
             << "\", \"cold_sec\": " << r.coldSec
-            << ", \"serve_sec\": " << r.serveSec << ", \"stale\": "
+            << ", \"serve_sec\": " << r.serveSec << ", \"prepare_ms\": ";
+        if (r.removal)
+            out << "null";
+        else
+            out << r.prepareMs;
+        out << ", \"retimed\": " << (r.retimed ? "true" : "false")
+            << ", \"seeded\": " << (r.seeded ? "true" : "false")
+            << ", \"stale\": "
             << (r.stale ? "true" : "false") << ", \"identical\": "
             << (r.identical ? "true" : "false") << ", \"removal\": "
             << (r.removal ? "true" : "false") << ", \"verified\": "
@@ -169,6 +189,31 @@ writeJson(const std::string &path, const std::vector<Row> &rows,
         << "  \"max_ms\": " << max_ms << ",\n"
         << "  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
     return static_cast<bool>(out);
+}
+
+/**
+ * Time the retime a replan of @p inj runs before its search: the plan
+ * @p service serves for the base instance, adapted to the drifted
+ * query by prepareReplanSeed with the exact-phase license the service
+ * computes. Sets @p row's prepareMs and retimed.
+ */
+void
+timePrepare(PlanningService &service, const Injection &inj,
+            const PlanQuery &drifted, Row &row)
+{
+    const PlanQuery &base = inj.request.base;
+    const TesselOptions base_eff = base.effectiveOptions();
+    const SharedPlan served = service.cache().getShared(
+        service.fingerprint(base), base.placement, base_eff);
+    if (!served)
+        return;
+    const TesselOptions eff = drifted.effectiveOptions();
+    const Stopwatch watch;
+    const ReplanSeed seed = prepareReplanSeed(
+        drifted.placement, eff, *served.result, &inj.request.delta,
+        phaseOptionsDigest(base_eff) == phaseOptionsDigest(eff));
+    row.prepareMs = watch.seconds() * 1e3;
+    row.retimed = seed.retimed;
 }
 
 } // namespace
@@ -241,6 +286,9 @@ main(int argc, char **argv)
             replan_service.replan(inj.request, &serve_report);
         row.serveSec = serve_report.wallSec;
         row.stale = serve_report.stale;
+        // A stale answer reports no seed, but only a seeded search can
+        // run behind one.
+        row.seeded = row.stale || !serve_report.seededFrom.empty();
 
         QueryReport cold_report;
         cold_service.runOne(drifted, &cold_report);
@@ -265,6 +313,8 @@ main(int argc, char **argv)
         row.repeatHit =
             repeat_source == "memory" || repeat_source == "disk";
         row.identical = repeat_report.planHash == cold_report.planHash;
+        if (!row.removal)
+            timePrepare(replan_service, inj, drifted, row);
 
         all_identical = all_identical && (row.removal || row.identical);
         all_verified = all_verified && row.verified;
@@ -282,13 +332,16 @@ main(int argc, char **argv)
                 "cold search (" +
                 std::to_string(devices) + " devices)");
     table.setHeader({"injection", "cold (ms)", "serve (ms)", "speedup",
-                     "stale", "identical", "verified", "repeat hit"});
+                     "prepare (ms)", "seeded", "stale", "identical",
+                     "verified", "repeat hit"});
     for (const Row &r : rows) {
         const double ratio =
             r.serveSec > 0.0 ? r.coldSec / r.serveSec : 0.0;
         table.addRow({r.label, fmtDouble(r.coldSec * 1e3, 2),
                       fmtDouble(r.serveSec * 1e3, 2),
-                      fmtDouble(ratio, 1), r.stale ? "yes" : "no",
+                      fmtDouble(ratio, 1),
+                      r.removal ? "n/a" : fmtDouble(r.prepareMs, 2),
+                      r.seeded ? "yes" : "no", r.stale ? "yes" : "no",
                       r.removal ? "n/a" : (r.identical ? "yes" : "NO"),
                       r.verified ? "yes" : "NO",
                       r.repeatHit ? "yes" : "NO"});

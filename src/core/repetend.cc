@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "placement/comm.h"
 #include "support/logging.h"
 
 namespace tessel {
@@ -127,6 +128,21 @@ calMaxInflight(const Placement &placement, Mem mem_limit,
             max_inflight, static_cast<int>(avail / hold));
     }
     return std::max(1, max_inflight);
+}
+
+RepetendAssignment
+extendAssignment(const CommExpansion &expansion,
+                 const RepetendAssignment &orig)
+{
+    panic_if(static_cast<int>(orig.r.size()) !=
+                 expansion.numOriginalBlocks(),
+             "extendAssignment: assignment size mismatch");
+    RepetendAssignment out;
+    out.numMicrobatches = orig.numMicrobatches;
+    out.r.resize(expansion.indexSpec.size());
+    for (size_t i = 0; i < expansion.indexSpec.size(); ++i)
+        out.r[i] = orig.r[expansion.indexSpec[i]];
+    return out;
 }
 
 } // namespace tessel

@@ -23,6 +23,8 @@
 
 namespace tessel {
 
+struct CommExpansion;
+
 /** A candidate repetend: one micro-batch index per block spec. */
 struct RepetendAssignment
 {
@@ -96,6 +98,16 @@ std::vector<BlockRef> cooldownBlocks(const Placement &placement,
  */
 int calMaxInflight(const Placement &placement, Mem mem_limit,
                    const std::vector<Mem> &initial_mem, int hard_cap);
+
+/**
+ * Extend a repetend assignment over the original placement to the
+ * comm-expanded one (placement/comm.h): real blocks keep their index,
+ * comm blocks adopt their consumer's index (the transfer lands in the
+ * same window position as its use). Preserves Property 4.2 along every
+ * expanded edge.
+ */
+RepetendAssignment extendAssignment(const CommExpansion &expansion,
+                                    const RepetendAssignment &orig);
 
 } // namespace tessel
 

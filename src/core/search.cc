@@ -669,7 +669,7 @@ sweep(const Placement &enum_placement, const CommExpansion *expansion,
                     return false;
                 }
                 RepetendAssignment assign =
-                    expansion ? expansion->extendAssignment(enum_assign)
+                    expansion ? extendAssignment(*expansion, enum_assign)
                               : enum_assign;
                 const uint64_t index = next_index++;
                 group.submit([&state, index, assign = std::move(assign)] {

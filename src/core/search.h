@@ -294,59 +294,6 @@ std::optional<TesselPlan> completeRepetendPlan(
     const RepetendSchedule &sched, const TesselOptions &options,
     SearchBreakdown &breakdown, const CancelToken &cancel);
 
-/**
- * Everything prepareReplanSeed distills from a served plan for a
- * *drifted* re-query of the same placement: the warm-start seed for
- * the fresh search and the retimed old plan itself (the verified
- * conservative answer a budget-missed replan may serve while the
- * search finishes in the background).
- */
-struct ReplanSeed
-{
-    /** Whether the served plan adapted into a verified seed. False
-     * (see `reason`) means the replan must run as a plain cold/
-     * neighbor-seeded search — never an error. */
-    bool ok = false;
-    /** Why adaptation failed (diagnostic; empty when ok). */
-    std::string reason;
-    /** Always false: the drifted instance is lowered from scratch.
-     * Kept only because bench/e2e reads it. */
-    bool incrementalLower = false;
-    /** Whether retiming re-solved the repetend window (true) or the
-     * served timing survived the drift verbatim (false). */
-    bool retimed = false;
-    /** Virtual-incumbent seed for the drifted search; valid when ok.
-     * Seed-only-prunes: the replanned plan stays bit-identical to a
-     * cold search on the drifted cluster. */
-    SearchSeed seed;
-    /** The served plan retimed under the drifted costs — verified
-     * feasible against the drifted query (not necessarily optimal);
-     * valid when ok. This is the `stale=true` fallback answer. */
-    TesselResult retimedResult;
-    /** Solver work the adaptation spent (merge into the breakdown with
-     * SearchBreakdown::mergeSeedWork). */
-    SearchBreakdown work;
-};
-
-/**
- * Adapt @p served — the plan answered under the pre-drift cluster —
- * into a ReplanSeed for the same placement under @p drifted (the
- * options with the perturbed cluster bound). @p delta, when given, is
- * the drift that produced @p drifted; a delta that removes devices is
- * refused. @p exactPhasesAllowed is the caller's attestation that the
- * served and drifted instances share a phaseOptionsDigest (true for
- * pure cluster drift, where only the cluster knob moved).
- *
- * Drift-only: device removal changes the placement itself, so failure
- * replans go through fresh placements (placement/shapes.h
- * makeDegradedShape), not through this.
- */
-ReplanSeed prepareReplanSeed(const Placement &placement,
-                             const TesselOptions &drifted,
-                             const TesselResult &served,
-                             const ClusterDelta *delta = nullptr,
-                             bool exactPhasesAllowed = false);
-
 } // namespace tessel
 
 #endif // TESSEL_CORE_SEARCH_H

@@ -151,7 +151,7 @@ struct ClusterModel
 /**
  * An observed change to a cluster: the difference between the model a
  * plan was produced under and the cluster as it is *now*. Drives the
- * elastic-replanning path (core/search.h prepareReplanSeed,
+ * elastic-replanning path (store/adapt.h prepareReplanSeed,
  * service/service.h PlanningService::replan).
  *
  * Speed and link entries carry the new *absolute* values, not ratios —

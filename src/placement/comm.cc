@@ -7,19 +7,6 @@
 
 namespace tessel {
 
-RepetendAssignment
-CommExpansion::extendAssignment(const RepetendAssignment &orig) const
-{
-    panic_if(static_cast<int>(orig.r.size()) != numOriginalBlocks(),
-             "extendAssignment: assignment size mismatch");
-    RepetendAssignment out;
-    out.numMicrobatches = orig.numMicrobatches;
-    out.r.resize(indexSpec.size());
-    for (size_t i = 0; i < indexSpec.size(); ++i)
-        out.r[i] = orig.r[indexSpec[i]];
-    return out;
-}
-
 Schedule
 CommExpansion::projectSchedule(const Schedule &expanded) const
 {

@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/repetend.h"
 #include "ir/cluster.h"
 #include "ir/placement.h"
 #include "ir/schedule.h"
@@ -65,15 +64,6 @@ struct CommExpansion
                 ++n;
         return n;
     }
-
-    /**
-     * Extend a repetend assignment over the original placement to the
-     * expanded one: real blocks keep their index, comm blocks adopt
-     * their consumer's index (the transfer lands in the same window
-     * position as its use). Preserves Property 4.2 along every expanded
-     * edge.
-     */
-    RepetendAssignment extendAssignment(const RepetendAssignment &orig) const;
 
     /**
      * Project a schedule over the expanded placement back onto the
@@ -135,7 +125,7 @@ CommExpansion expandWithComm(
  * representable — ResourceSet grows past 64 bits transparently — so
  * this is sizing information (solver state scales with it), not a
  * feasibility check. A count equal to the real device count means the
- * lowering emits no comm block at all (prepareReplanSeed relies on it).
+ * lowering emits no comm block at all.
  */
 int commResourceDemand(const Placement &placement,
                        const ClusterModel &cluster,

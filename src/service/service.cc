@@ -72,70 +72,6 @@ namespace {
 /** How many nearest stored neighbors a miss tries adapting. */
 constexpr size_t kSeedNeighbors = 4;
 
-/** Resolution of one unique instance within a batch. */
-struct UniqueInstance
-{
-    Hash128 fingerprint;
-    TesselOptions effective; ///< service cancellation linked in
-    int firstQuery = 0;      ///< index of the first query mapping here
-    /** Answering tier; Miss means the instance was searched. */
-    PlanCache::Source source = PlanCache::Source::Miss;
-    SharedPlan plan;
-    /** The row every query mapping here copies (label aside). */
-    QueryReport report;
-};
-
-/** A warm-start seed adapted from a stored neighbor. */
-struct NeighborSeed
-{
-    /** Referenced by the search options, so it must outlive the solve. */
-    SearchSeed seed;
-    bool seeded = false;
-    std::string from; ///< neighbor fingerprint (hex) when seeded
-    /** Solver work the adaptation itself spent (retime path). */
-    SearchBreakdown work;
-};
-
-/**
- * Try to warm-start a missed instance from the store's neighbor index:
- * rank stored instances by similarity, fetch each candidate raw, and
- * keep the first one that adapts into a verified plan for this query.
- * On success out.seed carries the virtual incumbent (period + window
- * order) for the search. Failures are free beyond the adaptation
- * attempt itself — the search simply runs cold.
- */
-bool
-trySeedFromNeighbors(PlanCache &cache, const Placement &placement,
-                     const TesselOptions &eff, NeighborSeed &out)
-{
-    const InstanceMeta meta = computeInstanceMeta(placement, eff);
-    for (const NeighborIndex::Neighbor &near :
-         cache.neighbors(meta, kSeedNeighbors)) {
-        const std::shared_ptr<const TesselResult> stored =
-            cache.peekShared(near.fingerprint);
-        if (!stored)
-            continue;
-        // Exact phase reuse is licensed only when the stored instance's
-        // phase-relevant options (node cap, memory model) digest equals
-        // the query's — adaptation then proves placement identity on
-        // its own before trusting the attestation.
-        InstanceMeta stored_meta;
-        const bool phases_allowed =
-            cache.neighborMeta(near.fingerprint, &stored_meta) &&
-            stored_meta.phaseOptions == meta.phaseOptions;
-        AdaptOutcome adapted =
-            adaptResultToQuery(placement, eff, *stored, phases_allowed);
-        out.work.merge(adapted.breakdown);
-        if (!adapted.ok)
-            continue;
-        out.seed = std::move(adapted.seed);
-        out.seeded = true;
-        out.from = near.fingerprint.hex();
-        return true;
-    }
-    return false;
-}
-
 const char *
 sourceName(PlanCache::Source source)
 {
@@ -198,110 +134,48 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
 {
     const Stopwatch batch_watch;
     BatchReport report;
-    report.queries.resize(queries.size());
 
-    // Phase 1: fingerprint + dedup. Identical instances (whatever their
-    // labels) share one UniqueInstance slot.
-    std::vector<UniqueInstance> unique;
+    // Fingerprint dedup: identical instances, whatever their labels, are
+    // answered once, by the first query that maps to them.
     std::unordered_map<Hash128, size_t, Hash128Hasher> slot_of;
+    std::vector<size_t> first_query; // per unique instance
     std::vector<size_t> query_slot(queries.size());
     for (size_t q = 0; q < queries.size(); ++q) {
-        TesselOptions eff = resolveOptions(queries[q]);
-        const Hash128 fp = fingerprintQuery(queries[q].placement, eff);
-        const auto it = slot_of.find(fp);
-        if (it != slot_of.end()) {
-            query_slot[q] = it->second;
-            continue;
-        }
-        UniqueInstance inst;
-        inst.fingerprint = fp;
-        inst.effective = std::move(eff);
-        inst.firstQuery = static_cast<int>(q);
-        inst.report.fingerprint = fp.hex();
-        slot_of.emplace(fp, unique.size());
-        query_slot[q] = unique.size();
-        unique.push_back(std::move(inst));
+        const auto slot = slot_of.emplace(fingerprint(queries[q]),
+                                          first_query.size());
+        if (slot.second)
+            first_query.push_back(q);
+        query_slot[q] = slot.first->second;
     }
-    report.uniqueInstances = unique.size();
 
-    // Phases 2 and 3 give every unique instance the `query` root span
-    // runOne opens: a hit records it around the lookup; a miss drops the
-    // lookup's span and the search opens the instance's span instead.
-
-    // Phase 2: answer from the cache (memory, then verified disk). The
-    // expensive part of a disk hit — decode, comm-expansion recompute,
-    // oracle verification — runs outside the cache lock, so lookups of
-    // distinct entries fan out over the pool on warm batches. Each slot
-    // is written by exactly one task.
-    auto lookup = [&](size_t u) {
-        UniqueInstance &inst = unique[u];
-        const PlanQuery &query = queries[inst.firstQuery];
-        TraceSpan span("query");
-        span.setLabel(query.label);
-        const Stopwatch watch;
-        inst.plan = cache_.getShared(inst.fingerprint, query.placement,
-                                     inst.effective, &inst.source);
-        inst.report.wallSec = watch.seconds();
-        if (!inst.plan) {
-            span.discard();
-            return;
-        }
-        inst.report.source = sourceName(inst.source);
-        recordAnswer(inst.plan, /*searched=*/false, span, &inst.report);
-    };
-    // Each fan-out is a task group on the shared pool, declared after
-    // everything its tasks touch: numThreads workers beside this thread.
+    // One answer() per unique instance, as a task group of numThreads
+    // workers beside this thread on the shared pool. Each miss sweeps
+    // with its own numThreads as a group on the same pool, so the misses
+    // still running take the workers of the answers already done.
+    // Plans are identical at any thread count by the search's
+    // determinism contract.
+    std::vector<QueryReport> unique(first_query.size());
     const int threads = options_.numThreads > 0
                             ? options_.numThreads
                             : ThreadPool::hardwareThreads();
-    const int width = threads > 1 ? threads : 0;
-    ThreadPool::Group lookups(width);
+    ThreadPool::Group answers(threads > 1 ? threads : 0);
     for (size_t u = 0; u < unique.size(); ++u)
-        lookups.submit([&lookup, u] { lookup(u); });
-    lookups.wait();
-    std::vector<size_t> missing;
-    for (size_t u = 0; u < unique.size(); ++u)
-        if (!unique[u].plan)
-            missing.push_back(u);
+        answers.submit([this, &queries, &first_query, &unique, u] {
+            answer(queries[first_query[u]], &unique[u]);
+        });
+    answers.wait();
 
-    // Phase 3: fan the misses out. Each search sweeps with its own
-    // numThreads as a group on the same pool, so the misses still
-    // running take the workers of the ones already done. Plans are
-    // identical at any thread count by the search's determinism
-    // contract, and numThreads is excluded from the fingerprint for the
-    // same reason.
-    auto solve = [&](size_t u) {
-        UniqueInstance &inst = unique[u];
-        const PlanQuery &query = queries[inst.firstQuery];
-        TraceSpan span("query");
-        span.setLabel(query.label);
-        // Adaptation time is charged to the query's wall clock: the
-        // warm/cold comparisons the bench and CI make are only honest
-        // if the cost of obtaining the seed is part of the warm path.
-        const Stopwatch watch;
-        inst.plan =
-            searchMiss(query, inst.effective, inst.fingerprint, &inst.report);
-        inst.report.wallSec = watch.seconds();
-        recordAnswer(inst.plan, /*searched=*/true, span, &inst.report);
-    };
-    ThreadPool::Group solves(width);
-    for (size_t u : missing)
-        solves.submit([&solve, u] { solve(u); });
-    solves.wait();
-
-    // Phase 4: per-query rows (deduplicated queries share the unique
-    // instance's answer and timing, which `service.answer_ms` records
-    // once).
+    // Deduplicated queries copy their instance's row, timing included.
+    report.queries.reserve(queries.size());
     for (size_t q = 0; q < queries.size(); ++q) {
-        QueryReport &row = report.queries[q];
-        row = unique[query_slot[q]].report;
-        row.label = queries[q].label;
+        report.queries.push_back(unique[query_slot[q]]);
+        report.queries.back().label = queries[q].label;
     }
-    for (const UniqueInstance &inst : unique) {
-        observeAnswer(inst.report);
-        if (inst.source == PlanCache::Source::Memory)
+    report.uniqueInstances = unique.size();
+    for (const QueryReport &row : unique) {
+        if (std::strcmp(row.source, "memory") == 0)
             ++report.memoryHits;
-        else if (inst.source == PlanCache::Source::Disk)
+        else if (std::strcmp(row.source, "disk") == 0)
             ++report.diskHits;
         else
             ++report.searches;
@@ -316,28 +190,75 @@ PlanningService::runBatch(const std::vector<PlanQuery> &queries)
     return report;
 }
 
-SharedPlan
-PlanningService::searchMiss(const PlanQuery &query, const TesselOptions &eff,
-                            const Hash128 &fp, QueryReport *report)
+/** A warm-start seed for a miss: a stored plan adapted to the query
+ * (store/adapt.h), and the fingerprint (hex) of the plan it came from,
+ * empty when no stored plan adapted. */
+struct PlanningService::NeighborSeed
 {
-    NeighborSeed seed;
-    TesselOptions opts = eff;
-    if (options_.neighborSeed) {
-        TraceSpan span("seed-adapt");
-        if (trySeedFromNeighbors(cache_, query.placement, eff, seed)) {
-            opts.seed = &seed.seed;
-            span.setLabel(seed.from);
+    AdaptOutcome adapted;
+    std::string from;
+};
+
+PlanningService::NeighborSeed
+PlanningService::seedFromNeighbors(const Placement &placement,
+                                   const TesselOptions &eff)
+{
+    NeighborSeed out;
+    SearchBreakdown work;
+    const InstanceMeta meta = computeInstanceMeta(placement, eff);
+    for (const NeighborIndex::Neighbor &near :
+         cache_.neighbors(meta, kSeedNeighbors)) {
+        const std::shared_ptr<const TesselResult> stored =
+            cache_.peekShared(near.fingerprint);
+        if (!stored)
+            continue;
+        // Exact phase reuse is licensed only when the stored instance's
+        // phase-relevant options (node cap, memory model) digest equals
+        // the query's — adaptation then proves placement identity on
+        // its own before trusting the attestation.
+        InstanceMeta stored_meta;
+        const bool phases_allowed =
+            cache_.neighborMeta(near.fingerprint, &stored_meta) &&
+            stored_meta.phaseOptions == meta.phaseOptions;
+        out.adapted =
+            adaptResultToQuery(placement, eff, *stored, phases_allowed);
+        work.merge(out.adapted.breakdown);
+        if (out.adapted.ok) {
+            out.from = near.fingerprint.hex();
+            break;
         }
     }
+    out.adapted.breakdown = work;
+    return out;
+}
+
+SharedPlan
+PlanningService::searchMiss(const PlanQuery &query, const TesselOptions &eff,
+                            const Hash128 &fp, QueryReport *report,
+                            const NeighborSeed *prepared)
+{
+    NeighborSeed neighbor;
+    const NeighborSeed *seed = prepared;
+    if (!seed && options_.neighborSeed) {
+        TraceSpan span("seed-adapt");
+        neighbor = seedFromNeighbors(query.placement, eff);
+        span.setLabel(neighbor.from);
+        seed = &neighbor;
+    }
+    TesselOptions opts = eff;
+    if (seed && seed->adapted.ok)
+        opts.seed = &seed->adapted.seed;
     TesselResult result = tesselSearch(query.placement, opts);
-    result.breakdown.mergeSeedWork(seed.work);
+    if (seed)
+        result.breakdown.mergeSeedWork(seed->adapted.breakdown);
     if (report) {
+        // The search reports a seed makespan only when it took the seed,
+        // so the three fields describe the search that ran.
+        const bool seeded = opts.seed && result.breakdown.seedMakespan >= 0;
         report->source = "search";
-        if (seed.seeded) {
-            report->seededFrom = seed.from;
-            report->seedMakespan = result.breakdown.seedMakespan;
-            report->seedNodesPruned = result.breakdown.seededNodesPruned;
-        }
+        report->seededFrom = seeded ? seed->from : std::string();
+        report->seedMakespan = result.breakdown.seedMakespan;
+        report->seedNodesPruned = result.breakdown.seededNodesPruned;
     }
     // A search that observed a cancellation (daemon shutdown, batch
     // abort) or that a wall deadline cut short may have been truncated;
@@ -444,26 +365,6 @@ makeDriftedQuery(const ReplanRequest &request)
     return drifted;
 }
 
-namespace {
-
-/**
- * State a replan search needs to outlive the serving thread: when the
- * latency budget expires, the caller walks away with the retimed stale
- * answer while the search keeps running in the background — everything
- * it references (the drifted query owning the cluster model, the
- * effective options pointing into it, the seed and shared lowering)
- * rides along in one shared_ptr.
- */
-struct ReplanTask
-{
-    PlanQuery query;
-    TesselOptions effective;
-    Hash128 fingerprint;
-    ReplanSeed seed;
-};
-
-} // namespace
-
 std::shared_ptr<const TesselResult>
 PlanningService::answer(const ReplanRequest &request, QueryReport *report)
 {
@@ -504,66 +405,62 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
         return finish(std::move(cached), /*searched=*/false);
     }
 
-    // Fetch the plan currently served for the base instance. A removal
-    // changed the placement itself, so there is nothing to retime (the
-    // old plan schedules blocks on a device that no longer exists); a
-    // missing or infeasible base plan leaves nothing either. Both fall
+    // Retime the plan currently served for the base instance under the
+    // drifted costs, in the foreground: the retimed plan is both the
+    // search's seed and the conservative answer handed out if the search
+    // misses the budget. A removal changed the placement itself, so
+    // there is nothing to retime (the old plan schedules blocks on a
+    // device that no longer exists); a missing or infeasible base plan,
+    // or one that does not adapt, leaves nothing either. All fall
     // through to the ordinary miss pipeline — neighbor seeding still
     // applies, so a degraded query close to a stored instance stays
     // cheap.
-    std::shared_ptr<const TesselResult> served;
-    bool phases_ok = false;
+    NeighborSeed seed;
     if (!removal) {
         const TesselOptions base_eff = resolveOptions(request.base);
         const Hash128 base_fp =
             fingerprintQuery(request.base.placement, base_eff);
-        served = cache_
-                     .getShared(base_fp, request.base.placement, base_eff)
-                     .result;
-        // Cluster drift leaves every phase-relevant knob untouched, but
-        // the exact-phase license is computed, never assumed.
-        phases_ok =
-            phaseOptionsDigest(base_eff) == phaseOptionsDigest(eff);
-        if (served && report)
-            report->seededFrom = base_fp.hex();
+        const std::shared_ptr<const TesselResult> served =
+            cache_.getShared(base_fp, request.base.placement, base_eff)
+                .result;
+        if (served && served->found) {
+            // Cluster drift leaves every phase-relevant knob untouched,
+            // but the exact-phase license is computed, never assumed.
+            seed.adapted = prepareReplanSeed(
+                drifted.placement, eff, *served, &request.delta,
+                phaseOptionsDigest(base_eff) == phaseOptionsDigest(eff));
+            seed.from = base_fp.hex();
+        }
     }
-    if (!served || !served->found)
+    if (!seed.adapted.ok)
         return finish(searchMiss(drifted, eff, fp, report),
                       /*searched=*/true);
 
-    // Retime the served plan under the drifted costs in the foreground:
-    // the retimed plan is both the search's opening incumbent and the
-    // conservative answer handed out if the search misses the budget.
-    auto task = std::make_shared<ReplanTask>();
-    task->query = drifted; // owns the drifted cluster eff points into
-    task->effective = eff;
-    task->fingerprint = fp;
-    task->seed = prepareReplanSeed(drifted.placement, task->effective,
-                                   *served, &request.delta, phases_ok);
-    if (!task->seed.ok)
-        return finish(searchMiss(drifted, eff, fp, report),
-                      /*searched=*/true);
-    if (report)
-        report->seedMakespan = task->seed.seed.makespan;
-
-    // The full replan runs with the query's own node cap and deadlines
-    // — replanBudgetSec bounds only how long this caller *waits*, never
-    // how hard the search tries, so the published plan is bit-identical
-    // to a cold search of the drifted instance. Like searchMiss, it
-    // publishes nothing that a cancel or a deadline cut short.
+    // The seeded search runs with the query's own node cap and
+    // deadlines — replanBudgetSec bounds only how long this caller
+    // *waits*, never how hard the search tries, so the published plan is
+    // bit-identical to a cold search of the drifted instance. It runs
+    // searchMiss on a thread of its own, which must be able to outlive
+    // this call: everything it references rides along in one
+    // shared_ptr, its report included, which this caller copies only
+    // when it waits for the answer.
+    struct ReplanTask
+    {
+        PlanQuery query; ///< owns the drifted cluster `effective` uses
+        TesselOptions effective;
+        Hash128 fingerprint;
+        NeighborSeed seed;
+        QueryReport report;
+    };
+    const auto task = std::make_shared<ReplanTask>(ReplanTask{
+        drifted, eff, fp, std::move(seed), report ? *report : QueryReport{}});
     auto promise = std::make_shared<std::promise<SharedPlan>>();
     std::future<SharedPlan> future = promise->get_future();
     auto done = std::make_shared<std::atomic<bool>>(false);
     std::thread worker([this, task, promise, done] {
-        TesselOptions opts = task->effective;
-        opts.seed = &task->seed.seed;
-        TesselResult result = tesselSearch(task->query.placement, opts);
-        result.breakdown.mergeSeedWork(task->seed.work);
-        promise->set_value(
-            opts.cancel.cancelled() || result.breakdown.budgetExhausted
-                ? makeSharedPlan(std::move(result))
-                : cache_.put(task->fingerprint, task->query.placement,
-                             task->effective, std::move(result)));
+        promise->set_value(searchMiss(task->query, task->effective,
+                                      task->fingerprint, &task->report,
+                                      &task->seed));
         done->store(true, std::memory_order_release);
     });
 
@@ -584,7 +481,7 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
     if (ready) {
         worker.join();
         if (report)
-            report->source = "search";
+            *report = task->report;
         return finish(future.get(), /*searched=*/true);
     }
 
@@ -592,7 +489,8 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
     // the store on completion) and serve the old plan retimed under the
     // drifted costs — oracle-verified feasible by prepareReplanSeed,
     // conservatively suboptimal, flagged stale. Never cached: the store
-    // only ever holds the search's own answer for this fingerprint.
+    // only ever holds the search's own answer for this fingerprint. No
+    // search stands behind this answer, so its seed fields stay unset.
     {
         std::lock_guard<std::mutex> lock(bgMu_);
         bg_.push_back(BackgroundReplan{std::move(worker), done});
@@ -602,7 +500,7 @@ PlanningService::answer(const ReplanRequest &request, QueryReport *report)
         report->stale = true;
         report->source = "stale";
     }
-    return finish(makeSharedPlan(task->seed.retimedResult),
+    return finish(makeSharedPlan(task->seed.adapted.adapted),
                   /*searched=*/false);
 }
 

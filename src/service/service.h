@@ -4,13 +4,13 @@
  *
  * A batch is a list of named queries (placement x cluster config x
  * option sweep). The service fingerprints every query canonically
- * (store/fingerprint.h), deduplicates identical instances, answers what
- * it can from the two-tier plan cache, and fans the remaining unique
- * searches out as a task group on the shared ThreadPool with per-query
- * budgets and cooperative cancellation. Fresh results are admitted to
- * the cache, so a repeated batch — same process or a later one sharing
- * the cache directory — is answered entirely from storage with
- * bit-identical plans.
+ * (store/fingerprint.h), deduplicates identical instances, and answers
+ * each unique one through the same path a single query takes — the
+ * two-tier plan cache, else a neighbor-seeded search — as a task group
+ * on the shared ThreadPool, with per-query budgets and cooperative
+ * cancellation. Fresh results are admitted to the cache, so a repeated
+ * batch — same process or a later one sharing the cache directory — is
+ * answered entirely from storage with bit-identical plans.
  */
 
 #ifndef TESSEL_SERVICE_SERVICE_H
@@ -76,9 +76,14 @@ struct QueryReport
      * to (deduplicated copies share the value). */
     double wallSec = 0.0;
     /**
-     * Fingerprint (hex) of the stored neighbor whose adapted plan
-     * warm-started this search; empty when the search ran cold or the
-     * query was answered from the cache.
+     * The seed fields describe the search behind this answer, and only
+     * the search writes them (PlanningService::searchMiss). A cache hit
+     * and a stale answer ran none, so they read empty, -1 and 0, as
+     * does a search that ran cold; seededFrom is non-empty exactly when
+     * seedMakespan >= 0.
+     *
+     * Fingerprint (hex) of the stored plan whose adaptation seeded the
+     * search: a neighbor's, or for a replan the served base plan's.
      */
     std::string seededFrom;
     /** Makespan of the adapted seed plan (-1 when unseeded). */
@@ -190,14 +195,14 @@ struct ServiceOptions
     /** Memory-tier capacity (results). */
     size_t memoryCapacity = 256;
     /**
-     * Pool workers for runBatch's cache-lookup and miss fan-outs,
-     * beside the calling thread: each fan-out is a task group of this
-     * width on the shared pool. 0 picks hardware_concurrency(); 1 gives
-     * width 0 and runs everything inline. Each miss's search keeps its
-     * own TesselOptions::numThreads, and its sweep is a group on the
-     * same pool, so sweeps take the workers the fan-out leaves idle.
-     * Plans are identical at any value by the search's determinism
-     * contract.
+     * Pool workers for runBatch's answer fan-out, beside the calling
+     * thread: a task group of this width on the shared pool. 0 picks
+     * hardware_concurrency(); 1 gives width 0 and answers the batch
+     * inline, one instance at a time, in submission order. Each miss's
+     * search keeps its own TesselOptions::numThreads, and its sweep is
+     * a group on the same pool, so sweeps take the workers the fan-out
+     * leaves idle. Plans are identical at any value by the search's
+     * determinism contract.
      */
     int numThreads = 0;
     /**
@@ -258,13 +263,14 @@ class PlanningService
     explicit PlanningService(ServiceOptions options);
 
     /**
-     * Answer @p queries (dedup -> cache -> parallel search). Both
-     * fan-out phases are task groups of width ServiceOptions::numThreads
-     * on the process-wide pool (ThreadPool::shared()), which the
-     * searches' sweeps and cooldown helpers share, so no batch spawns
-     * or joins threads of its own. Not re-entrant: one batch at a time
-     * per service (concurrent runOne() calls are fine — the daemon path
-     * uses those).
+     * Answer @p queries: deduplicate them by fingerprint, then call
+     * answer() once per unique instance, as one task group of width
+     * ServiceOptions::numThreads on the process-wide pool
+     * (ThreadPool::shared()), which the searches' sweeps and cooldown
+     * helpers share, so no batch spawns or joins threads of its own.
+     * Each answer() records its own `query` span and
+     * `service.answer_ms` sample; deduplicated copies share their
+     * instance's row. Thread-safe like answer().
      *
      * Results whose search observed a cancellation or was cut short by
      * a wall deadline are NOT admitted to the cache: neither is part of
@@ -346,18 +352,31 @@ class PlanningService
     /** Query options with the service's cancellation linked in. */
     TesselOptions resolveOptions(const PlanQuery &query) const;
 
-    /** Miss pipeline shared by both answer paths and runBatch:
-     * neighbor seeding, the search, cache admission unless cancelled or
-     * cut by a deadline, report source and seed fields.
-     * @return the admitted resident, or the digested uncached result. */
+    /** A stored plan adapted to a query, and its fingerprint. */
+    struct NeighborSeed;
+
+    /** The first stored neighbor of the query that adapts to it; the
+     * outcome carries the work of every attempt, failed ones included. */
+    NeighborSeed seedFromNeighbors(const Placement &placement,
+                                   const TesselOptions &eff);
+
+    /**
+     * The one place a service search runs, for both answer paths:
+     * seed from @p prepared (a replan's adapted base plan) when given,
+     * else from the neighbor index; search; fold the seed's
+     * adaptation work into the breakdown; admit the result to the cache
+     * unless cancelled or cut by a deadline. Writes @p report's source
+     * and its seed fields, and is their only writer.
+     * @return the admitted resident, or the digested uncached result.
+     */
     SharedPlan searchMiss(const PlanQuery &query, const TesselOptions &eff,
-                          const Hash128 &fp, QueryReport *report);
+                          const Hash128 &fp, QueryReport *report,
+                          const NeighborSeed *prepared = nullptr);
 
     /** Join background replans whose search already finished. */
     void reapBackgroundReplans();
 
-    /** Record one answered query into `service.answer_ms{source=...}`
-     * (runBatch: once per unique instance). */
+    /** Record one answered query into `service.answer_ms{source=...}`. */
     void observeAnswer(const QueryReport &report) const;
 
     ServiceOptions options_;

@@ -8,6 +8,7 @@
 #include "core/repetend_solver.h"
 #include "placement/comm.h"
 #include "store/store.h"
+#include "support/tracing.h"
 
 namespace tessel {
 
@@ -117,9 +118,6 @@ adaptResultToQuery(const Placement &placement, const TesselOptions &options,
     const bool comm_aware =
         options.cluster &&
         !options.cluster->isTrivial(placement.numDevices());
-    if (comm_aware != neighbor.commAware)
-        return fail("comm-awareness mismatch");
-
     std::optional<CommExpansion> expansion;
     const Placement *solve_placement = &placement;
     TesselOptions eff = options;
@@ -163,7 +161,7 @@ adaptResultToQuery(const Placement &placement, const TesselOptions &options,
         }
         if (!assignmentIsCanonical(placement, orig))
             return fail("assignment is not canonical for the query");
-        if (expansion->extendAssignment(orig) != assign)
+        if (extendAssignment(*expansion, orig) != assign)
             return fail("assignment does not extend from the real blocks");
     } else {
         if (!assignmentIsCanonical(*solve_placement, assign))
@@ -242,7 +240,6 @@ adaptResultToQuery(const Placement &placement, const TesselOptions &options,
     // costs — the sweep over all other candidates is what the seed
     // saves, not this.
     AdaptOutcome out;
-    out.retimed = true;
     RepetendSolveOptions rso;
     rso.memLimit = eff.memLimit;
     rso.initialMem = eff.initialMem;
@@ -286,10 +283,29 @@ adaptResultToQuery(const Placement &placement, const TesselOptions &options,
     }
 
     out.ok = true;
+    out.retimed = true;
     out.seed.period = candidate.period;
     out.seed.windowStart = candidate.plan.windowStart();
     out.seed.makespan = candidate.plan.makespanFor(nr + 1);
     out.adapted = std::move(candidate);
+    return out;
+}
+
+ReplanSeed
+prepareReplanSeed(const Placement &placement, const TesselOptions &drifted,
+                  const TesselResult &served, const ClusterDelta *delta,
+                  bool exactPhasesAllowed)
+{
+    ReplanSeed out;
+    if (delta && delta->removesDevices()) {
+        out.reason =
+            "delta removes devices; replan onto a survivor placement";
+        return out;
+    }
+    TraceSpan span("retime");
+    static_cast<AdaptOutcome &>(out) =
+        adaptResultToQuery(placement, drifted, served, exactPhasesAllowed);
+    span.setArg("ok", out.ok ? 1 : 0);
     return out;
 }
 

@@ -1,8 +1,11 @@
 /**
  * @file
  * Plan adaptation: turn a stored TesselResult for a *similar* instance
- * (a neighbor-index candidate, store/neighbor.h) into a verified plan
- * and warm-start seed for the instance actually being queried.
+ * into a verified plan and warm-start seed for the instance actually
+ * being queried. Two callers feed it: neighbor seeding, with a
+ * neighbor-index candidate (store/neighbor.h), and elastic replanning
+ * (prepareReplanSeed), with the plan served before a cluster drift,
+ * treated as its own best neighbor.
  *
  * The pipeline mirrors the search's own lowering, then proceeds in
  * strictly cheaper-first order:
@@ -10,8 +13,11 @@
  *  1. Correspondence — the neighbor's solve placement must structurally
  *     match the query's (same devices, same block kinds/masks/edges);
  *     spans and memory deltas are allowed to differ, which is exactly
- *     the "one knob turned" near-miss the index targets. No
- *     correspondence → cold search, no seed.
+ *     the "one knob turned" near-miss the index targets. This is also
+ *     the whole comm-awareness check: a cluster flip that adds or drops
+ *     comm blocks changes the device and block counts, while one that
+ *     emits no comm block (pure speed drift) leaves a plan whose blocks
+ *     still correspond. No correspondence → cold search, no seed.
  *  2. Admissibility — the neighbor's repetend assignment must be one
  *     the query's own sweep would enumerate (canonical form, Property
  *     4.2, NR within the query's CalMaxInflight). This is the seed
@@ -50,18 +56,20 @@ struct AdaptOutcome
     bool ok = false;
     /** Why adaptation fell back cold (diagnostic; empty when ok). */
     std::string reason;
-    /** Whether the retime path ran (false = verbatim timing reuse). */
+    /** Whether the plan came from the retime path, which re-solved the
+     * repetend window (false: the stored timing was reused verbatim,
+     * or adaptation failed). */
     bool retimed = false;
-    /** Whether the seed carries exactly-reusable phase schedules
-     * (SearchSeed::phasesExact); fast path only, and only when the
-     * caller attested phase-options agreement via exactPhasesAllowed. */
-    bool phasesExact = false;
-    /** Warm-start seed for the query's search; valid only when ok. */
+    /** Warm-start seed for the query's search; valid only when ok.
+     * Seed-only-prunes: the seeded search returns the cold plan. */
     SearchSeed seed;
     /** The adapted result itself (found=true, verified against the
-     * query); valid only when ok. */
+     * query); valid only when ok. For a replan this is the served plan
+     * retimed under the drifted costs, the `stale` fallback answer. */
     TesselResult adapted;
-    /** Solver work spent adapting (retime path only). */
+    /** Solver work spent adapting (retime path only), also when it
+     * failed; fold it into the search's breakdown with
+     * SearchBreakdown::mergeSeedWork. */
     SearchBreakdown breakdown;
 };
 
@@ -85,6 +93,32 @@ AdaptOutcome adaptResultToQuery(const Placement &placement,
                                 const TesselOptions &options,
                                 const TesselResult &neighbor,
                                 bool exactPhasesAllowed = false);
+
+/** A served plan adapted to a drifted re-query of its placement. */
+struct ReplanSeed : AdaptOutcome
+{
+    /** Always false: the drifted instance is lowered from scratch.
+     * Kept only because bench/e2e reads it. */
+    bool incrementalLower = false;
+};
+
+/**
+ * Adapt @p served — the plan answered under the pre-drift cluster — to
+ * the same placement under @p drifted (the options with the perturbed
+ * cluster bound): adaptResultToQuery with the served plan as the
+ * neighbor. @p delta, when given, is the drift that produced
+ * @p drifted; a delta that removes devices is refused, because the
+ * served plan schedules blocks on a device that no longer exists
+ * (failure replans search a survivor placement, placement/shapes.h
+ * makeDegradedShape). @p exactPhasesAllowed is the caller's attestation
+ * that the served and drifted instances share a phaseOptionsDigest
+ * (true for pure cluster drift, where only the cluster knob moved).
+ */
+ReplanSeed prepareReplanSeed(const Placement &placement,
+                             const TesselOptions &drifted,
+                             const TesselResult &served,
+                             const ClusterDelta *delta = nullptr,
+                             bool exactPhasesAllowed = false);
 
 } // namespace tessel
 

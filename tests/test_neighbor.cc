@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "placement/comm.h"
 #include "placement/shapes.h"
 #include "service/service.h"
 #include "store/adapt.h"
@@ -289,6 +290,40 @@ TEST(NeighborAdapt, StructuralMismatchFallsBackCold)
     TesselResult empty;
     EXPECT_FALSE(
         adaptResultToQuery(makeShapeByName("V", 4), opts, empty).ok);
+
+    // A cluster flip that adds comm blocks (the hetero V lowering), or
+    // one that drops them, changes the solve placement's devices.
+    const HeteroShape hs = makeHeteroShapeByName("V", 4);
+    TesselOptions hetero = opts;
+    hetero.cluster = &hs.cluster;
+    hetero.edgeMB = hs.edgeMB;
+    EXPECT_FALSE(adaptResultToQuery(hs.placement, hetero, stored).ok);
+    const TesselResult stored_hetero = solvedResult(hs.placement, hetero);
+    EXPECT_FALSE(adaptResultToQuery(hs.placement, opts, stored_hetero).ok);
+}
+
+TEST(NeighborAdapt, ZeroCommBlockClusterAdaptsFromTrivialNeighbor)
+{
+    const Placement v = makeShapeByName("V", 4);
+    const TesselOptions opts = quickOptions();
+    const TesselResult stored = solvedResult(v, opts);
+    ASSERT_FALSE(stored.commAware);
+
+    // A speed-only cluster is non-trivial, so the query searches
+    // comm-aware, but its free links lower no comm block: the
+    // homogeneous plan's blocks still correspond one for one.
+    ClusterModel speed = ClusterModel::uniformLink(4, LinkParams{});
+    speed.speedFactor[1] = 1.25;
+    ASSERT_FALSE(speed.isTrivial(4));
+    TesselOptions query = opts;
+    query.cluster = &speed;
+    ASSERT_EQ(commResourceDemand(v, speed, query.edgeMB, query.comm),
+              v.numDevices());
+
+    const AdaptOutcome out = adaptResultToQuery(v, query, stored);
+    ASSERT_TRUE(out.ok) << out.reason;
+    EXPECT_TRUE(out.adapted.commAware);
+    EXPECT_TRUE(verifyResultAgainstQuery(v, query, out.adapted).ok);
 }
 
 // ------------------------------------------------- store integration

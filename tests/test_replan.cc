@@ -4,11 +4,12 @@
  * link dropping exactly the comm blocks it carried, a search seeded by
  * prepareReplanSeed producing plans bit-identical to a cold search of
  * the drifted instance, and the service-level contract — drifted
- * answers matching cold searches, device failure served as a verified
- * degraded plan (never an error), budget-missed replans serving the
- * old plan conservatively retimed (stale) while the full search
- * publishes to the store in the background, and replans without a
- * served base degenerating to an ordinary fresh search.
+ * answers matching cold searches, seed fields that describe the search
+ * that ran, device failure served as a verified degraded plan (never
+ * an error), budget-missed replans serving the old plan conservatively
+ * retimed (stale) while the full search publishes to the store in the
+ * background, and replans without a served base degenerating to an
+ * ordinary fresh search.
  */
 
 #include <gtest/gtest.h>
@@ -189,7 +190,7 @@ TEST(TesselReplan, DriftedPlanBitIdenticalToColdSearch)
     // drifted instance.
     EXPECT_EQ(resultPlanDigest(replanned), resultPlanDigest(cold));
     const VerifyOutcome stale_ok = verifyResultAgainstQuery(
-        base.placement, drifted, info.retimedResult);
+        base.placement, drifted, info.adapted);
     EXPECT_TRUE(stale_ok.ok) << stale_ok.reason;
 }
 
@@ -281,6 +282,48 @@ TEST(ServiceReplan, BudgetMissServesVerifiedStaleThenPublishes)
     QueryReport cold_report;
     cold.runOne(drifted, &cold_report);
     EXPECT_EQ(fresh_report.planHash, cold_report.planHash);
+}
+
+TEST(ServiceReplan, SeedFieldsDescribeTheSearchThatRan)
+{
+    std::string dir;
+    ASSERT_TRUE(makeTempDir("tessel-replan-seed-", &dir));
+    ServiceOptions opts;
+    opts.cacheDir = dir;
+    opts.numThreads = 1;
+    opts.replanBudgetSec = 0.0; // always wait for the seeded search
+    PlanningService service(opts);
+
+    // A charged link (0, 1) under a mem-capped V plan adds comm blocks,
+    // so neither the served plan nor any stored neighbor adapts: the
+    // search runs cold and names no seed.
+    ReplanRequest link;
+    link.base = *referenceShapeQuery("V", "mem-capped", 4, 0.0);
+    LinkParams lp;
+    lp.latency = 2.0;
+    lp.timePerMB = 0.5;
+    link.delta.link[{0, 1}] = lp;
+    service.runOne(link.base, nullptr);
+    QueryReport cold;
+    service.replan(link, &cold);
+    EXPECT_STREQ(cold.source, "search");
+    EXPECT_EQ(cold.seedMakespan, -1);
+    EXPECT_EQ(cold.seededFrom.empty(), cold.seedMakespan == -1)
+        << cold.seededFrom;
+
+    // A speed drift retimes the served X plan into the seed; the seeded
+    // search's own prune count reaches the report.
+    ReplanRequest speed;
+    speed.base = heteroQuery("X");
+    speed.delta = speedDrift();
+    service.runOne(speed.base, nullptr);
+    QueryReport seeded;
+    const TesselResult result = service.replan(speed, &seeded);
+    EXPECT_STREQ(seeded.source, "search");
+    EXPECT_EQ(seeded.seededFrom, service.fingerprint(speed.base).hex());
+    EXPECT_GE(seeded.seedMakespan, result.period);
+    EXPECT_EQ(seeded.seedNodesPruned, result.breakdown.seededNodesPruned);
+    EXPECT_GT(seeded.seedNodesPruned, 0u);
 }
 
 TEST(ServiceReplan, DeviceFailureServedAsVerifiedDegradedPlan)

@@ -216,7 +216,7 @@ TEST(PhaseCompletion, CooldownWaitsWhenAWarmupReleaseMayBind)
         enumerateRepetends(q.placement, c.nr,
                            [&](const RepetendAssignment &a) {
                                if (index++ == c.index)
-                                   assign = exp.extendAssignment(a);
+                                   assign = extendAssignment(exp, a);
                                return !assign;
                            });
         ASSERT_TRUE(assign) << c.shape;

@@ -84,7 +84,7 @@ usage()
            "  --cache-dir DIR    plan cache directory "
            "(default: tessel-plan-cache)\n"
            "  --devices N        devices per reference shape (default 4)\n"
-           "  --threads N        miss fan-out workers (0 = hardware)\n"
+           "  --threads N        answer fan-out workers (0 = hardware)\n"
            "  --budget-sec S     per-query wall deadline; answers it cuts "
            "short are served\n"
            "                     but not cached (<= 0: none; default 10)\n"
